@@ -76,6 +76,7 @@ from .green import (
     green_partition,
     green_report,
     h_class_group,
+    h_coordinate,
     j_order_dot,
     principal_left,
     principal_right,

@@ -49,7 +49,6 @@ def build_parser():
         p.add_argument("--n", type=int, default=default_n, help="even degree")
         p.add_argument("--format", choices=("json", "dot", "text"), default="text")
         p.add_argument("--out", help="write output to this path instead of stdout")
-        p.add_argument("--threads", type=int, default=1)
         p.add_argument("--force-budget", action="store_true",
                        help="override the congruence lattice element budget")
 
@@ -165,9 +164,7 @@ def cmd_congruences_predict(args):
 
 def cmd_congruences_enumerate(args):
     universe = _universe(args)
-    lattice = congruence_lattice(
-        universe, force=args.force_budget, threads=args.threads
-    )
+    lattice = congruence_lattice(universe, force=args.force_budget)
     payload = {
         "family": universe.family,
         "n": universe.n,
@@ -182,9 +179,7 @@ def cmd_congruences_enumerate(args):
 
 def cmd_congruences_verify(args):
     universe = _universe(args)
-    report = verify_classification(
-        universe, force=args.force_budget, threads=args.threads
-    )
+    report = verify_classification(universe, force=args.force_budget)
     payload = report.to_json()
     lines = [
         f"{universe.family}_{universe.n}: lattice has {report.lattice_size} congruences",

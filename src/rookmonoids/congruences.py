@@ -18,9 +18,7 @@ the degree-6 monoids.
 from __future__ import annotations
 
 import itertools
-import threading
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -182,9 +180,12 @@ class Partition:
 
     @classmethod
     def from_classes(cls, universe, classes):
-        ids = np.full(len(universe), -1, dtype=np.int64)
+        size = len(universe)
+        ids = np.full(size, -1, dtype=np.int64)
         for label, block in enumerate(classes):
             for i in block:
+                if not isinstance(i, (int, np.integer)) or not 0 <= i < size:
+                    raise ValueError(f"element {i!r} is not an index in 0..{size - 1}")
                 if ids[i] != -1:
                     raise ValueError(f"element {i} listed in two classes")
                 ids[i] = label
@@ -280,12 +281,12 @@ def _seed_order(universe):
     return iu[order], ju[order]
 
 
-def congruence_lattice(universe, *, max_elements=DEFAULT_LATTICE_LIMIT, force=False, threads=1):
+def congruence_lattice(universe, *, max_elements=DEFAULT_LATTICE_LIMIT, force=False):
     """Every congruence of the universe, canonically sorted (finest first).
 
     Computes the principal congruence of each element pair, dedupes, closes
     under pairwise join, and adds the identity and universal partitions.
-    Output is deterministic and independent of the thread count.
+    Output is deterministic.
     """
     size = len(universe)
     if not force and size > max_elements:
@@ -301,30 +302,17 @@ def congruence_lattice(universe, *, max_elements=DEFAULT_LATTICE_LIMIT, force=Fa
     registry = []
     results = []
     by_key = {}
-    lock = threading.Lock()
-
-    def handle(seed):
-        i, j = seed
+    for i, j in zip(iu.tolist(), ju.tolist()):
         ids = _closure_ids(table, [(i, j)], known, registry, table_t)
         key = ids.tobytes()
-        with lock:
-            idx = by_key.get(key)
-            if idx is None:
-                idx = len(results)
-                results.append(ids)
-                registry.append(_class_groups(ids))
-                by_key[key] = idx
+        idx = by_key.get(key)
+        if idx is None:
+            idx = by_key[key] = len(results)
+            results.append(ids)
+            registry.append(_class_groups(ids))
         known[(i, j)] = idx
 
-    seeds = list(zip(iu.tolist(), ju.tolist()))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(handle, seeds, chunksize=1024))
-    else:
-        for seed in seeds:
-            handle(seed)
-
-    distinct = {ids.tobytes(): ids for ids in results}
+    distinct = dict(zip(by_key, results))
     ident = _canonical_ids(np.arange(size))
     distinct.setdefault(ident.tobytes(), ident)
     universal = np.zeros(size, dtype=np.int32)

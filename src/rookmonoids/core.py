@@ -411,8 +411,14 @@ class MonoidUniverse:
             table = np.empty((size, size), dtype=np.int32)
             idx = {e.images: i for i, e in enumerate(self.elements)}
             for i in range(size):
-                rows = padded[i][mat]
-                table[i] = [idx[tuple(row)] for row in rows.tolist()]
+                rows = padded[i][mat].tolist()
+                try:
+                    table[i] = [idx[tuple(row)] for row in rows]
+                except KeyError:
+                    j = next(j for j, row in enumerate(rows) if tuple(row) not in idx)
+                    raise InvariantViolation(
+                        f"product of members {i}, {j} escaped {self.family}_{self.n}"
+                    ) from None
             self._table = table
         return self._table
 

@@ -1,11 +1,14 @@
 """Constructors for the predicted congruence families and the verifier
 that diffs them against the brute-force congruence lattice.
 
-Every family fixes one rank stratum: everything below it collapses into
-the zero class, the stratum itself splits into orbits of a normal subgroup
-acting inside H-classes, and everything above stays singleton.  The
-orthogonal monoid adds per-type variants at half rank and, at degree 4
-only, two extra congruences that pair up the four units.
+Every family has one shape, built by a single private builder: an ideal
+collapses into the zero class, the elements of one or two J-classes split
+into their H-classes and, inside each, into the cosets of a normal subgroup
+of the H-class group (read off the members' H-coordinates), and everything
+else stays singleton.  The public ``build_eq_*`` functions only check their
+parameters and pick the ideal and the splits: a rank stratum on OR and SR,
+per-type variants at half rank on OR, and, at degree 4 only, two OR
+congruences that also pair up the four units.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from .core import (
     TYPE_I,
     TYPE_II,
 )
-from .green import enumerate_ideals
+from .green import enumerate_ideals, h_coordinate
 
 TAGS = ("OR_eqN", "OR_eqN1N2", "OR_eqI", "OR_eqII", "OR_eq1", "OR_eq2", "SR_eqN")
 
@@ -68,52 +71,51 @@ def _as_subgroup(parent, subgroup):
     return sub
 
 
-def _position_mu(universe, base_idx, idx):
-    """Coordinates of an H-class member relative to the base element:
-    the permutation carrying the base's image letters to the member's."""
-    base = universe.elements[base_idx]
-    elem = universe.elements[idx]
-    points = base.domain()
-    letters = [base.images[p - 1] for p in points]
-    pos = {v: i + 1 for i, v in enumerate(letters)}
-    return tuple(pos[elem.images[p - 1]] for p in points)
+def _half_rank_type(universe, mtype):
+    """Mask of the rank-m elements of one parity type."""
+    return np.array([t == mtype for t in universe.mtypes], dtype=bool)
 
 
-def _h_blocks(universe, rank, mtype=None):
-    blocks = {}
-    for i in np.flatnonzero(universe.ranks == rank).tolist():
-        if mtype is not None and universe.mtypes[i] != mtype:
-            continue
-        e = universe.elements[i]
-        blocks.setdefault((e.domain(), e.image()), []).append(i)
-    return blocks
+# Unit pairings of the two degree-4 specials, as full-rank image tuples.
+_OR4_UNIT_PAIRS = {
+    1: (((1, 2, 3, 4), (2, 1, 4, 3)), ((3, 4, 1, 2), (4, 3, 2, 1))),
+    2: (((1, 2, 3, 4), (3, 4, 1, 2)), ((2, 1, 4, 3), (4, 3, 2, 1))),
+}
 
 
-def _coset_groups(universe, block, subgroup):
-    """Split one H-class into orbits of a normal subgroup of its group."""
-    base = min(block)
-    groups = {}
-    for i in block:
-        mu = _position_mu(universe, base, i)
-        coset_key = min(perm_mul(mu, x) for x in subgroup)
-        groups.setdefault(coset_key, []).append(i)
-    return groups.values()
+def _family_partition(universe, zero, splits, unit_pairs=()):
+    """The one shape every predicted family has.
 
-
-def _merge(ids, group):
-    target = min(group)
-    for i in group:
-        ids[i] = target
-
-
-def _finish(universe, ids, validate):
+    ``zero`` masks the ideal that collapses into the zero class.  Each
+    ``(mask, subgroup)`` split cuts the masked elements into their H-classes
+    and, when a subgroup is given, each H-class further into the cosets of
+    that normal subgroup, keyed by the members' H-coordinates; ``None``
+    keeps whole H-classes.  ``unit_pairs`` lists element pairs merged on top.
+    Everything else stays singleton.  The result is checked to be a
+    congruence before it is returned.
+    """
+    ids = np.arange(len(universe), dtype=np.int64)
+    ids[zero] = 0  # the zero map, element 0, lies in every ideal
+    for mask, subgroup in splits:
+        cosets = {}
+        first = {}
+        for i in np.flatnonzero(mask).tolist():
+            key = (int(universe.dom_masks[i]), int(universe.img_masks[i]))
+            if subgroup is not None:
+                mu = h_coordinate(universe.elements[i])
+                if mu not in cosets:
+                    cosets[mu] = min(perm_mul(mu, x) for x in subgroup)
+                key += (cosets[mu],)
+            ids[i] = first.setdefault(key, i)
+    for a, b in unit_pairs:
+        ids[ids == ids[b]] = ids[a]
     part = Partition(universe, ids)
-    if validate and not is_congruence(universe, part):
+    if not is_congruence(universe, part):
         raise InvariantViolation("constructed family partition is not a congruence")
     return part
 
 
-def build_eq_N_or(universe, k, subgroup, *, validate=True):
+def build_eq_N_or(universe, k, subgroup):
     """Rank-k family on OR, 1 <= k <= m-1: one class below rank k, subgroup
     orbits inside rank-k H-classes, singletons above."""
     _require_family(universe, "OR")
@@ -121,31 +123,24 @@ def build_eq_N_or(universe, k, subgroup, *, validate=True):
     if not 1 <= k <= m - 1:
         raise ValueError(f"level must satisfy 1 <= k <= {m - 1}, got {k}")
     sub = _as_subgroup(symmetric_group(k), subgroup)
-    ids = np.arange(len(universe), dtype=np.int64)
-    _merge(ids, np.flatnonzero(universe.ranks < k).tolist())
-    for block in _h_blocks(universe, k).values():
-        for group in _coset_groups(universe, block, sub):
-            _merge(ids, group)
-    return _finish(universe, ids, validate)
+    ranks = universe.ranks
+    return _family_partition(universe, ranks < k, [(ranks == k, sub)])
 
 
-def build_eq_N1N2(universe, sub1, sub2, *, validate=True):
+def build_eq_N1N2(universe, sub1, sub2):
     """Half-rank family on OR: one class below rank m, per-type subgroup
     orbits at rank m, unit singletons."""
     _require_family(universe, "OR")
     m = universe.n // 2
     parent = symmetric_group(m)
-    subs = {TYPE_I: _as_subgroup(parent, sub1), TYPE_II: _as_subgroup(parent, sub2)}
-    ids = np.arange(len(universe), dtype=np.int64)
-    _merge(ids, np.flatnonzero(universe.ranks < m).tolist())
-    for mtype, sub in subs.items():
-        for block in _h_blocks(universe, m, mtype).values():
-            for group in _coset_groups(universe, block, sub):
-                _merge(ids, group)
-    return _finish(universe, ids, validate)
+    splits = [
+        (_half_rank_type(universe, TYPE_I), _as_subgroup(parent, sub1)),
+        (_half_rank_type(universe, TYPE_II), _as_subgroup(parent, sub2)),
+    ]
+    return _family_partition(universe, universe.ranks < m, splits)
 
 
-def build_eq_type(universe, variant, subgroup, *, validate=True):
+def build_eq_type(universe, variant, subgroup):
     """Typed half-rank family on OR: the zero class swallows everything of
     rank < m plus the whole opposite-type stratum; the named type splits
     into subgroup orbits; units stay singletons."""
@@ -155,20 +150,11 @@ def build_eq_type(universe, variant, subgroup, *, validate=True):
     m = universe.n // 2
     sub = _as_subgroup(symmetric_group(m), subgroup)
     other = TYPE_II if variant == TYPE_I else TYPE_I
-    ids = np.arange(len(universe), dtype=np.int64)
-    swallowed = [
-        i for i in range(len(universe))
-        if universe.ranks[i] < m
-        or (universe.ranks[i] == m and universe.mtypes[i] == other)
-    ]
-    _merge(ids, swallowed)
-    for block in _h_blocks(universe, m, variant).values():
-        for group in _coset_groups(universe, block, sub):
-            _merge(ids, group)
-    return _finish(universe, ids, validate)
+    zero = (universe.ranks < m) | _half_rank_type(universe, other)
+    return _family_partition(universe, zero, [(_half_rank_type(universe, variant), sub)])
 
 
-def build_eq_special(universe, which, *, validate=True):
+def build_eq_special(universe, which):
     """The two degree-4 specials on OR: units pair up, one half-rank type
     collapses into the zero class, the other splits into full H-classes."""
     _require_family(universe, "OR")
@@ -176,31 +162,18 @@ def build_eq_special(universe, which, *, validate=True):
         raise ValueError(f"special congruences exist only at degree 4, got {universe.n}")
     if which not in (1, 2):
         raise ValueError(f"which must be 1 or 2, got {which}")
-    ident = 1
-    d1 = universe.element_index(PartialInjection(4, (2, 1, 4, 3)))
-    d2 = universe.element_index(PartialInjection(4, (3, 4, 1, 2)))
-    d12 = universe.element_index(PartialInjection(4, (4, 3, 2, 1)))
-    if which == 1:
-        unit_pairs = [(ident, d1), (d2, d12)]
-        swallowed_type, kept_type = TYPE_II, TYPE_I
-    else:
-        unit_pairs = [(ident, d2), (d1, d12)]
-        swallowed_type, kept_type = TYPE_I, TYPE_II
-    ids = np.arange(len(universe), dtype=np.int64)
-    swallowed = [
-        i for i in range(len(universe))
-        if universe.ranks[i] < 2
-        or (universe.ranks[i] == 2 and universe.mtypes[i] == swallowed_type)
+    swallowed, kept = (TYPE_II, TYPE_I) if which == 1 else (TYPE_I, TYPE_II)
+    zero = (universe.ranks < 2) | _half_rank_type(universe, swallowed)
+    unit_pairs = [
+        tuple(universe.element_index(PartialInjection(4, images)) for images in pair)
+        for pair in _OR4_UNIT_PAIRS[which]
     ]
-    _merge(ids, swallowed)
-    for block in _h_blocks(universe, 2, kept_type).values():
-        _merge(ids, block)
-    for pair in unit_pairs:
-        _merge(ids, pair)
-    return _finish(universe, ids, validate)
+    return _family_partition(
+        universe, zero, [(_half_rank_type(universe, kept), None)], unit_pairs
+    )
 
 
-def build_eq_N_sr(universe, k, subgroup, *, validate=True):
+def build_eq_N_sr(universe, k, subgroup):
     """Rank-k family on SR, k in 1..m or k = n: one class below rank k,
     subgroup orbits inside rank-k H-classes (the unit group acts at rank
     n), singletons above."""
@@ -214,12 +187,8 @@ def build_eq_N_sr(universe, k, subgroup, *, validate=True):
     else:
         raise ValueError(f"level must lie in 1..{m} or be {n}, got {k}")
     sub = _as_subgroup(parent, subgroup)
-    ids = np.arange(len(universe), dtype=np.int64)
-    _merge(ids, np.flatnonzero(universe.ranks < k).tolist())
-    for block in _h_blocks(universe, k).values():
-        for group in _coset_groups(universe, block, sub):
-            _merge(ids, group)
-    return _finish(universe, ids, validate)
+    ranks = universe.ranks
+    return _family_partition(universe, ranks < k, [(ranks == k, sub)])
 
 
 def _labelled(ns: NormalSubgroupList):
@@ -371,7 +340,7 @@ def _annotate_unmatched(universe, part, lattice_index, ideal_by_members):
     }
 
 
-def verify_classification(universe, *, max_elements=None, force=False, threads=1):
+def verify_classification(universe, *, max_elements=None, force=False):
     """Enumerate the full congruence lattice and diff it against the
     predicted families.  Everything unmatched is reported, never dropped."""
     budget = DEFAULT_LATTICE_LIMIT if max_elements is None else max_elements
@@ -381,10 +350,7 @@ def verify_classification(universe, *, max_elements=None, force=False, threads=1
             f" budget {budget}; pass force=True (or --force-budget) to override"
         )
     predictions = predicted_congruences(universe)
-    kwargs = {"force": force, "threads": threads}
-    if max_elements is not None:
-        kwargs["max_elements"] = max_elements
-    lattice = congruence_lattice(universe, **kwargs)
+    lattice = congruence_lattice(universe, max_elements=budget, force=force)
     lattice_keys = {part.key: i for i, part in enumerate(lattice)}
     ideal_by_members = {d.members: d for d in enumerate_ideals(universe)}
 

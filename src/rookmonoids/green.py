@@ -248,34 +248,34 @@ def _ideal_level(chosen, meta, m, universe):
     return top
 
 
+def h_coordinate(elem):
+    """Position of an element inside its H-class: the pattern of its image
+    letters in domain order, so the order-preserving member reads as the
+    identity.  At full rank this is the element's own image tuple."""
+    img = elem.image_in_domain_order()
+    letters = sorted(img)
+    return tuple(letters.index(v) + 1 for v in img)
+
+
 def h_class_group(universe, idx):
     """The H-class of an idempotent as a permutation group.
 
     For rank k between 1 and n/2 the group acts on the positions of the
     idempotent's domain; for rank n it is the whole unit group.  Returns
-    the group together with the element-to-permutation bijection.
+    the group together with the element-to-permutation bijection, which
+    maps each member to its ``h_coordinate``.
     """
     elem = universe.elements[idx]
     if not is_idempotent(elem):
         raise ValueError(f"element {idx} ({elem!r}) is not idempotent")
     points = elem.domain()
-    k = len(points)
-    members = [
-        i for i, e in enumerate(universe.elements)
+    bijection = {
+        i: h_coordinate(e)
+        for i, e in enumerate(universe.elements)
         if e.domain() == points and e.image() == points
-    ]
-    bijection = {}
-    if k == universe.n:
-        for i in members:
-            bijection[i] = universe.elements[i].images
-        group = PermGroup(universe.n, bijection.values())
-    else:
-        pos = {p: i + 1 for i, p in enumerate(points)}
-        for i in members:
-            e = universe.elements[i]
-            bijection[i] = tuple(pos[e.images[p - 1]] for p in points)
-        group = PermGroup(k, bijection.values())
-    if len(group) != len(members):
+    }
+    group = PermGroup(len(points), bijection.values())
+    if len(group) != len(bijection):
         raise InvariantViolation("H-class does not map bijectively onto its group")
     return group, bijection
 

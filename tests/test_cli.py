@@ -171,11 +171,3 @@ def test_internal_invariant_exit_code(capsys, monkeypatch):
                            "--n", "2")
     assert code == 3
     assert "invariant" in err
-
-
-def test_verify_output_independent_of_threads(capsys):
-    _, one, _ = run_cli(capsys, "congruences", "verify", "--family", "or",
-                        "--n", "4", "--format", "json", "--threads", "1")
-    _, two, _ = run_cli(capsys, "congruences", "verify", "--family", "or",
-                        "--n", "4", "--format", "json", "--threads", "2")
-    assert one == two

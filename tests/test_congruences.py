@@ -175,13 +175,6 @@ def test_lattice_is_join_closed(or4):
         assert join(p, q).key in keys
 
 
-def test_lattice_independent_of_threads(or4, sr4):
-    for universe in (or4, sr4):
-        one = lattice_keys(congruence_lattice(universe, threads=1))
-        two = lattice_keys(congruence_lattice(universe, threads=2))
-        assert one == two
-
-
 def test_lattice_budget(or6):
     with pytest.raises(ResourceLimitError):
         congruence_lattice(or6, max_elements=100)
@@ -224,6 +217,13 @@ def test_partition_json_round_trip(or4):
     assert partition_from_json(or4, payload) == part
     with pytest.raises(ValueError):
         partition_from_json(or4, {"universe": {"family": "SR", "n": 4}, "classes": []})
+
+
+@pytest.mark.parametrize("stray", [-1, 37])
+def test_partition_from_json_rejects_out_of_range_indices(or4, stray):
+    classes = [[i] for i in range(len(or4) - 1)] + [[stray]]
+    with pytest.raises(ValueError):
+        partition_from_json(or4, {"classes": classes})
 
 
 # -- permutation groups ------------------------------------------------------

@@ -5,6 +5,8 @@ import random
 import pytest
 
 from rookmonoids import (
+    InvariantViolation,
+    MonoidUniverse,
     PartialInjection,
     ResourceLimitError,
     admissible_subsets,
@@ -280,6 +282,12 @@ def test_universe_closure_exhaustive_small():
         for i in range(len(universe)):
             for j in range(len(universe)):
                 assert is_member(family, universe.elements[table[i, j]])
+
+
+def test_product_table_refuses_a_universe_not_closed_under_products(or4):
+    truncated = MonoidUniverse("OR", 4, or4.elements[:-1])
+    with pytest.raises(InvariantViolation, match="escaped OR_4"):
+        truncated.multiplication_table()
 
 
 def test_universe_closure_sampled_degree_6(or6):

@@ -1,6 +1,7 @@
 import pytest
 
 from rookmonoids import (
+    InvariantViolation,
     PartialInjection,
     Partition,
     PermGroup,
@@ -17,6 +18,7 @@ from rookmonoids import (
     symmetric_group,
     verify_classification,
 )
+from rookmonoids.families import _family_partition
 
 TRIVIAL_1 = frozenset({(1,)})
 TRIVIAL_2 = frozenset({(1, 2)})
@@ -165,6 +167,12 @@ def test_special_congruence_is_generated_by_its_unit_pair(or4):
     d2 = or4.element_index(PartialInjection(4, (3, 4, 1, 2)))
     assert congruence_closure(or4, [(1, d1)]) == build_eq_special(or4, 1)
     assert congruence_closure(or4, [(1, d2)]) == build_eq_special(or4, 2)
+
+
+def test_builder_refuses_a_partition_that_is_not_a_congruence(or4):
+    d1 = or4.element_index(PartialInjection(4, (2, 1, 4, 3)))
+    with pytest.raises(InvariantViolation):
+        _family_partition(or4, or4.ranks < 1, [], [(1, d1)])
 
 
 def test_special_congruences_need_degree_four(or6):

@@ -15,6 +15,7 @@ from rookmonoids import (
     green_partition,
     green_report,
     h_class_group,
+    h_coordinate,
     idempotent_of,
     j_order_dot,
     perm_mul,
@@ -242,6 +243,28 @@ def test_h_class_groups_are_symmetric_groups(or4, or6):
                     for b in members:
                         prod = universe.product(a, b)
                         assert bijection[prod] == perm_mul(bijection[a], bijection[b])
+
+
+def test_h_coordinate_places_every_member_against_the_order_preserving_one(or4, sr4):
+    for universe in (or4, sr4):
+        m = universe.n // 2
+        blocks = {}
+        for e in universe.elements:
+            if 1 <= e.rank <= m or e.rank == universe.n:
+                blocks.setdefault((e.domain(), e.image()), []).append(e)
+        for (dom, img), members in blocks.items():
+            base = PartialInjection.from_pairs(universe.n, zip(dom, img))
+            assert base in universe.index
+            assert h_coordinate(base) == tuple(range(1, len(dom) + 1))
+            for e in members:
+                assert apply_mu(base, h_coordinate(e)) == e
+        for k in [*range(1, m + 1), universe.n]:
+            for points in admissible_subsets(universe.n, k):
+                idx = universe.idempotent_index(points)
+                _, bijection = h_class_group(universe, idx)
+                assert bijection == {
+                    i: h_coordinate(universe.elements[i]) for i in bijection
+                }
 
 
 def test_h_class_group_at_full_rank_is_the_unit_group(or4):
