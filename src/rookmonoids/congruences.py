@@ -3,16 +3,23 @@
 Partitions are flat class-id vectors in a canonical form (classes numbered
 by their smallest member), so equality of partitions is equality of
 vectors.  The closure engine is a union-find worklist over translated
-pairs; the lattice enumerator seeds it with every element pair and then
-closes the distinct results under pairwise join.
+pairs.
 
-The lattice enumerator keeps a registry of principal congruences already
-computed.  Whenever a closure in progress is forced to merge a pair whose
-principal congruence is known, that whole known congruence is folded in at
-once: it is necessarily contained in the closure being built, and since it
-is itself translation-closed none of its pairs need to be re-enqueued.
-This short-circuits the long merge cascades that dominate the run time on
-the degree-6 monoids.
+The lattice enumerator closes one seed pair per orbit of the unit group
+G×G acting by (a, b) -> (g·a·h, g·b·h): translation by units is invertible,
+so translated pairs generate the same principal congruence.  Seeds are
+(a, b) with a the least member of its element orbit and b the least member
+of its orbit under the stabilizer of a.  Every congruence of a finite
+monoid is a join of principal ones, so each lattice member is then joined
+with the principal congruences only, until nothing new appears.
+
+The enumerator keeps a registry of the principal congruences already
+computed.  Whenever a closure in progress is forced to merge a pair, the
+pair is carried to its seed's canonical form in O(1); if that seed's
+principal congruence is known, it is folded in at once: it is necessarily
+contained in the closure being built, and since it is itself
+translation-closed none of its pairs need to be re-enqueued.  This
+short-circuits the long merge cascades of the degree-6 monoids.
 """
 
 from __future__ import annotations
@@ -77,8 +84,9 @@ def _is_congruence_ids(table, ids):
 def _closure_ids(table, pairs, known=None, registry=None, table_t=None):
     """Least translation-closed class-id vector containing the seed pairs.
 
-    known/registry: index of already-computed principal congruences, the
-    registry holding their non-singleton class groups.
+    known/registry: index of already-computed principal congruences (any
+    object whose ``get`` takes an element pair and returns a registry index
+    or None), the registry holding their non-singleton class groups.
     """
     size = table.shape[0]
     if table_t is None:
@@ -264,29 +272,95 @@ def join(p, q):
     return Partition(p.universe, _join_ids(p.ids, q.ids))
 
 
-def _seed_order(universe):
-    """All index pairs i < j in ascending rank-profile order.
+class _UnitOrbits:
+    """Canonical forms of element pairs under two-sided unit translation.
 
-    Translating a pair can only lower ranks, so processing low-rank pairs
-    first means a closure in progress keeps running into pairs whose
-    principal congruence is already registered and can be folded in.  The
-    ordering only affects speed; the resulting lattice is the same for any
-    order.
+    For units g, h the pairs (a, b) and (g·a·h, g·b·h) generate the same
+    principal congruence, since each is a translate of the other.  Row t of
+    ``act`` is x -> g_t·x·h_t for the t-th (g, h) in G×G; an element's
+    representative is the least member of its orbit, reached by its
+    transporter row.  A pair (u, v) is carried to (rep u, b), b being the
+    least member of the stabilizer orbit of the transported v, in O(1).
+
+    ``act`` holds |G|²·N entries in the table's dtype: 1.2 MB on OR_6, but
+    392 M entries (1.6 GB) on OR_8, about 3.5 times the product table.  That
+    is the limit this pass leaves for a degree-8 lattice, which the element
+    budget refuses today.
     """
-    size = len(universe)
-    ranks = universe.ranks.astype(np.int32)
-    iu, ju = np.triu_indices(size, k=1)
-    ri, rj = ranks[iu], ranks[ju]
-    order = np.lexsort((ju, iu, np.minimum(ri, rj), np.maximum(ri, rj)))
-    return iu[order], ju[order]
+
+    def __init__(self, table, units):
+        units = np.asarray(units, dtype=np.intp)
+        size = table.shape[0]
+        self.act = table[units][:, table[:, units].T].reshape(-1, size)
+        self.rep = self.act.min(axis=0)
+        self.transporter = self.act.argmin(axis=0)
+        self.stab_min = {}
+        for a in np.unique(self.rep).tolist():
+            rows = np.flatnonzero(self.act[:, a] == a)
+            self.stab_min[a] = self.act[rows].min(axis=0)
+        self.index = {}  # canonical pair -> registry index
+
+    def canonical(self, u, v):
+        a = int(self.rep[u])
+        return a, int(self.stab_min[a][self.act[self.transporter[u], v]])
+
+    def get(self, pair):
+        """Registry index of the principal congruence of an element pair,
+        or None while the pair's seed has not been closed."""
+        u, v = pair
+        found = self.index.get(self.canonical(u, v))
+        return found if found is not None else self.index.get(self.canonical(v, u))
+
+    def seeds(self, ranks):
+        """One pair (a, b) per representative a and stabilizer orbit of b,
+        with b != a and rep b >= a, in ascending rank-profile order.
+
+        Translating a pair can only lower ranks, so low-rank seeds come
+        first: a closure in progress then keeps running into pairs whose
+        principal congruence is already registered and can be folded in.
+        The order only affects speed.
+        """
+        firsts, seconds = [], []
+        for a, least in self.stab_min.items():
+            bs = np.unique(least)
+            bs = bs[(bs != a) & (self.rep[bs] >= a)]
+            firsts.append(np.full(bs.size, a, dtype=np.intp))
+            seconds.append(bs.astype(np.intp))
+        iu, ju = np.concatenate(firsts), np.concatenate(seconds)
+        ri, rj = ranks[iu].astype(np.int32), ranks[ju].astype(np.int32)
+        order = np.lexsort((ju, iu, np.minimum(ri, rj), np.maximum(ri, rj)))
+        return list(zip(iu[order].tolist(), ju[order].tolist()))
+
+
+def _principal_closures(table, orbits, ranks):
+    """Yield (seed pair, principal congruence ids) for every unit-orbit seed.
+
+    Each distinct result is registered in ``orbits.index``, so a later
+    closure that is forced to merge a pair whose canonical form is a
+    registered seed folds that whole congruence in.
+    """
+    table_t = np.ascontiguousarray(table.T)
+    registry = []
+    by_key = {}
+    for a, b in orbits.seeds(ranks):
+        ids = _closure_ids(table, [(a, b)], orbits, registry, table_t)
+        key = ids.tobytes()
+        idx = by_key.get(key)
+        if idx is None:
+            idx = by_key[key] = len(registry)
+            registry.append(_class_groups(ids))
+        orbits.index[(a, b)] = idx
+        yield (a, b), ids
 
 
 def congruence_lattice(universe, *, max_elements=DEFAULT_LATTICE_LIMIT, force=False):
     """Every congruence of the universe, canonically sorted (finest first).
 
-    Computes the principal congruence of each element pair, dedupes, closes
-    under pairwise join, and adds the identity and universal partitions.
-    Output is deterministic.
+    Computes the principal congruence of one seed pair per unit-orbit class
+    (see ``_UnitOrbits``), dedupes, and joins each lattice member with the
+    principal congruences until nothing new appears: every congruence of a
+    finite monoid is a join of principal ones.  The identity and universal
+    partitions are added.  Output is deterministic.
     """
     size = len(universe)
     if not force and size > max_elements:
@@ -295,35 +369,23 @@ def congruence_lattice(universe, *, max_elements=DEFAULT_LATTICE_LIMIT, force=Fa
             f" {max_elements}; pass force=True to override"
         )
     table = universe.multiplication_table(limit=None if force else DEFAULT_TABLE_LIMIT)
-    table_t = np.ascontiguousarray(table.T)
-    iu, ju = _seed_order(universe)
+    orbits = _UnitOrbits(table, universe.units())
+    principal = {}
+    for _, ids in _principal_closures(table, orbits, universe.ranks):
+        principal.setdefault(ids.tobytes(), ids)
 
-    known = {}
-    registry = []
-    results = []
-    by_key = {}
-    for i, j in zip(iu.tolist(), ju.tolist()):
-        ids = _closure_ids(table, [(i, j)], known, registry, table_t)
-        key = ids.tobytes()
-        idx = by_key.get(key)
-        if idx is None:
-            idx = by_key[key] = len(results)
-            results.append(ids)
-            registry.append(_class_groups(ids))
-        known[(i, j)] = idx
-
-    distinct = dict(zip(by_key, results))
+    distinct = dict(principal)
     ident = _canonical_ids(np.arange(size))
     distinct.setdefault(ident.tobytes(), ident)
     universal = np.zeros(size, dtype=np.int32)
     distinct.setdefault(universal.tobytes(), universal)
 
-    # join closure: the lattice is small, so the fixpoint loop is cheap
+    principal_groups = [_class_groups(ids) for ids in principal.values()]
     worklist = list(distinct.values())
     while worklist:
         current = worklist.pop()
-        for other in list(distinct.values()):
-            joined = _canonical_ids(_join_ids(current, other))
+        for groups in principal_groups:
+            joined = _canonical_ids(_fold_groups(current.copy(), groups))
             key = joined.tobytes()
             if key not in distinct:
                 distinct[key] = joined

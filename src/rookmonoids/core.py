@@ -395,7 +395,12 @@ class MonoidUniverse:
     def product(self, i, j):
         if self._table is not None:
             return int(self._table[i, j])
-        return self.index[compose(self.elements[i], self.elements[j])]
+        try:
+            return self.index[compose(self.elements[i], self.elements[j])]
+        except KeyError:
+            raise InvariantViolation(
+                f"product of members {i}, {j} escaped {self.family}_{self.n}"
+            ) from None
 
     def multiplication_table(self, *, limit=DEFAULT_TABLE_LIMIT):
         """Full N x N product table; cached.  Gated because it is quadratic."""

@@ -1,8 +1,7 @@
 """Acceptance suite: one test per criterion, each printing a PASS line.
 
 Run with ``pytest -s tests/test_acceptance.py`` to see the per-criterion
-lines; the degree-6 classification runs are marked ``stretch`` and enabled
-with ``-m stretch``.
+lines.
 """
 
 import itertools
@@ -184,7 +183,6 @@ def test_criterion_6_classification(family, n):
         report(6, "classification at degrees 2 and 4")
 
 
-@pytest.mark.stretch
 @pytest.mark.parametrize("family,n", [("OR", 6), ("SR", 6)])
 def test_criterion_6_stretch_classification_degree_6(family, n):
     started = time.monotonic()
@@ -205,7 +203,7 @@ def test_criterion_6_stretch_classification_degree_6(family, n):
         assert report_obj.lattice_size == 23
     elapsed = time.monotonic() - started
     assert elapsed < 900.0, f"{family}_{n} classification took {elapsed:.1f}s"
-    report(6, f"stretch classification {family}_{n}")
+    report(6, f"classification {family}_{n}")
 
 
 def test_criterion_7_degree_4_specials():

@@ -27,13 +27,30 @@ from rookmonoids.congruences import (
     _closure_ids,
     _closure_reference,
     _is_congruence_ids,
-    _seed_order,
+    _principal_closures,
     _set_partitions,
+    _UnitOrbits,
 )
 
 
 def lattice_keys(parts):
     return [p.key for p in parts]
+
+
+@pytest.fixture(scope="module")
+def reference_principal():
+    """Principal congruence of an element pair by the plain reference
+    closure, memoized for the tests of this module."""
+    memo = {}
+
+    def principal(universe, pair):
+        key = (universe.family, universe.n, pair)
+        if key not in memo:
+            listed = universe.multiplication_table().tolist()
+            memo[key] = _closure_reference(listed, [pair])
+        return memo[key]
+
+    return principal
 
 
 def test_partition_canonical_form(or4):
@@ -112,26 +129,72 @@ def test_fast_closure_agrees_with_reference(or2, sr2, or4):
             assert np.array_equal(fast, slow)
 
 
-def test_registry_accelerated_closures_match_reference(sr2, or4):
-    """Replay the lattice enumerator's accelerated seed loop and check every
-    principal congruence against the plain reference closure."""
-    for universe in (sr2, or4):
+def test_registry_accelerated_closures_match_reference(sr2, or4, sr4, reference_principal):
+    """Replay the lattice enumerator's orbit-seed loop and check every
+    principal congruence against the plain reference closure; then check
+    that the canonical-pair lookup sends every element pair to a seed with
+    the same principal congruence."""
+    for universe in (sr2, or4, sr4):
         table = universe.multiplication_table()
-        table_t = np.ascontiguousarray(table.T)
-        listed = table.tolist()
-        iu, ju = _seed_order(universe)
-        known, registry, results, by_key = {}, [], [], {}
-        for i, j in zip(iu.tolist(), ju.tolist()):
-            ids = _closure_ids(table, [(i, j)], known, registry, table_t)
-            key = ids.tobytes()
-            idx = by_key.get(key)
-            if idx is None:
-                idx = len(results)
-                results.append(ids)
-                registry.append(_class_groups(ids))
-                by_key[key] = idx
-            known[(i, j)] = idx
-            assert np.array_equal(ids, _closure_reference(listed, [(i, j)]))
+        orbits = _UnitOrbits(table, universe.units())
+        by_index = {}
+        for pair, ids in _principal_closures(table, orbits, universe.ranks):
+            assert np.array_equal(ids, reference_principal(universe, pair))
+            by_index.setdefault(orbits.index[pair], ids)
+        for pair in itertools.combinations(range(len(universe)), 2):
+            found = orbits.get(pair)
+            assert found is not None, pair
+            assert np.array_equal(by_index[found], reference_principal(universe, pair))
+
+
+@pytest.mark.parametrize("name", ["or4", "sr4"])
+def test_closure_is_invariant_under_unit_translation(name, request):
+    universe = request.getfixturevalue(name)
+    units = universe.units()
+    rng = random.Random(11)
+    pool = list(itertools.combinations(range(len(universe)), 2))
+    for a, b in rng.sample(pool, 12):
+        part = congruence_closure(universe, [(a, b)])
+        for g, h in itertools.product(units, units):
+            moved = (
+                universe.product(universe.product(g, a), h),
+                universe.product(universe.product(g, b), h),
+            )
+            assert congruence_closure(universe, [moved]) == part
+
+
+def all_pairs_lattice(universe, reference_principal):
+    """The lattice the slow way: the reference closure of every element
+    pair plus the identity, closed under all pairwise joins."""
+    found = {Partition.identity(universe)}
+    for pair in itertools.combinations(range(len(universe)), 2):
+        found.add(Partition(universe, reference_principal(universe, pair)))
+    while True:
+        joined = {join(p, q) for p in found for q in found}
+        if joined <= found:
+            break
+        found |= joined
+    return sorted(found, key=lambda p: (-p.num_classes, p.key))
+
+
+@pytest.mark.parametrize("name", ["or2", "sr2", "or4", "sr4"])
+def test_lattice_matches_all_pairs_oracle(name, request, reference_principal):
+    universe = request.getfixturevalue(name)
+    assert lattice_keys(congruence_lattice(universe)) == lattice_keys(
+        all_pairs_lattice(universe, reference_principal)
+    )
+
+
+@pytest.mark.parametrize("name", ["or4", "sr4", "or6"])
+def test_lattice_is_meet_closed_and_made_of_congruences(name, request):
+    universe = request.getfixturevalue(name)
+    lattice = congruence_lattice(universe)
+    keys = set(lattice_keys(lattice))
+    assert all(is_congruence(universe, p) for p in lattice)
+    size = len(universe)
+    for p, q in itertools.combinations(lattice, 2):
+        meet = Partition(universe, p.ids.astype(np.int64) * size + q.ids)
+        assert meet.key in keys
 
 
 def test_lattice_of_toy_two_element_monoid():

@@ -290,6 +290,14 @@ def test_product_table_refuses_a_universe_not_closed_under_products(or4):
         truncated.multiplication_table()
 
 
+def test_product_refuses_a_product_outside_the_universe(or4):
+    truncated = MonoidUniverse("OR", 4, or4.elements[:-1])
+    d1 = truncated.element_index(PartialInjection(4, (2, 1, 4, 3)))
+    d2 = truncated.element_index(PartialInjection(4, (3, 4, 1, 2)))
+    with pytest.raises(InvariantViolation, match=f"members {d1}, {d2} escaped OR_4"):
+        truncated.product(d1, d2)
+
+
 def test_universe_closure_sampled_degree_6(or6):
     rng = random.Random(7)
     elems = or6.elements
