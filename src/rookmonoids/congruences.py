@@ -2,8 +2,17 @@
 
 Partitions are flat class-id vectors in a canonical form (classes numbered
 by their smallest member), so equality of partitions is equality of
-vectors.  The closure engine is a union-find worklist over translated
-pairs.
+vectors.  Inside the closure engine a partition is held as least-member
+labels instead: every element is labelled by the least member of its
+class, which is just as canonical and lets classes be merged by hooking
+labels (``_merge``).
+
+An equivalence compatible with multiplication by each generator of the
+monoid, on both sides, is a congruence, since every element is a product
+of generators.  So a closure runs in rounds over the rows x -> g·x and
+x -> x·g of the generators (``MonoidUniverse.generators``: 5 on OR_6, 4 on
+SR_6): each round merges the generator translates of the pairs
+(l, label of l) whose label changed in the round before.
 
 The lattice enumerator closes one seed pair per orbit of the unit group
 G×G acting by (a, b) -> (g·a·h, g·b·h): translation by units is invertible,
@@ -12,20 +21,11 @@ so translated pairs generate the same principal congruence.  Seeds are
 of its orbit under the stabilizer of a.  Every congruence of a finite
 monoid is a join of principal ones, so each lattice member is then joined
 with the principal congruences only, until nothing new appears.
-
-The enumerator keeps a registry of the principal congruences already
-computed.  Whenever a closure in progress is forced to merge a pair, the
-pair is carried to its seed's canonical form in O(1); if that seed's
-principal congruence is known, it is folded in at once: it is necessarily
-contained in the closure being built, and since it is itself
-translation-closed none of its pairs need to be re-enqueued.  This
-short-circuits the long merge cascades of the degree-6 monoids.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -47,30 +47,36 @@ def _canonical_ids(ids):
     return rank[inverse.ravel()].astype(np.int32)
 
 
-def _class_groups(ids):
-    """Member index arrays of the non-singleton classes of an id vector."""
-    ids = np.asarray(ids)
-    order = np.argsort(ids, kind="stable")
-    cuts = np.flatnonzero(np.diff(ids[order])) + 1
-    return tuple(g for g in np.split(order, cuts) if g.size > 1)
+def _least_members(ids):
+    """Least-member labels of a canonical class-id vector."""
+    return np.unique(ids, return_index=True)[1][ids]
 
 
-def _fold_groups(cls, groups):
-    """Merge each member group into one class, in place.
+def _merge(ids, u, v):
+    """Least-member labels of the join of ``ids`` with the pairs (u[i], v[i]).
 
-    Re-reading ``cls`` between groups makes overlapping chains transitive,
-    so a single pass suffices.
+    Each step hooks the greater of two distinct labels to the least label
+    offered to it, then pointer-jumps until every label is a root.  Labels
+    only fall and stay inside their class, so each class ends labelled by
+    its least member.  Returns ``ids`` itself when nothing merges, and never
+    writes to it.
     """
-    for members in groups:
-        labels = np.unique(cls[members])
-        if labels.size > 1:
-            cls[np.isin(cls, labels)] = labels[0]
-    return cls
-
-
-def _join_ids(p, q):
-    """Finest common coarsening of two id vectors (labels not canonical)."""
-    return _fold_groups(np.array(p, dtype=np.int32, copy=True), _class_groups(q))
+    a, b = ids[u], ids[v]
+    keep = a != b
+    if not keep.any():
+        return ids
+    ids = ids.copy()
+    while keep.any():
+        a, b = a[keep], b[keep]
+        np.minimum.at(ids, np.maximum(a, b), np.minimum(a, b))
+        while True:
+            jumped = ids[ids]
+            if np.array_equal(jumped, ids):
+                break
+            ids = jumped
+        a, b = ids[a], ids[b]
+        keep = a != b
+    return ids
 
 
 def _is_congruence_ids(table, ids):
@@ -81,46 +87,38 @@ def _is_congruence_ids(table, ids):
     return bool(np.array_equal(prod, prod[:, rep]) and np.array_equal(prod, prod[rep, :]))
 
 
-def _closure_ids(table, pairs, known=None, registry=None, table_t=None):
-    """Least translation-closed class-id vector containing the seed pairs.
+def _translations(table, gens):
+    """Rows x -> g·x, then rows x -> x·g, for each generator g."""
+    gens = np.asarray(gens, dtype=np.intp)
+    return np.concatenate([table[gens], table[:, gens].T]).astype(np.intp)
 
-    known/registry: index of already-computed principal congruences (any
-    object whose ``get`` takes an element pair and returns a registry index
-    or None), the registry holding their non-singleton class groups.
+
+def _closure_ids(moves, pairs):
+    """Least congruence containing the seed pairs, as least-member labels.
+
+    ``moves`` holds the generator translations from ``_translations``.
+    Each round merges the pairs of the round before, then translates every
+    pair (l, ids[l]) whose label changed by every generator on both sides;
+    those translates are the next round's pairs.  At the end every
+    (l, ids[l]) has been translated with its final label, so the partition
+    is compatible with each generator, hence a congruence.
     """
-    size = table.shape[0]
-    if table_t is None:
-        table_t = np.ascontiguousarray(table.T)
-    cls = np.arange(size, dtype=np.int32)
-    work = deque()
-    for a, b in pairs:
-        if not (0 <= a < size and 0 <= b < size):
-            raise ValueError(f"element index pair ({a}, {b}) out of range")
-        work.append((np.array([a]), np.array([b])))
-    folded = set()
-    while work:
-        u, v = work.popleft()
-        hits = np.flatnonzero(cls[u] != cls[v])
-        for t in hits.tolist():
-            uu, vv = int(u[t]), int(v[t])
-            a, b = int(cls[uu]), int(cls[vv])
-            if a == b:
-                continue
-            if known is not None:
-                ki = known.get((uu, vv) if uu < vv else (vv, uu))
-                if ki is not None and ki not in folded:
-                    # (uu, vv) is forced, so its principal congruence is a
-                    # lower bound for this closure; fold it in wholesale.
-                    # Being a congruence, its pairs need no re-enqueueing.
-                    _fold_groups(cls, registry[ki])
-                    folded.add(ki)
-                    continue
-            if a > b:
-                a, b = b, a
-            cls[cls == b] = a
-            work.append((table_t[uu], table_t[vv]))
-            work.append((table[uu], table[vv]))
-    return _canonical_ids(cls)
+    size = moves.shape[1]
+    pairs = np.asarray(pairs).reshape(-1, 2)
+    if pairs.size and pairs.dtype.kind not in "iu":
+        raise ValueError("element index pairs must be integers")
+    bad = np.flatnonzero(((pairs < 0) | (pairs >= size)).any(axis=1))
+    if bad.size:
+        a, b = pairs[bad[0]].tolist()
+        raise ValueError(f"element index pair ({a}, {b}) out of range")
+    ids = np.arange(size, dtype=np.intp)
+    u, v = pairs[:, 0], pairs[:, 1]
+    while u.size:
+        merged = _merge(ids, u, v)
+        moved = np.flatnonzero(merged != ids)
+        ids = merged
+        u, v = moves[:, moved].ravel(), moves[:, ids[moved]].ravel()
+    return ids
 
 
 def _closure_reference(table, pairs):
@@ -261,103 +259,50 @@ def is_congruence(universe, partition):
 
 def congruence_closure(universe, pairs):
     """Least congruence of the universe containing the given index pairs."""
-    table = universe.multiplication_table()
-    return Partition(universe, _closure_ids(table, list(pairs)))
+    moves = _translations(universe.multiplication_table(), universe.generators())
+    return Partition(universe, _closure_ids(moves, list(pairs)))
 
 
 def join(p, q):
     """Least congruence containing two congruences (their equivalence join)."""
     if p.universe is not q.universe:
         raise ValueError("partitions live on different universes")
-    return Partition(p.universe, _join_ids(p.ids, q.ids))
+    other = _least_members(q.ids)
+    return Partition(p.universe, _merge(_least_members(p.ids), np.arange(other.size), other))
 
 
-class _UnitOrbits:
-    """Canonical forms of element pairs under two-sided unit translation.
+def _orbit_seeds(table, units):
+    """One seed pair per class of element pairs under two-sided unit
+    translation, in ascending order.
 
     For units g, h the pairs (a, b) and (g·a·h, g·b·h) generate the same
     principal congruence, since each is a translate of the other.  Row t of
-    ``act`` is x -> g_t·x·h_t for the t-th (g, h) in G×G; an element's
-    representative is the least member of its orbit, reached by its
-    transporter row.  A pair (u, v) is carried to (rep u, b), b being the
-    least member of the stabilizer orbit of the transported v, in O(1).
+    ``act`` is x -> g_t·x·h_t for the t-th (g, h) in G×G.  A seed is (a, b)
+    with a the least member of its orbit, b != a the least member of its
+    orbit under the stabilizer of a, and the orbit of b represented by an
+    element >= a.
 
     ``act`` holds |G|²·N entries in the table's dtype: 1.2 MB on OR_6, but
     392 M entries (1.6 GB) on OR_8, about 3.5 times the product table.  That
     is the limit this pass leaves for a degree-8 lattice, which the element
     budget refuses today.
     """
-
-    def __init__(self, table, units):
-        units = np.asarray(units, dtype=np.intp)
-        size = table.shape[0]
-        self.act = table[units][:, table[:, units].T].reshape(-1, size)
-        self.rep = self.act.min(axis=0)
-        self.transporter = self.act.argmin(axis=0)
-        self.stab_min = {}
-        for a in np.unique(self.rep).tolist():
-            rows = np.flatnonzero(self.act[:, a] == a)
-            self.stab_min[a] = self.act[rows].min(axis=0)
-        self.index = {}  # canonical pair -> registry index
-
-    def canonical(self, u, v):
-        a = int(self.rep[u])
-        return a, int(self.stab_min[a][self.act[self.transporter[u], v]])
-
-    def get(self, pair):
-        """Registry index of the principal congruence of an element pair,
-        or None while the pair's seed has not been closed."""
-        u, v = pair
-        found = self.index.get(self.canonical(u, v))
-        return found if found is not None else self.index.get(self.canonical(v, u))
-
-    def seeds(self, ranks):
-        """One pair (a, b) per representative a and stabilizer orbit of b,
-        with b != a and rep b >= a, in ascending rank-profile order.
-
-        Translating a pair can only lower ranks, so low-rank seeds come
-        first: a closure in progress then keeps running into pairs whose
-        principal congruence is already registered and can be folded in.
-        The order only affects speed.
-        """
-        firsts, seconds = [], []
-        for a, least in self.stab_min.items():
-            bs = np.unique(least)
-            bs = bs[(bs != a) & (self.rep[bs] >= a)]
-            firsts.append(np.full(bs.size, a, dtype=np.intp))
-            seconds.append(bs.astype(np.intp))
-        iu, ju = np.concatenate(firsts), np.concatenate(seconds)
-        ri, rj = ranks[iu].astype(np.int32), ranks[ju].astype(np.int32)
-        order = np.lexsort((ju, iu, np.minimum(ri, rj), np.maximum(ri, rj)))
-        return list(zip(iu[order].tolist(), ju[order].tolist()))
-
-
-def _principal_closures(table, orbits, ranks):
-    """Yield (seed pair, principal congruence ids) for every unit-orbit seed.
-
-    Each distinct result is registered in ``orbits.index``, so a later
-    closure that is forced to merge a pair whose canonical form is a
-    registered seed folds that whole congruence in.
-    """
-    table_t = np.ascontiguousarray(table.T)
-    registry = []
-    by_key = {}
-    for a, b in orbits.seeds(ranks):
-        ids = _closure_ids(table, [(a, b)], orbits, registry, table_t)
-        key = ids.tobytes()
-        idx = by_key.get(key)
-        if idx is None:
-            idx = by_key[key] = len(registry)
-            registry.append(_class_groups(ids))
-        orbits.index[(a, b)] = idx
-        yield (a, b), ids
+    units = np.asarray(units, dtype=np.intp)
+    size = table.shape[0]
+    act = table[units][:, table[:, units].T].reshape(-1, size)
+    rep = act.min(axis=0)
+    seeds = []
+    for a in np.unique(rep).tolist():
+        bs = np.unique(act[act[:, a] == a].min(axis=0))
+        seeds.extend((a, b) for b in bs[(bs != a) & (rep[bs] >= a)].tolist())
+    return seeds
 
 
 def congruence_lattice(universe, *, max_elements=DEFAULT_LATTICE_LIMIT, force=False):
     """Every congruence of the universe, canonically sorted (finest first).
 
-    Computes the principal congruence of one seed pair per unit-orbit class
-    (see ``_UnitOrbits``), dedupes, and joins each lattice member with the
+    Computes the principal congruence of each unit-orbit seed pair (see
+    ``_orbit_seeds``), dedupes, and joins each lattice member with the
     principal congruences until nothing new appears: every congruence of a
     finite monoid is a join of principal ones.  The identity and universal
     partitions are added.  Output is deterministic.
@@ -369,23 +314,27 @@ def congruence_lattice(universe, *, max_elements=DEFAULT_LATTICE_LIMIT, force=Fa
             f" {max_elements}; pass force=True to override"
         )
     table = universe.multiplication_table(limit=None if force else DEFAULT_TABLE_LIMIT)
-    orbits = _UnitOrbits(table, universe.units())
+    moves = _translations(table, universe.generators())
+    ident = np.arange(size, dtype=np.intp)
     principal = {}
-    for _, ids in _principal_closures(table, orbits, universe.ranks):
+    for pair in _orbit_seeds(table, universe.units()):
+        ids = _closure_ids(moves, [pair])
         principal.setdefault(ids.tobytes(), ids)
 
     distinct = dict(principal)
-    ident = _canonical_ids(np.arange(size))
-    distinct.setdefault(ident.tobytes(), ident)
-    universal = np.zeros(size, dtype=np.int32)
-    distinct.setdefault(universal.tobytes(), universal)
+    for ids in (ident, np.zeros(size, dtype=np.intp)):
+        distinct.setdefault(ids.tobytes(), ids)
 
-    principal_groups = [_class_groups(ids) for ids in principal.values()]
+    # A principal congruence joins in as the pairs (element, its label).
+    principal_pairs = []
+    for ids in principal.values():
+        moved = np.flatnonzero(ids != ident)
+        principal_pairs.append((moved, ids[moved]))
     worklist = list(distinct.values())
     while worklist:
         current = worklist.pop()
-        for groups in principal_groups:
-            joined = _canonical_ids(_fold_groups(current.copy(), groups))
+        for u, v in principal_pairs:
+            joined = _merge(current, u, v)
             key = joined.tobytes()
             if key not in distinct:
                 distinct[key] = joined

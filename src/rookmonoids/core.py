@@ -378,6 +378,7 @@ class MonoidUniverse:
             for e in self.elements
         ]
         self._table = None
+        self._generators = None
         self._units = [i for i, r in enumerate(self.ranks) if r == n]
 
     def __len__(self):
@@ -426,6 +427,30 @@ class MonoidUniverse:
                     ) from None
             self._table = table
         return self._table
+
+    def generators(self):
+        """A generating set of the monoid as element indices; cached.
+
+        Greedy over the product table: elements are scanned by descending
+        rank, ties by index, and each one not yet in the submonoid generated
+        so far is kept.  Every element is then a product of generators.
+        """
+        if self._generators is None:
+            table = self.multiplication_table()
+            reached = np.zeros(len(self), dtype=bool)
+            reached[1] = True
+            gens = []
+            for x in np.argsort(-self.ranks, kind="stable").tolist():
+                if reached[x]:
+                    continue
+                gens.append(x)
+                frontier = np.flatnonzero(reached)
+                while frontier.size:
+                    prod = table[np.ix_(frontier, gens)].ravel()
+                    frontier = np.unique(prod[~reached[prod]])
+                    reached[frontier] = True
+            self._generators = gens
+        return list(self._generators)
 
     def units(self):
         return list(self._units)

@@ -29,6 +29,11 @@ def sr4():
 
 
 @pytest.fixture(scope="session")
+def sr6():
+    return enumerate_universe("SR", 6)
+
+
+@pytest.fixture(scope="session")
 def r4():
     return enumerate_universe("R", 4)
 

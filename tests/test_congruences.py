@@ -23,13 +23,10 @@ from rookmonoids import (
     symmetric_group,
 )
 from rookmonoids.congruences import (
-    _class_groups,
-    _closure_ids,
     _closure_reference,
     _is_congruence_ids,
-    _principal_closures,
+    _orbit_seeds,
     _set_partitions,
-    _UnitOrbits,
 )
 
 
@@ -117,34 +114,48 @@ def test_congruence_closure_is_idempotent(or4):
         assert again == part
 
 
-def test_fast_closure_agrees_with_reference(or2, sr2, or4):
-    for universe in (or2, sr2, or4):
-        table = universe.multiplication_table()
-        listed = table.tolist()
-        rng = random.Random(len(universe))
-        pair_pool = list(itertools.combinations(range(len(universe)), 2))
-        for seeds in rng.sample(pair_pool, min(60, len(pair_pool))):
-            fast = _closure_ids(table, [seeds])
-            slow = _closure_reference(listed, [seeds])
-            assert np.array_equal(fast, slow)
-
-
-def test_registry_accelerated_closures_match_reference(sr2, or4, sr4, reference_principal):
-    """Replay the lattice enumerator's orbit-seed loop and check every
-    principal congruence against the plain reference closure; then check
-    that the canonical-pair lookup sends every element pair to a seed with
-    the same principal congruence."""
-    for universe in (sr2, or4, sr4):
-        table = universe.multiplication_table()
-        orbits = _UnitOrbits(table, universe.units())
-        by_index = {}
-        for pair, ids in _principal_closures(table, orbits, universe.ranks):
-            assert np.array_equal(ids, reference_principal(universe, pair))
-            by_index.setdefault(orbits.index[pair], ids)
+def test_fast_closure_agrees_with_reference(or2, sr2, or4, sr4, reference_principal):
+    """The generator-round closure against the plain reference closure, on
+    every element pair of the degree-2 and degree-4 monoids and on seeds of
+    one to three pairs, which start the first round from several pairs."""
+    for universe in (or2, sr2, or4, sr4):
         for pair in itertools.combinations(range(len(universe)), 2):
-            found = orbits.get(pair)
-            assert found is not None, pair
-            assert np.array_equal(by_index[found], reference_principal(universe, pair))
+            fast = congruence_closure(universe, [pair]).ids
+            assert np.array_equal(fast, reference_principal(universe, pair)), pair
+    for universe in (or4, sr4):
+        listed = universe.multiplication_table().tolist()
+        rng = random.Random(len(universe))
+        for _ in range(60):
+            seeds = [
+                (rng.randrange(len(universe)), rng.randrange(len(universe)))
+                for _ in range(rng.randint(1, 3))
+            ]
+            fast = congruence_closure(universe, seeds).ids
+            assert np.array_equal(fast, _closure_reference(listed, seeds)), seeds
+
+
+@pytest.mark.parametrize("pair", [(0, 37), (-1, 0), (0.5, 1)])
+def test_congruence_closure_rejects_bad_pairs(or4, pair):
+    with pytest.raises(ValueError):
+        congruence_closure(or4, [pair])
+
+
+def test_orbit_seed_closures_cover_every_principal_congruence(
+    sr2, or4, sr4, reference_principal
+):
+    """Every orbit seed closes to its reference principal congruence, and
+    the seeds reach every principal congruence of an element pair."""
+    for universe in (sr2, or4, sr4):
+        seeded = set()
+        for pair in _orbit_seeds(universe.multiplication_table(), universe.units()):
+            part = congruence_closure(universe, [pair])
+            assert np.array_equal(part.ids, reference_principal(universe, pair)), pair
+            seeded.add(part.key)
+        every = {
+            reference_principal(universe, pair).tobytes()
+            for pair in itertools.combinations(range(len(universe)), 2)
+        }
+        assert seeded == every
 
 
 @pytest.mark.parametrize("name", ["or4", "sr4"])

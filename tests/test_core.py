@@ -298,6 +298,20 @@ def test_product_refuses_a_product_outside_the_universe(or4):
         truncated.product(d1, d2)
 
 
+@pytest.mark.parametrize("name,count", [
+    ("or2", 2), ("sr2", 2), ("or4", 4), ("sr4", 3), ("r4", 4), ("or6", 5), ("sr6", 4),
+])
+def test_generators_generate_the_monoid(name, count, request):
+    universe = request.getfixturevalue(name)
+    gens = universe.generators()
+    assert len(gens) == count
+    reached, frontier = {1}, {1}
+    while frontier:
+        frontier = {universe.product(x, g) for x in frontier for g in gens} - reached
+        reached |= frontier
+    assert reached == set(range(len(universe)))
+
+
 def test_universe_closure_sampled_degree_6(or6):
     rng = random.Random(7)
     elems = or6.elements
