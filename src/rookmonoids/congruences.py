@@ -79,12 +79,15 @@ def _merge(ids, u, v):
     return ids
 
 
-def _is_congruence_ids(table, ids):
-    ids = _canonical_ids(ids)
-    firsts = np.unique(ids, return_index=True)[1]
-    rep = firsts[ids]
-    prod = ids[table]
-    return bool(np.array_equal(prod, prod[:, rep]) and np.array_equal(prod, prod[rep, :]))
+def _is_congruence_ids(moves, ids):
+    """True when the partition ``ids`` is compatible with every translation
+    row of ``moves``: each element moves into the class that the least
+    member of its class moves into."""
+    ids = np.asarray(ids)
+    _, first, inverse = np.unique(ids, return_index=True, return_inverse=True)
+    least = first[inverse.ravel()]
+    labels = ids[moves]
+    return bool(np.array_equal(labels, labels[:, least]))
 
 
 def _translations(table, gens):
@@ -252,9 +255,14 @@ def partition_from_json(universe, obj):
 
 
 def is_congruence(universe, partition):
-    """Two-sided compatibility: related pairs stay related under every
-    left and right translation."""
-    return _is_congruence_ids(universe.multiplication_table(), partition.ids)
+    """Two-sided compatibility: related pairs stay related under left and
+    right translation by each generator (``MonoidUniverse.generators``).
+
+    That suffices because every element is a product of generators: 2k
+    rows of N entries for k generators, instead of all N² products.
+    """
+    moves = _translations(universe.multiplication_table(), universe.generators())
+    return _is_congruence_ids(moves, partition.ids)
 
 
 def congruence_closure(universe, pairs):
@@ -282,10 +290,10 @@ def _orbit_seeds(table, units):
     orbit under the stabilizer of a, and the orbit of b represented by an
     element >= a.
 
-    ``act`` holds |G|²·N entries in the table's dtype: 1.2 MB on OR_6, but
-    392 M entries (1.6 GB) on OR_8, about 3.5 times the product table.  That
-    is the limit this pass leaves for a degree-8 lattice, which the element
-    budget refuses today.
+    ``act`` holds |G|²·N entries in the table's dtype (int16 below 32,768
+    elements): 0.6 MB on OR_6, but 392 M entries (783 MB) on OR_8, about
+    3.5 times the product table.  That is the limit this pass leaves for a
+    degree-8 lattice, which the element budget refuses today.
     """
     units = np.asarray(units, dtype=np.intp)
     size = table.shape[0]
@@ -352,11 +360,12 @@ def all_congruences_naive(universe, *, max_size=NAIVE_LATTICE_LIMIT):
         raise ResourceLimitError(
             f"naive congruence filter over {size} elements exceeds {max_size}"
         )
-    table = universe.multiplication_table()
+    # Translation by every element, so the filter does not rely on generators().
+    moves = _translations(universe.multiplication_table(), np.arange(size))
     parts = [
         Partition(universe, ids)
         for ids in _set_partitions(size)
-        if _is_congruence_ids(table, ids)
+        if _is_congruence_ids(moves, ids)
     ]
     parts.sort(key=lambda p: (-p.num_classes, p.key))
     return parts

@@ -27,6 +27,7 @@ TYPE_II = "II"
 
 DEFAULT_ELEMENT_LIMIT = 15000
 DEFAULT_TABLE_LIMIT = 2000
+TABLE_BLOCK_BYTES = 1 << 20
 ELEMENT_LIMIT_ENV = "RCL_BUDGET_ELEMENTS"
 
 
@@ -313,6 +314,16 @@ def conjugation_escape_witness(n=8):
     return PartialInjection(n, sigma), PartialInjection(n, s)
 
 
+def image_codes(image_matrix):
+    """Base-(n+1) integer code of each row of an (N, n) image matrix, the
+    image of 1 the most significant digit.  Distinct maps get distinct codes."""
+    images = np.asarray(image_matrix, dtype=np.int64)
+    n = images.shape[1]
+    if (n + 1) ** n > np.iinfo(np.int64).max:
+        raise ResourceLimitError(f"image codes of degree {n} overflow int64")
+    return images @ (n + 1) ** np.arange(n - 1, -1, -1, dtype=np.int64)
+
+
 def _unit_elements(family, n):
     """The unit group of SR (all signed permutations) or OR (even ones)."""
     m = n // 2
@@ -369,17 +380,25 @@ class MonoidUniverse:
             raise InvariantViolation("duplicate elements in universe")
         if self.elements[0] != zero_map(n) or self.elements[1] != identity_map(n):
             raise InvariantViolation("zero and identity must sit at indices 0 and 1")
-        self.ranks = np.array([e.rank for e in self.elements], dtype=np.int16)
-        self.dom_masks = np.array([e.domain_mask() for e in self.elements], dtype=np.int64)
-        self.img_masks = np.array([e.image_mask() for e in self.elements], dtype=np.int64)
+        size = len(self.elements)
+        # Row i holds the images of element i, 0 marking an unmapped point.
+        self.image_matrix = np.fromiter(
+            itertools.chain.from_iterable(e.images for e in self.elements),
+            dtype=np.uint8, count=size * n,
+        ).reshape(size, n)
+        mapped = self.image_matrix > 0
+        bits = np.int64(1) << np.arange(n + 1, dtype=np.int64)
+        self.ranks = np.count_nonzero(mapped, axis=1).astype(np.int16)
+        self.dom_masks = (mapped * bits[:n]).sum(axis=1)
+        self.img_masks = (bits[self.image_matrix] >> 1).sum(axis=1)
         m = n // 2
         self.mtypes = [
-            type_of(n, e.domain()) if (family == "OR" and e.rank == m) else ""
-            for e in self.elements
+            type_of(n, e.domain()) if (family == "OR" and r == m) else ""
+            for e, r in zip(self.elements, self.ranks.tolist())
         ]
         self._table = None
         self._generators = None
-        self._units = [i for i, r in enumerate(self.ranks) if r == n]
+        self._units = np.flatnonzero(self.ranks == n).tolist()
 
     def __len__(self):
         return len(self.elements)
@@ -393,7 +412,13 @@ class MonoidUniverse:
         except KeyError:
             raise ValueError(f"{e!r} is not a member of {self.family}_{self.n}") from None
 
+    def _check_index(self, i):
+        if not isinstance(i, (int, np.integer)) or not 0 <= i < len(self):
+            raise ValueError(f"element {i!r} is not an index in 0..{len(self) - 1}")
+
     def product(self, i, j):
+        self._check_index(i)
+        self._check_index(j)
         if self._table is not None:
             return int(self._table[i, j])
         try:
@@ -404,27 +429,52 @@ class MonoidUniverse:
             ) from None
 
     def multiplication_table(self, *, limit=DEFAULT_TABLE_LIMIT):
-        """Full N x N product table; cached.  Gated because it is quadratic."""
+        """Full N x N product table, ``table[i, j]`` the index of e_i * e_j; cached.
+
+        Gated by ``limit`` because it is quadratic.  Each element is encoded
+        as its base-(n+1) image code (``image_codes``) and the codes are
+        sorted once.  For each block of rows the codes of every product
+        e_i * e_j are computed with numpy gathers, one image slot at a time,
+        and looked up with ``searchsorted``.  A code that is not found
+        raises ``InvariantViolation`` naming the pair, so every table build
+        is an exhaustive closure check.  Each block's temporaries are held
+        to about ``TABLE_BLOCK_BYTES``.  The table is int16 below 32,768
+        elements and int32 above.
+        """
         if self._table is None:
             size = len(self)
             if limit is not None and size > limit:
                 raise ResourceLimitError(
                     f"product table for {size} elements exceeds the limit {limit}"
                 )
-            mat = np.array([e.images for e in self.elements], dtype=np.int16)
-            padded = np.zeros((size, self.n + 1), dtype=np.int16)
-            padded[:, 1:] = mat
-            table = np.empty((size, size), dtype=np.int32)
-            idx = {e.images: i for i, e in enumerate(self.elements)}
-            for i in range(size):
-                rows = padded[i][mat].tolist()
-                try:
-                    table[i] = [idx[tuple(row)] for row in rows]
-                except KeyError:
-                    j = next(j for j, row in enumerate(rows) if tuple(row) not in idx)
+            dtype = np.int16 if size < 2**15 else np.int32
+            codes = image_codes(self.image_matrix)
+            order = np.argsort(codes, kind="stable").astype(dtype)
+            sorted_codes = codes[order]
+            # padded[i, t] is the image of t under e_i, and 0 for t = 0.
+            padded = np.zeros((size, self.n + 1), dtype=np.uint8)
+            padded[:, 1:] = self.image_matrix
+            slots = self.image_matrix.T.astype(np.intp)
+            # About 32 bytes per product: the int64 code, its searchsorted
+            # position, the code found there, the match mask and the entry.
+            rows = max(1, TABLE_BLOCK_BYTES // (size * 32))
+            table = np.empty((size, size), dtype=dtype)
+            for start in range(0, size, rows):
+                block = padded[start:start + rows]
+                # (e_i * e_j)(t) = e_i(e_j(t)): Horner over the slots t.
+                code = block.take(slots[0], axis=1).astype(np.int64)
+                for slot in slots[1:]:
+                    code *= self.n + 1
+                    code += block.take(slot, axis=1)
+                pos = np.searchsorted(sorted_codes, code)
+                np.minimum(pos, size - 1, out=pos)
+                found = sorted_codes[pos] == code
+                if not found.all():
+                    i, j = np.unravel_index(np.argmin(found), found.shape)
                     raise InvariantViolation(
-                        f"product of members {i}, {j} escaped {self.family}_{self.n}"
-                    ) from None
+                        f"product of members {start + i}, {j} escaped {self.family}_{self.n}"
+                    )
+                table[start:start + rows] = order[pos]
             self._table = table
         return self._table
 
@@ -468,12 +518,12 @@ class MonoidUniverse:
         return {int(k): int((self.ranks == k).sum()) for k in sorted(set(self.ranks.tolist()))}
 
 
-def enumerate_universe(family, n, *, limit=None, closure_check="auto"):
+def enumerate_universe(family, n, *, limit=None):
     """Materialize a full monoid universe in canonical order.
 
-    closure_check: "full" multiplies every pair (also caching the table),
-    "sample" spot-checks products, "off" skips, "auto" picks full for
-    n <= 4 and sample otherwise.
+    Each element is checked for membership and the count against the
+    closed-form size.  Closure under products is checked exhaustively by
+    the first ``multiplication_table`` build, not here.
     """
     fam = _family(family)
     _check_degree(n)
@@ -515,24 +565,7 @@ def enumerate_universe(family, n, *, limit=None, closure_check="auto"):
 
     zero, ident = zero_map(n), identity_map(n)
     rest = sorted((e for e in members if e not in (zero, ident)), key=PartialInjection.sort_key)
-    universe = MonoidUniverse(fam, n, [zero, ident] + rest)
-
-    if closure_check == "auto":
-        closure_check = "full" if n <= 4 else "sample"
-    if closure_check == "full":
-        universe.multiplication_table(limit=None)
-    elif closure_check == "sample":
-        rng = np.random.default_rng(0)
-        size = len(universe)
-        for i, j in zip(rng.integers(0, size, 2048), rng.integers(0, size, 2048)):
-            prod = compose(universe.elements[int(i)], universe.elements[int(j)])
-            if prod not in universe.index:
-                raise InvariantViolation(
-                    f"product of members {int(i)}, {int(j)} escaped {fam}_{n}"
-                )
-    elif closure_check != "off":
-        raise ValueError(f"unknown closure_check mode {closure_check!r}")
-    return universe
+    return MonoidUniverse(fam, n, [zero, ident] + rest)
 
 
 # -- serialization -----------------------------------------------------------

@@ -59,7 +59,7 @@ def test_criterion_2_counting_formulas(n):
     D size is a comparison (per-class value), not an equality with the
     combined closed form."""
     started = time.monotonic()
-    universe = enumerate_universe("OR", n, closure_check="off")
+    universe = enumerate_universe("OR", n)
     green = green_partition(universe)
     m = n // 2
     formulas = class_count_formulas(m)

@@ -23,11 +23,14 @@ from rookmonoids import (
     symmetric_group,
 )
 from rookmonoids.congruences import (
+    _closure_ids,
     _closure_reference,
     _is_congruence_ids,
     _orbit_seeds,
     _set_partitions,
+    _translations,
 )
+from rookmonoids.families import predicted_congruences
 
 
 def lattice_keys(parts):
@@ -210,12 +213,57 @@ def test_lattice_is_meet_closed_and_made_of_congruences(name, request):
 
 def test_lattice_of_toy_two_element_monoid():
     table = np.array([[0, 0], [0, 1]], dtype=np.int32)
+    moves = _translations(table, [0, 1])
     found = {
         ids.tobytes()
         for ids in _set_partitions(2)
-        if _is_congruence_ids(table, ids)
+        if _is_congruence_ids(moves, ids)
     }
     assert len(found) == 2
+
+
+def is_congruence_all_products(part):
+    """Compatibility checked on all N² products: x·y must stay in its class
+    when x or y is replaced by the least member of its class."""
+    ids = part.ids
+    rep = np.unique(ids, return_index=True)[1][ids]
+    prod = ids[part.universe.multiplication_table()]
+    return bool(np.array_equal(prod, prod[:, rep]) and np.array_equal(prod, prod[rep, :]))
+
+
+def agrees_with_all_products(part):
+    expected = is_congruence_all_products(part)
+    assert is_congruence(part.universe, part) == expected, part
+    return expected
+
+
+def test_is_congruence_agrees_with_all_products(or4, sr4, or6, sr6):
+    """The generator-row check against the all-products reference, on every
+    lattice member, every predicted family, seeded merges of two singleton
+    classes of a lattice member, and seeded one-sided closures: the least
+    equivalence containing a pair that is compatible with the left rows
+    only, or the right rows only."""
+    rng = random.Random(23)
+    rejected = 0
+    for universe in (or4, sr4, or6, sr6):
+        for part, _ in predicted_congruences(universe):
+            assert agrees_with_all_products(part)
+        if universe is not sr6:
+            for part in congruence_lattice(universe):
+                assert agrees_with_all_products(part)
+                singles = [c[0] for c in part.classes() if len(c) == 1]
+                for _ in range(10 if len(singles) > 1 else 0):
+                    a, b = rng.sample(singles, 2)
+                    ids = part.ids.copy()
+                    ids[b] = ids[a]
+                    rejected += not agrees_with_all_products(Partition(universe, ids))
+        moves = _translations(universe.multiplication_table(), universe.generators())
+        half = len(moves) // 2
+        for rows in (moves[:half], moves[half:]):
+            for _ in range(5):
+                pair = (rng.randrange(len(universe)), rng.randrange(len(universe)))
+                agrees_with_all_products(Partition(universe, _closure_ids(rows, [pair])))
+    assert rejected >= 200
 
 
 def test_set_partition_generator_counts():

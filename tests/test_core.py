@@ -1,7 +1,9 @@
 import itertools
 import math
 import random
+import re
 
+import numpy as np
 import pytest
 
 from rookmonoids import (
@@ -26,6 +28,7 @@ from rookmonoids import (
     type_of,
     zero_map,
 )
+from rookmonoids.core import image_codes
 
 
 def brute_admissible(n, points):
@@ -243,7 +246,7 @@ def test_degree_2_orthogonal_universe_matches_membership_filter(or2, sr2):
 def test_universe_rank_strata_match_closed_forms():
     for family, n in [("OR", 2), ("OR", 4), ("OR", 6), ("SR", 2), ("SR", 4),
                       ("SR", 6), ("R", 2), ("R", 4)]:
-        universe = enumerate_universe(family, n, closure_check="off")
+        universe = enumerate_universe(family, n)
         assert len(universe) == predicted_size(family, n)
         m = n // 2
         if family == "R":
@@ -271,7 +274,7 @@ def test_universe_budget():
         enumerate_universe("R", 8)
     with pytest.raises(ResourceLimitError):
         enumerate_universe("OR", 8, limit=100)
-    assert len(enumerate_universe("R", 8, limit=10**7, closure_check="off")) == 1441729
+    assert len(enumerate_universe("R", 8, limit=10**7)) == 1441729
 
 
 def test_universe_closure_exhaustive_small():
@@ -296,6 +299,51 @@ def test_product_refuses_a_product_outside_the_universe(or4):
     d2 = truncated.element_index(PartialInjection(4, (3, 4, 1, 2)))
     with pytest.raises(InvariantViolation, match=f"members {d1}, {d2} escaped OR_4"):
         truncated.product(d1, d2)
+
+
+@pytest.mark.parametrize("name", ["or2", "sr2", "or4", "sr4", "r4", "or6", "sr6"])
+def test_product_table_matches_compose(name, request):
+    """Every table entry at degrees 2 and 4, and 4,096 seeded entries at
+    degree 6, against composing the two elements."""
+    universe = request.getfixturevalue(name)
+    table = universe.multiplication_table()
+    assert table.dtype == np.int16
+    size = len(universe)
+    if universe.n <= 4:
+        pairs = itertools.product(range(size), repeat=2)
+    else:
+        rng = random.Random(size)
+        pairs = [(rng.randrange(size), rng.randrange(size)) for _ in range(4096)]
+    elems = universe.elements
+    for i, j in pairs:
+        assert table[i, j] == universe.element_index(compose(elems[i], elems[j])), (i, j)
+
+
+@pytest.mark.parametrize("where", ["largest", "middle"])
+def test_product_table_refuses_a_missing_code(or6, where):
+    """Dropping the element of largest code makes a lookup land past the
+    end of the sorted codes; dropping one from the middle makes it land on
+    a different code.  Both must name a pair whose product is missing."""
+    codes = image_codes(or6.image_matrix)
+    order = [int(i) for i in np.argsort(codes) if i > 1]
+    dropped = order[-1] if where == "largest" else order[len(order) // 2]
+    missing = or6.elements[dropped]
+    truncated = MonoidUniverse("OR", 6, [e for e in or6.elements if e != missing])
+    with pytest.raises(InvariantViolation, match="escaped OR_6") as caught:
+        truncated.multiplication_table()
+    i, j = map(int, re.search(r"members (\d+), (\d+)", str(caught.value)).groups())
+    assert compose(truncated.elements[i], truncated.elements[j]) == missing
+
+
+def test_product_rejects_indices_outside_the_universe():
+    universe = enumerate_universe("OR", 4)
+    for cached in (False, True):
+        if cached:
+            universe.multiplication_table()
+        for i, j in [(-1, 1), (37, 1), (1, -1), (1, 37), (0.5, 1)]:
+            with pytest.raises(ValueError, match="not an index"):
+                universe.product(i, j)
+        assert universe.product(1, 2) == 2
 
 
 @pytest.mark.parametrize("name,count", [
@@ -366,7 +414,7 @@ def test_unit_group_orders():
 def test_even_units_preserve_type():
     for n in (2, 4, 6, 8):
         m = n // 2
-        univ = enumerate_universe("OR", n, closure_check="off")
+        univ = enumerate_universe("OR", n)
         for u in (univ.elements[i] for i in univ.units()):
             for a in admissible_subsets(n, m):
                 image = [u.images[p - 1] for p in a]
@@ -378,7 +426,7 @@ def test_parity_type_matches_orbit_definition():
     orbit of {1..m-1, m+1}."""
     for n in (2, 4, 6, 8):
         m = n // 2
-        univ = enumerate_universe("OR", n, closure_check="off")
+        univ = enumerate_universe("OR", n)
         units = [univ.elements[i] for i in univ.units()]
         base = {"I": tuple(range(1, m + 1)), "II": tuple(range(1, m)) + (m + 1,)}
         for a in admissible_subsets(n, m):

@@ -141,7 +141,7 @@ def test_count_formula_values():
 
 @pytest.mark.parametrize("n", [2, 4, 6, 8])
 def test_count_formulas_match_brute_force(n):
-    universe = enumerate_universe("OR", n, closure_check="off")
+    universe = enumerate_universe("OR", n)
     green = green_partition(universe)
     m = n // 2
     f = class_count_formulas(m)
