@@ -30,7 +30,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import DEFAULT_TABLE_LIMIT, ResourceLimitError
+from .core import DEFAULT_TABLE_LIMIT, TABLE_BLOCK_BYTES, ResourceLimitError, image_codes
+from .core import _locate, _product_codes
 
 DEFAULT_LATTICE_LIMIT = 600
 DEFAULT_GROUP_LIMIT = 10**4
@@ -193,7 +194,7 @@ class Partition:
         ids = np.full(size, -1, dtype=np.int64)
         for label, block in enumerate(classes):
             for i in block:
-                if not isinstance(i, (int, np.integer)) or not 0 <= i < size:
+                if isinstance(i, bool) or not isinstance(i, (int, np.integer)) or not 0 <= i < size:
                     raise ValueError(f"element {i!r} is not an index in 0..{size - 1}")
                 if ids[i] != -1:
                     raise ValueError(f"element {i} listed in two classes")
@@ -421,20 +422,20 @@ class PermGroup:
         self.identity = tuple(range(1, self.degree + 1))
         if self.identity not in self.elements:
             raise ValueError("group must contain the identity")
-        if check:
+        if check and self.degree:  # the empty permutation is a group alone
             self._check_closure()
 
     def _check_closure(self):
-        elems = self.elements
-        if len(elems) <= 1024:
-            pairs = itertools.product(elems, elems)
-        else:
-            ordered = sorted(elems)
-            draws = np.random.default_rng(0).integers(0, len(ordered), size=(10**5, 2))
-            pairs = ((ordered[int(i)], ordered[int(j)]) for i, j in draws)
-        for a, b in pairs:
-            if perm_mul(a, b) not in elems:
-                raise ValueError(f"not closed: {a} * {b} escapes the set")
+        """Look up every product, in blocks, among the sorted image codes."""
+        elems = np.array(sorted(self.elements), dtype=np.intp)
+        codes = image_codes(elems)  # ascending, like the sorted tuples
+        rows = max(1, TABLE_BLOCK_BYTES // (len(elems) * 40))
+        for start in range(0, len(elems), rows):
+            found = _locate(codes, _product_codes(elems[start:start + rows], elems.T))[1]
+            if not found.all():
+                i, j = np.unravel_index(np.argmin(found), found.shape)
+                a, b = elems[start + i].tolist(), elems[j].tolist()
+                raise ValueError(f"not closed: {tuple(a)} * {tuple(b)} escapes the set")
 
     def __len__(self):
         return len(self.elements)

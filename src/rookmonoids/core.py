@@ -11,10 +11,15 @@ monoid families live on top of that combinatorics:
 * ``OR`` -- the orthogonal rook monoid: as SR, but rank-m members must have
   domain and image of the same parity type and full-rank members must move
   an even number of {1..m} across the middle.
+
+A universe (``MonoidUniverse``) is stored once, as an (N, n) image matrix
+that ``enumerate_universe`` builds in numpy, one rank stratum at a time.
+``PartialInjection`` is the single-element type and the tests' oracle.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import os
@@ -174,20 +179,6 @@ class PartialInjection:
     def image_in_domain_order(self):
         return tuple(v for v in self.images if v)
 
-    def domain_mask(self):
-        mask = 0
-        for i, v in enumerate(self.images):
-            if v:
-                mask |= 1 << i
-        return mask
-
-    def image_mask(self):
-        mask = 0
-        for v in self.images:
-            if v:
-                mask |= 1 << (v - 1)
-        return mask
-
     def __call__(self, i):
         if not 1 <= i <= self.n:
             raise ValueError(f"point {i} out of range 1..{self.n}")
@@ -324,28 +315,67 @@ def image_codes(image_matrix):
     return images @ (n + 1) ** np.arange(n - 1, -1, -1, dtype=np.int64)
 
 
-def _unit_elements(family, n):
-    """The unit group of SR (all signed permutations) or OR (even ones)."""
+def _product_codes(left, slots):
+    """Image codes of the products f·g, f a row of the image matrix ``left``
+    and g a column of ``slots`` (the right factors' images, transposed), as
+    one block: (f·g)(t) = f(g(t)), by Horner over the slots t."""
+    # padded[i, t] is the image of t under row i, and 0 for t = 0.
+    padded = np.zeros((len(left), left.shape[1] + 1), dtype=np.int64)
+    padded[:, 1:] = left
+    code = padded.take(slots[0], axis=1)
+    for slot in slots[1:]:
+        code *= padded.shape[1]
+        code += padded.take(slot, axis=1)
+    return code
+
+
+def _locate(sorted_codes, codes):
+    """Positions of ``codes`` in ``sorted_codes``, and whether each is there."""
+    pos = np.searchsorted(sorted_codes, codes)
+    np.minimum(pos, len(sorted_codes) - 1, out=pos)
+    return pos, sorted_codes[pos] == codes
+
+
+def _member_mask(family, image_matrix):
+    """Vectorized ``is_member`` over the rows of an (N, n) image matrix."""
+    images = np.asarray(image_matrix).astype(np.intp)
+    size, n = images.shape
+    if family == "R":
+        return np.ones(size, dtype=bool)
     m = n // 2
-    out = []
-    for perm in itertools.permutations(range(1, m + 1)):
-        for flips in itertools.product((False, True), repeat=m):
-            images = [0] * n
-            for i, (p, f) in enumerate(zip(perm, flips), start=1):
-                v = n + 1 - p if f else p
-                images[i - 1] = v
-                images[n - i] = n + 1 - v
-            e = PartialInjection(n, images)
-            if family == "SR" or in_unit_group("OR", e):
-                out.append(e)
-    return out
+    mapped = images > 0
+    present = np.zeros((size, n + 1), dtype=bool)
+    present[np.arange(size)[:, None], images] = True
+    present = present[:, 1:]
+    # Column i - 1 holds point i, so reversing the columns mirrors a set.
+    keep = ~(mapped & mapped[:, ::-1]).any(axis=1) & ~(present & present[:, ::-1]).any(axis=1)
+    full = mapped.all(axis=1)
+    keep[full] = (images[full, ::-1] == n + 1 - images[full]).all(axis=1)
+    if family == "OR":
+        half = np.count_nonzero(mapped, axis=1) == m
+        dom_type = np.count_nonzero(mapped[:, m:], axis=1) % 2
+        img_type = np.count_nonzero(present[:, m:], axis=1) % 2
+        crossings = np.count_nonzero(images[:, :m] > m, axis=1)
+        keep &= (~half | (dom_type == img_type)) & (~full | (crossings % 2 == 0))
+    return keep
 
 
-def _rank_stratum(n, doms, imgs):
-    for dom in doms:
-        for img in imgs:
-            for arranged in itertools.permutations(img):
-                yield PartialInjection.from_pairs(n, zip(dom, arranged))
+def _stratum(family, n, k):
+    """The rank-k members in canonical order, as rows of an image matrix:
+    the domain sets (admissible unless the family is R) in lexicographic
+    order, each with every arrangement of k images in lexicographic order,
+    filtered by one membership mask."""
+    sets = list(itertools.combinations(range(1, n + 1), k) if family == "R"
+                else admissible_subsets(n, k))
+    if not sets:
+        return np.zeros((0, n), dtype=np.uint8)
+    sets = np.array(sets, dtype=np.intp)
+    arranged = np.array(list(itertools.permutations(range(1, n + 1), k)), dtype=np.uint8)
+    block = np.zeros((len(sets), len(arranged), n), dtype=np.uint8)
+    for t in range(k):
+        block[np.arange(len(sets)), :, sets[:, t] - 1] = arranged[:, t]
+    block = block.reshape(-1, n)
+    return block[_member_mask(family, block)]
 
 
 def predicted_size(family, n):
@@ -364,56 +394,79 @@ def predicted_size(family, n):
 
 
 class MonoidUniverse:
-    """An enumerated finite monoid with a product oracle over element indices.
+    """An enumerated finite monoid, stored as its (N, n) uint8 image matrix.
 
-    Element 0 is always the zero map and element 1 the identity; the rest
-    are sorted by (rank, domain, image in domain order).  Instances are
-    immutable after construction and safe to share.
-    """
+    Row i of ``image_matrix`` holds the images of element i, 0 marking an
+    unmapped point; element 0 is the zero map and element 1 the identity.
+    Per-element facts are arrays derived from it: ``ranks``, the bit masks
+    ``dom_masks`` and ``img_masks``, the half-rank types ``mtypes`` ("I" or
+    "II" at rank n/2 of OR, else "") and ``h_coords``, each ``h_coordinate``
+    padded with zeros.  Lookups use ``searchsorted`` in the sorted image
+    codes; ``elements`` builds ``PartialInjection`` objects on first use.
+    The constructor checks the matrix; instances are immutable after it."""
 
-    def __init__(self, family, n, elements):
-        self.family = family
-        self.n = n
-        self.elements = list(elements)
-        self.index = {e: i for i, e in enumerate(self.elements)}
-        if len(self.index) != len(self.elements):
-            raise InvariantViolation("duplicate elements in universe")
-        if self.elements[0] != zero_map(n) or self.elements[1] != identity_map(n):
-            raise InvariantViolation("zero and identity must sit at indices 0 and 1")
-        size = len(self.elements)
-        # Row i holds the images of element i, 0 marking an unmapped point.
-        self.image_matrix = np.fromiter(
-            itertools.chain.from_iterable(e.images for e in self.elements),
-            dtype=np.uint8, count=size * n,
-        ).reshape(size, n)
-        mapped = self.image_matrix > 0
+    def __init__(self, family, n, image_matrix):
+        self.family, self.n = _family(family), _check_degree(n)
+        images = np.asarray(image_matrix)
+        if images.ndim != 2 or images.shape[1] != n or images.dtype.kind not in "iu":
+            raise ValueError(f"need an (N, {n}) integer matrix, got {images.dtype} {images.shape}")
+        bad = (images < 0) | (images > n)
+        if bad.any():
+            raise ValueError(f"row {np.argwhere(bad)[0, 0]}: targets must lie in 0..{n}")
+        images = images.astype(np.uint8)
+        size, m = len(images), n // 2
+        ones = np.array([x.bit_count() for x in range(1 << n)], dtype=np.int16)
         bits = np.int64(1) << np.arange(n + 1, dtype=np.int64)
-        self.ranks = np.count_nonzero(mapped, axis=1).astype(np.int16)
-        self.dom_masks = (mapped * bits[:n]).sum(axis=1)
-        self.img_masks = (bits[self.image_matrix] >> 1).sum(axis=1)
-        m = n // 2
-        self.mtypes = [
-            type_of(n, e.domain()) if (family == "OR" and r == m) else ""
-            for e, r in zip(self.elements, self.ranks.tolist())
-        ]
+        self.dom_masks = sum(np.where(images[:, t], bits[t], 0) for t in range(n))
+        self.img_masks = sum(bits[images[:, t]] >> 1 for t in range(n))
+        self.ranks = ones[self.dom_masks]
+        repeated = np.flatnonzero(ones[self.img_masks] != self.ranks)
+        if repeated.size:
+            raise ValueError(f"row {repeated[0]}: a target is repeated; map is not injective")
+        if size < 2 or images[0].any() or not np.array_equal(images[1], np.arange(1, n + 1)):
+            raise InvariantViolation("zero and identity must sit at indices 0 and 1")
+        codes = image_codes(images)
+        self._order = np.argsort(codes, kind="stable")
+        self._sorted_codes = codes[self._order]
+        if (self._sorted_codes[1:] == self._sorted_codes[:-1]).any():
+            raise InvariantViolation("duplicate elements in universe")
+        images.setflags(write=False)
+        self.image_matrix = images
+        # A letter's H-coordinate counts the image letters <= it.  The p-th mapped
+        # slot writes it to column p; an unmapped one writes 0 where the next will.
+        self.h_coords = np.zeros_like(images)
+        pos = np.zeros(size, dtype=np.intp)
+        for t in range(n):
+            letter = images[:, t].astype(np.int64)
+            self.h_coords[np.arange(size), pos] = ones[self.img_masks & ((1 << letter) - 1)]
+            pos += letter > 0
+        # An OR half-rank domain is of type II when oddly many points exceed m.
+        typed = np.where(ones[self.dom_masks >> m] % 2, TYPE_II, TYPE_I)
+        self.mtypes = np.where((self.ranks == m) & (self.family == "OR"), typed, "")
         self._table = None
         self._generators = None
         self._units = np.flatnonzero(self.ranks == n).tolist()
 
+    @functools.cached_property
+    def elements(self):
+        """The elements as ``PartialInjection`` objects, built on first use."""
+        return tuple(PartialInjection(self.n, row) for row in self.image_matrix.tolist())
+
     def __len__(self):
-        return len(self.elements)
+        return len(self.image_matrix)
 
     def __iter__(self):
         return iter(self.elements)
 
     def element_index(self, e):
-        try:
-            return self.index[e]
-        except KeyError:
-            raise ValueError(f"{e!r} is not a member of {self.family}_{self.n}") from None
+        if isinstance(e, PartialInjection) and e.n == self.n:
+            pos, found = _locate(self._sorted_codes, image_codes([e.images]))
+            if found[0]:
+                return int(self._order[pos[0]])
+        raise ValueError(f"{e!r} is not a member of {self.family}_{self.n}")
 
     def _check_index(self, i):
-        if not isinstance(i, (int, np.integer)) or not 0 <= i < len(self):
+        if isinstance(i, bool) or not isinstance(i, (int, np.integer)) or not 0 <= i < len(self):
             raise ValueError(f"element {i!r} is not an index in 0..{len(self) - 1}")
 
     def product(self, i, j):
@@ -421,25 +474,23 @@ class MonoidUniverse:
         self._check_index(j)
         if self._table is not None:
             return int(self._table[i, j])
-        try:
-            return self.index[compose(self.elements[i], self.elements[j])]
-        except KeyError:
+        code = _product_codes(self.image_matrix[[i]], self.image_matrix[[j]].T.astype(np.intp))
+        pos, found = _locate(self._sorted_codes, code.ravel())
+        if not found[0]:
             raise InvariantViolation(
                 f"product of members {i}, {j} escaped {self.family}_{self.n}"
-            ) from None
+            )
+        return int(self._order[pos[0]])
 
     def multiplication_table(self, *, limit=DEFAULT_TABLE_LIMIT):
         """Full N x N product table, ``table[i, j]`` the index of e_i * e_j; cached.
 
-        Gated by ``limit`` because it is quadratic.  Each element is encoded
-        as its base-(n+1) image code (``image_codes``) and the codes are
-        sorted once.  For each block of rows the codes of every product
-        e_i * e_j are computed with numpy gathers, one image slot at a time,
-        and looked up with ``searchsorted``.  A code that is not found
-        raises ``InvariantViolation`` naming the pair, so every table build
-        is an exhaustive closure check.  Each block's temporaries are held
-        to about ``TABLE_BLOCK_BYTES``.  The table is int16 below 32,768
-        elements and int32 above.
+        Gated by ``limit`` because it is quadratic.  For each block of rows
+        of about ``TABLE_BLOCK_BYTES`` of temporaries, the image codes of
+        every product are computed with numpy gathers, one slot at a time,
+        and looked up in the sorted codes.  A code not found raises
+        ``InvariantViolation`` naming the pair, so every table build is an
+        exhaustive closure check.  int16 below 32,768 elements, else int32.
         """
         if self._table is None:
             size = len(self)
@@ -447,34 +498,20 @@ class MonoidUniverse:
                 raise ResourceLimitError(
                     f"product table for {size} elements exceeds the limit {limit}"
                 )
-            dtype = np.int16 if size < 2**15 else np.int32
-            codes = image_codes(self.image_matrix)
-            order = np.argsort(codes, kind="stable").astype(dtype)
-            sorted_codes = codes[order]
-            # padded[i, t] is the image of t under e_i, and 0 for t = 0.
-            padded = np.zeros((size, self.n + 1), dtype=np.uint8)
-            padded[:, 1:] = self.image_matrix
             slots = self.image_matrix.T.astype(np.intp)
-            # About 32 bytes per product: the int64 code, its searchsorted
-            # position, the code found there, the match mask and the entry.
-            rows = max(1, TABLE_BLOCK_BYTES // (size * 32))
-            table = np.empty((size, size), dtype=dtype)
+            # About 40 bytes per product: the int64 code, its searchsorted
+            # position, the code found there, the match mask and the index.
+            rows = max(1, TABLE_BLOCK_BYTES // (size * 40))
+            table = np.empty((size, size), dtype=np.int16 if size < 2**15 else np.int32)
             for start in range(0, size, rows):
-                block = padded[start:start + rows]
-                # (e_i * e_j)(t) = e_i(e_j(t)): Horner over the slots t.
-                code = block.take(slots[0], axis=1).astype(np.int64)
-                for slot in slots[1:]:
-                    code *= self.n + 1
-                    code += block.take(slot, axis=1)
-                pos = np.searchsorted(sorted_codes, code)
-                np.minimum(pos, size - 1, out=pos)
-                found = sorted_codes[pos] == code
+                codes = _product_codes(self.image_matrix[start:start + rows], slots)
+                pos, found = _locate(self._sorted_codes, codes)
                 if not found.all():
                     i, j = np.unravel_index(np.argmin(found), found.shape)
                     raise InvariantViolation(
                         f"product of members {start + i}, {j} escaped {self.family}_{self.n}"
                     )
-                table[start:start + rows] = order[pos]
+                table[start:start + rows] = self._order[pos]
             self._table = table
         return self._table
 
@@ -506,10 +543,7 @@ class MonoidUniverse:
         return list(self._units)
 
     def unit_permutations(self):
-        return [self.elements[i].images for i in self._units]
-
-    def indices_of_rank(self, k):
-        return [int(i) for i in np.flatnonzero(self.ranks == k)]
+        return [tuple(row) for row in self.image_matrix[self._units].tolist()]
 
     def idempotent_index(self, points):
         return self.element_index(idempotent_of(self.n, points))
@@ -519,15 +553,13 @@ class MonoidUniverse:
 
 
 def enumerate_universe(family, n, *, limit=None):
-    """Materialize a full monoid universe in canonical order.
-
-    Each element is checked for membership and the count against the
-    closed-form size.  Closure under products is checked exhaustively by
-    the first ``multiplication_table`` build, not here.
-    """
+    """Build a full monoid universe in canonical order: the zero map, the
+    identity, then the rank strata of ``_stratum``, each one numpy block
+    filtered by a vectorized membership mask.  So enumeration alone checks
+    membership; the count is checked against the closed-form size, and
+    closure under products by the first ``multiplication_table`` build."""
     fam = _family(family)
     _check_degree(n)
-    m = n // 2
     size = predicted_size(fam, n)
     lim = element_limit(limit)
     if size > lim:
@@ -535,37 +567,14 @@ def enumerate_universe(family, n, *, limit=None):
             f"{fam}_{n} has {size} elements, over the budget {lim}"
             f" (override with {ELEMENT_LIMIT_ENV} or limit=)"
         )
-
-    members = []
-    if fam == "R":
-        for k in range(n):
-            subsets = list(itertools.combinations(range(1, n + 1), k))
-            members.extend(_rank_stratum(n, subsets, subsets))
-        members.extend(PartialInjection(n, p) for p in itertools.permutations(range(1, n + 1)))
-    else:
-        top = m if fam == "SR" else m - 1
-        for k in range(top + 1):
-            subsets = admissible_subsets(n, k)
-            members.extend(_rank_stratum(n, subsets, subsets))
-        if fam == "OR":
-            by_type = {TYPE_I: [], TYPE_II: []}
-            for a in admissible_subsets(n, m):
-                by_type[type_of(n, a)].append(a)
-            for subsets in by_type.values():
-                members.extend(_rank_stratum(n, subsets, subsets))
-        members.extend(_unit_elements(fam, n))
-
-    if len(members) != size:
+    *strata, units = (_stratum(fam, n, k) for k in range(1, n + 1))
+    # The identity is the first unit: its images are the least tuple.
+    images = np.concatenate([np.zeros((1, n), dtype=np.uint8), units[:1], *strata, units[1:]])
+    if len(images) != size:
         raise InvariantViolation(
-            f"enumerated {len(members)} elements of {fam}_{n}, expected {size}"
+            f"enumerated {len(images)} elements of {fam}_{n}, expected {size}"
         )
-    bad = next((e for e in members if not is_member(fam, e)), None)
-    if bad is not None:
-        raise InvariantViolation(f"enumerated non-member {bad!r}")
-
-    zero, ident = zero_map(n), identity_map(n)
-    rest = sorted((e for e in members if e not in (zero, ident)), key=PartialInjection.sort_key)
-    return MonoidUniverse(fam, n, [zero, ident] + rest)
+    return MonoidUniverse(fam, n, images)
 
 
 # -- serialization -----------------------------------------------------------

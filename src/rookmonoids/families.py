@@ -25,7 +25,6 @@ from .congruences import (
     congruence_lattice,
     is_congruence,
     normal_subgroups,
-    perm_mul,
     symmetric_group,
 )
 from .core import (
@@ -34,8 +33,9 @@ from .core import (
     ResourceLimitError,
     TYPE_I,
     TYPE_II,
+    image_codes,
 )
-from .green import enumerate_ideals, h_coordinate
+from .green import enumerate_ideals
 
 TAGS = ("OR_eqN", "OR_eqN1N2", "OR_eqI", "OR_eqII", "OR_eq1", "OR_eq2", "SR_eqN")
 
@@ -71,11 +71,6 @@ def _as_subgroup(parent, subgroup):
     return sub
 
 
-def _half_rank_type(universe, mtype):
-    """Mask of the rank-m elements of one parity type."""
-    return np.array([t == mtype for t in universe.mtypes], dtype=bool)
-
-
 # Unit pairings of the two degree-4 specials, as full-rank image tuples.
 _OR4_UNIT_PAIRS = {
     1: (((1, 2, 3, 4), (2, 1, 4, 3)), ((3, 4, 1, 2), (4, 3, 2, 1))),
@@ -87,26 +82,30 @@ def _family_partition(universe, zero, splits, unit_pairs=()):
     """The one shape every predicted family has.
 
     ``zero`` masks the ideal that collapses into the zero class.  Each
-    ``(mask, subgroup)`` split cuts the masked elements into their H-classes
-    and, when a subgroup is given, each H-class further into the cosets of
-    that normal subgroup, keyed by the members' H-coordinates; ``None``
-    keeps whole H-classes.  ``unit_pairs`` lists element pairs merged on top.
-    Everything else stays singleton.  The result is checked to be a
-    congruence before it is returned.
+    ``(mask, subgroup)`` split cuts the masked elements (of rank k, the
+    subgroup's degree) into their H-classes and, when a subgroup is given,
+    each H-class into the cosets mu·N of that normal subgroup, keyed at
+    once by the least image code of mu·x, x in N, from the H-coordinates
+    mu (``h_coords``); ``None`` keeps whole H-classes.  ``unit_pairs``
+    lists element pairs merged on top.  Everything else stays singleton.
+    The result is checked to be a congruence before it is returned.
     """
     ids = np.arange(len(universe), dtype=np.int64)
     ids[zero] = 0  # the zero map, element 0, lies in every ideal
     for mask, subgroup in splits:
-        cosets = {}
-        first = {}
-        for i in np.flatnonzero(mask).tolist():
-            key = (int(universe.dom_masks[i]), int(universe.img_masks[i]))
-            if subgroup is not None:
-                mu = h_coordinate(universe.elements[i])
-                if mu not in cosets:
-                    cosets[mu] = min(perm_mul(mu, x) for x in subgroup)
-                key += (cosets[mu],)
-            ids[i] = first.setdefault(key, i)
+        members = np.flatnonzero(mask)
+        keys = [universe.dom_masks[members], universe.img_masks[members]]
+        if subgroup is not None:
+            perms = np.array(sorted(subgroup), dtype=np.intp)
+            k = perms.shape[1]
+            mu = universe.h_coords[members, :k].astype(np.intp)
+            # (mu·x)(t) = mu(x(t)) for every member and every x at once.
+            codes = image_codes(mu[:, perms - 1].reshape(-1, k))
+            keys.append(codes.reshape(len(members), len(perms)).min(axis=1))
+        # One void scalar per row of int64 keys: a 1-D unique groups the rows.
+        rows = np.column_stack(keys).view(np.dtype((np.void, 8 * len(keys)))).ravel()
+        _, first, inverse = np.unique(rows, return_index=True, return_inverse=True)
+        ids[members] = members[first][inverse.ravel()]
     for a, b in unit_pairs:
         ids[ids == ids[b]] = ids[a]
     part = Partition(universe, ids)
@@ -134,8 +133,8 @@ def build_eq_N1N2(universe, sub1, sub2):
     m = universe.n // 2
     parent = symmetric_group(m)
     splits = [
-        (_half_rank_type(universe, TYPE_I), _as_subgroup(parent, sub1)),
-        (_half_rank_type(universe, TYPE_II), _as_subgroup(parent, sub2)),
+        (universe.mtypes == TYPE_I, _as_subgroup(parent, sub1)),
+        (universe.mtypes == TYPE_II, _as_subgroup(parent, sub2)),
     ]
     return _family_partition(universe, universe.ranks < m, splits)
 
@@ -150,8 +149,8 @@ def build_eq_type(universe, variant, subgroup):
     m = universe.n // 2
     sub = _as_subgroup(symmetric_group(m), subgroup)
     other = TYPE_II if variant == TYPE_I else TYPE_I
-    zero = (universe.ranks < m) | _half_rank_type(universe, other)
-    return _family_partition(universe, zero, [(_half_rank_type(universe, variant), sub)])
+    zero = (universe.ranks < m) | (universe.mtypes == other)
+    return _family_partition(universe, zero, [(universe.mtypes == variant, sub)])
 
 
 def build_eq_special(universe, which):
@@ -163,13 +162,13 @@ def build_eq_special(universe, which):
     if which not in (1, 2):
         raise ValueError(f"which must be 1 or 2, got {which}")
     swallowed, kept = (TYPE_II, TYPE_I) if which == 1 else (TYPE_I, TYPE_II)
-    zero = (universe.ranks < 2) | _half_rank_type(universe, swallowed)
+    zero = (universe.ranks < 2) | (universe.mtypes == swallowed)
     unit_pairs = [
         tuple(universe.element_index(PartialInjection(4, images)) for images in pair)
         for pair in _OR4_UNIT_PAIRS[which]
     ]
     return _family_partition(
-        universe, zero, [(_half_rank_type(universe, kept), None)], unit_pairs
+        universe, zero, [(universe.mtypes == kept, None)], unit_pairs
     )
 
 

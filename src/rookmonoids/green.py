@@ -1,10 +1,11 @@
 """Green's relations, ideals, and idempotent subgroup structure.
 
-Classes are computed from the structural characterizations (equal domain
-for L, equal image for R, both for H, rank plus half-rank type for J) with
-the quadratic principal-ideal computations kept as cross-checks: the
-``principal_*`` functions compute their answer by brute force and assert
-the characterization before returning it.
+Classes are computed from the structural characterizations over the
+universe's arrays (equal domain mask for L, equal image mask for R, both
+for H, rank plus half-rank type for J) with the quadratic principal-ideal
+computations kept as cross-checks: the ``principal_*`` functions compute
+their answer by brute force and assert the characterization before
+returning it.  ``MonoidUniverse.h_coords`` holds each ``h_coordinate``.
 """
 
 from __future__ import annotations
@@ -14,8 +15,8 @@ from math import comb, factorial
 
 import numpy as np
 
-from .congruences import PermGroup, _canonical_ids
-from .core import InvariantViolation, PartialInjection, TYPE_I, is_idempotent
+from .congruences import PermGroup, _canonical_ids, _translations
+from .core import InvariantViolation, PartialInjection, TYPE_I, TYPE_II, is_idempotent
 
 
 @dataclass
@@ -53,30 +54,16 @@ class GreenData:
 
 def green_partition(universe):
     """Compute the Green class structure of a universe."""
-    dom_keys = {}
-    img_keys = {}
-    l_ids, r_ids, h_ids, j_ids = [], [], [], []
-    h_keys = {}
-    j_keys = {}
-    j_meta = []
-    for i, e in enumerate(universe.elements):
-        d = e.domain()
-        g = e.image()
-        l_ids.append(dom_keys.setdefault(d, len(dom_keys)))
-        r_ids.append(img_keys.setdefault(g, len(img_keys)))
-        h_ids.append(h_keys.setdefault((d, g), len(h_keys)))
-        jk = (int(universe.ranks[i]), universe.mtypes[i])
-        if jk not in j_keys:
-            j_keys[jk] = len(j_keys)
-            j_meta.append(jk)
-        j_ids.append(j_keys[jk])
+    ranks, dom, img = universe.ranks, universe.dom_masks, universe.img_masks
+    j_ids = _canonical_ids(ranks * 2 + (universe.mtypes == TYPE_II))
+    firsts = np.unique(j_ids, return_index=True)[1]
     return GreenData(
         universe=universe,
-        l_ids=_canonical_ids(np.array(l_ids)),
-        r_ids=_canonical_ids(np.array(r_ids)),
-        h_ids=_canonical_ids(np.array(h_ids)),
-        j_ids=_canonical_ids(np.array(j_ids)),
-        j_meta=j_meta,
+        l_ids=_canonical_ids(dom),
+        r_ids=_canonical_ids(img),
+        h_ids=_canonical_ids(dom << universe.n | img),
+        j_ids=j_ids,
+        j_meta=[(int(ranks[i]), str(universe.mtypes[i])) for i in firsts.tolist()],
     )
 
 
@@ -114,9 +101,7 @@ def principal_twosided(universe, idx):
     r = int(ranks[idx])
     m = universe.n // 2
     if universe.family == "OR" and r == m:
-        mt = universe.mtypes[idx]
-        types = np.array([t == mt for t in universe.mtypes])
-        keep = (ranks < m) | ((ranks == m) & types)
+        keep = (ranks < m) | ((ranks == m) & (universe.mtypes == universe.mtypes[idx]))
     else:
         keep = ranks <= r
     characterized = frozenset(np.flatnonzero(keep).tolist())
@@ -188,6 +173,13 @@ def _j_below(a, b, m, family):
     return ka < kb
 
 
+def _is_absorbing(moves, mask):
+    """True when the set ``mask`` is a two-sided ideal, given the rows
+    ``moves`` of left and right translation by each generator: closure
+    under those suffices, since every element is a product of generators."""
+    return bool(mask[moves[:, mask]].all())
+
+
 def enumerate_ideals(universe, green=None):
     """Every nonempty down-closed union of J-classes, verified absorbing.
 
@@ -195,7 +187,7 @@ def enumerate_ideals(universe, green=None):
     "union" or "other" and reported rather than suppressed.
     """
     green = green or green_partition(universe)
-    table = universe.multiplication_table()
+    moves = _translations(universe.multiplication_table(), universe.generators())
     meta = green.j_meta
     count = len(meta)
     m = universe.n // 2
@@ -212,8 +204,7 @@ def enumerate_ideals(universe, green=None):
             continue
         mask = np.isin(green.j_ids, chosen)
         members = np.flatnonzero(mask)
-        absorbing = bool(mask[table[:, members]].all() and mask[table[members, :]].all())
-        if not absorbing:
+        if not _is_absorbing(moves, mask):
             raise InvariantViolation(
                 f"down-set of J-classes {chosen} is not absorbing in "
                 f"{universe.family}_{universe.n}"
@@ -265,15 +256,14 @@ def h_class_group(universe, idx):
     the group together with the element-to-permutation bijection, which
     maps each member to its ``h_coordinate``.
     """
-    elem = universe.elements[idx]
+    elem = PartialInjection(universe.n, universe.image_matrix[idx])
     if not is_idempotent(elem):
         raise ValueError(f"element {idx} ({elem!r}) is not idempotent")
     points = elem.domain()
-    bijection = {
-        i: h_coordinate(e)
-        for i, e in enumerate(universe.elements)
-        if e.domain() == points and e.image() == points
-    }
+    dom = universe.dom_masks[idx]
+    members = np.flatnonzero((universe.dom_masks == dom) & (universe.img_masks == dom))
+    coords = universe.h_coords[members, :len(points)].tolist()
+    bijection = dict(zip(members.tolist(), map(tuple, coords)))
     group = PermGroup(len(points), bijection.values())
     if len(group) != len(bijection):
         raise InvariantViolation("H-class does not map bijectively onto its group")

@@ -341,10 +341,10 @@ def test_partition_json_round_trip(or4):
         partition_from_json(or4, {"universe": {"family": "SR", "n": 4}, "classes": []})
 
 
-@pytest.mark.parametrize("stray", [-1, 37])
+@pytest.mark.parametrize("stray", [-1, 37, True])
 def test_partition_from_json_rejects_out_of_range_indices(or4, stray):
     classes = [[i] for i in range(len(or4) - 1)] + [[stray]]
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=f"element {stray} is not an index"):
         partition_from_json(or4, {"classes": classes})
 
 
@@ -358,6 +358,19 @@ def test_perm_group_validation():
     with pytest.raises(ValueError):
         PermGroup(3, [(1, 2, 3), (2, 3, 1)])  # not closed
     assert len(PermGroup(3, [(1, 2, 3), (2, 3, 1), (3, 1, 2)])) == 3
+
+
+def test_perm_group_checks_every_product_of_a_large_set():
+    s7 = sorted(itertools.permutations(range(1, 8)))
+    assert len(PermGroup(7, s7)) == 5040
+    for missing in (s7[1], s7[2500], s7[-1]):
+        with pytest.raises(ValueError, match="not closed"):
+            PermGroup(7, [p for p in s7 if p != missing])
+    # K = Sym{3..7} sorts first and K·S stays in S = K ∪ K·(1 3), so only
+    # the rows of the coset, in a later block, find the escaping products.
+    k = [p for p in s7 if p[:2] == (1, 2)]
+    with pytest.raises(ValueError, match="not closed"):
+        PermGroup(7, k + [perm_mul(p, (3, 2, 1, 4, 5, 6, 7)) for p in k])
 
 
 def test_perm_arithmetic():

@@ -15,6 +15,7 @@ from rookmonoids import (
     compose,
     conjugation_escape_witness,
     enumerate_universe,
+    h_coordinate,
     idempotent_of,
     identity_map,
     in_unit_group,
@@ -28,7 +29,7 @@ from rookmonoids import (
     type_of,
     zero_map,
 )
-from rookmonoids.core import image_codes
+from rookmonoids.core import _member_mask, image_codes
 
 
 def brute_admissible(n, points):
@@ -262,6 +263,124 @@ def test_universe_rank_strata_match_closed_forms():
         assert universe.rank_histogram() == expected
 
 
+def _rank_stratum(n, doms, imgs):
+    for dom in doms:
+        for img in imgs:
+            for arranged in itertools.permutations(img):
+                yield PartialInjection.from_pairs(n, zip(dom, arranged))
+
+
+def _unit_elements(family, n):
+    """The unit group of SR (all signed permutations) or OR (even ones)."""
+    m = n // 2
+    out = []
+    for perm in itertools.permutations(range(1, m + 1)):
+        for flips in itertools.product((False, True), repeat=m):
+            images = [0] * n
+            for i, (p, f) in enumerate(zip(perm, flips), start=1):
+                v = n + 1 - p if f else p
+                images[i - 1] = v
+                images[n - i] = n + 1 - v
+            e = PartialInjection(n, images)
+            if family == "SR" or in_unit_group("OR", e):
+                out.append(e)
+    return out
+
+
+def reference_universe(family, n):
+    """Enumeration by objects: each rank stratum as domain sets x image sets
+    x arrangements, every element checked with is_member, the zero map and
+    the identity first and the rest sorted by sort_key."""
+    m = n // 2
+    members = []
+    if family == "R":
+        for k in range(n):
+            subsets = list(itertools.combinations(range(1, n + 1), k))
+            members.extend(_rank_stratum(n, subsets, subsets))
+        members.extend(PartialInjection(n, p) for p in itertools.permutations(range(1, n + 1)))
+    else:
+        top = m if family == "SR" else m - 1
+        for k in range(top + 1):
+            subsets = admissible_subsets(n, k)
+            members.extend(_rank_stratum(n, subsets, subsets))
+        if family == "OR":
+            by_type = {"I": [], "II": []}
+            for a in admissible_subsets(n, m):
+                by_type[type_of(n, a)].append(a)
+            for subsets in by_type.values():
+                members.extend(_rank_stratum(n, subsets, subsets))
+        members.extend(_unit_elements(family, n))
+    assert all(is_member(family, e) for e in members)
+    zero, ident = zero_map(n), identity_map(n)
+    rest = sorted((e for e in members if e not in (zero, ident)), key=PartialInjection.sort_key)
+    return [zero, ident] + rest
+
+
+@pytest.mark.parametrize("n", [2, 4, 6])
+@pytest.mark.parametrize("family", ["R", "SR", "OR"])
+def test_image_matrix_matches_the_object_enumeration(family, n):
+    expected = [list(e.images) for e in reference_universe(family, n)]
+    assert enumerate_universe(family, n).image_matrix.tolist() == expected
+
+
+@pytest.mark.parametrize("n", [2, 4, 6])
+def test_member_mask_matches_is_member(n):
+    everything = enumerate_universe("R", n)
+    for family in ("R", "SR", "OR"):
+        expected = [is_member(family, e) for e in everything.elements]
+        assert _member_mask(family, everything.image_matrix).tolist() == expected
+
+
+@pytest.mark.parametrize("name", ["or4", "sr4", "r4", "or6", "sr6"])
+def test_element_arrays_match_the_objects(name, request):
+    """Ranks, masks, half-rank types and zero-padded H-coordinates."""
+    universe = request.getfixturevalue(name)
+    n, m = universe.n, universe.n // 2
+    for i, e in enumerate(universe.elements):
+        assert universe.ranks[i] == e.rank
+        assert universe.dom_masks[i] == sum(1 << (p - 1) for p in e.domain())
+        assert universe.img_masks[i] == sum(1 << (p - 1) for p in e.image())
+        half = universe.family == "OR" and e.rank == m
+        assert universe.mtypes[i] == (type_of(n, e.domain()) if half else "")
+        mu = list(h_coordinate(e))
+        assert universe.h_coords[i].tolist() == mu + [0] * (n - len(mu))
+
+
+def test_universe_rejects_a_bad_image_matrix(or4):
+    good = or4.image_matrix.astype(np.int64)
+
+    def with_row_5(images):
+        out = good.copy()
+        out[5] = images
+        return out
+
+    cases = [
+        (good[:, :3], ValueError, r"need an \(N, 4\) integer matrix"),
+        (good[0], ValueError, r"need an \(N, 4\) integer matrix"),
+        (good.astype(float), ValueError, r"need an \(N, 4\) integer matrix"),
+        (with_row_5((5, 0, 0, 0)), ValueError, r"row 5: targets must lie in 0\.\.4"),
+        (with_row_5((-1, 0, 0, 0)), ValueError, r"row 5: targets must lie in 0\.\.4"),
+        (with_row_5((1, 0, 1, 0)), ValueError, "row 5: a target is repeated"),
+        (np.vstack([good, good[7:8]]), InvariantViolation, "duplicate"),
+        (good[[2, 1, 0, *range(3, 37)]], InvariantViolation, "zero and identity"),
+        (good[[0, 5, 2, 3, 4, 1, *range(6, 37)]], InvariantViolation, "zero and identity"),
+        (good[:0], InvariantViolation, "zero and identity"),
+    ]
+    for images, error, match in cases:
+        with pytest.raises(error, match=match):
+            MonoidUniverse("OR", 4, images)
+    rebuilt = MonoidUniverse("OR", 4, good)
+    assert np.array_equal(rebuilt.multiplication_table(), or4.multiplication_table())
+
+
+def test_element_index_refuses_non_members(or4):
+    assert or4.element_index(identity_map(4)) == 1
+    # The identity of degree 2 has the image code of 3 -> 1, a member of OR_4.
+    for e in (PartialInjection(4, (2, 1, 3, 4)), identity_map(2), identity_map(6), (1, 2, 3, 4)):
+        with pytest.raises(ValueError, match="not a member of OR_4"):
+            or4.element_index(e)
+
+
 def test_universe_canonical_positions(or4):
     assert or4.elements[0] == zero_map(4)
     assert or4.elements[1] == identity_map(4)
@@ -288,13 +407,13 @@ def test_universe_closure_exhaustive_small():
 
 
 def test_product_table_refuses_a_universe_not_closed_under_products(or4):
-    truncated = MonoidUniverse("OR", 4, or4.elements[:-1])
+    truncated = MonoidUniverse("OR", 4, or4.image_matrix[:-1])
     with pytest.raises(InvariantViolation, match="escaped OR_4"):
         truncated.multiplication_table()
 
 
 def test_product_refuses_a_product_outside_the_universe(or4):
-    truncated = MonoidUniverse("OR", 4, or4.elements[:-1])
+    truncated = MonoidUniverse("OR", 4, or4.image_matrix[:-1])
     d1 = truncated.element_index(PartialInjection(4, (2, 1, 4, 3)))
     d2 = truncated.element_index(PartialInjection(4, (3, 4, 1, 2)))
     with pytest.raises(InvariantViolation, match=f"members {d1}, {d2} escaped OR_4"):
@@ -328,7 +447,7 @@ def test_product_table_refuses_a_missing_code(or6, where):
     order = [int(i) for i in np.argsort(codes) if i > 1]
     dropped = order[-1] if where == "largest" else order[len(order) // 2]
     missing = or6.elements[dropped]
-    truncated = MonoidUniverse("OR", 6, [e for e in or6.elements if e != missing])
+    truncated = MonoidUniverse("OR", 6, np.delete(or6.image_matrix, dropped, axis=0))
     with pytest.raises(InvariantViolation, match="escaped OR_6") as caught:
         truncated.multiplication_table()
     i, j = map(int, re.search(r"members (\d+), (\d+)", str(caught.value)).groups())
@@ -340,7 +459,7 @@ def test_product_rejects_indices_outside_the_universe():
     for cached in (False, True):
         if cached:
             universe.multiplication_table()
-        for i, j in [(-1, 1), (37, 1), (1, -1), (1, 37), (0.5, 1)]:
+        for i, j in [(-1, 1), (37, 1), (1, -1), (1, 37), (0.5, 1), (True, 1), (1, False)]:
             with pytest.raises(ValueError, match="not an index"):
                 universe.product(i, j)
         assert universe.product(1, 2) == 2

@@ -23,6 +23,8 @@ from rookmonoids import (
     principal_right,
     principal_twosided,
 )
+from rookmonoids.congruences import _translations
+from rookmonoids.green import _is_absorbing
 
 
 def partition_of(keys):
@@ -216,6 +218,28 @@ def test_every_ideal_is_absorbing_and_generated_sets_are_ideals(or4):
         assert frozenset(closed) in members_sets
 
 
+def absorbing_all_products(table, mask):
+    """Two-sided absorption checked on all N x |I| products."""
+    members = np.flatnonzero(mask)
+    return bool(mask[table[:, members]].all() and mask[table[members, :]].all())
+
+
+@pytest.mark.parametrize("name", ["or4", "sr4", "or6", "sr6"])
+def test_generator_row_absorption_agrees_with_all_products(name, request):
+    """Over every union of J-classes, down-closed or not."""
+    universe = request.getfixturevalue(name)
+    green = green_partition(universe)
+    table = universe.multiplication_table()
+    moves = _translations(table, universe.generators())
+    count = green.num_classes("J")
+    verdicts = []
+    for bits in range(1, 2**count):
+        mask = np.isin(green.j_ids, [c for c in range(count) if bits >> c & 1])
+        verdicts.append(absorbing_all_products(table, mask))
+        assert _is_absorbing(moves, mask) == verdicts[-1], bits
+    assert any(verdicts) and not all(verdicts)
+
+
 def test_j_order_is_a_chain_with_a_half_rank_fork(green_or6):
     """Six classes: the chain of ranks 0,1,2 forks into the two rank-3
     type classes, which rejoin at the unit class on top."""
@@ -254,7 +278,7 @@ def test_h_coordinate_places_every_member_against_the_order_preserving_one(or4, 
                 blocks.setdefault((e.domain(), e.image()), []).append(e)
         for (dom, img), members in blocks.items():
             base = PartialInjection.from_pairs(universe.n, zip(dom, img))
-            assert base in universe.index
+            universe.element_index(base)
             assert h_coordinate(base) == tuple(range(1, len(dom) + 1))
             for e in members:
                 assert apply_mu(base, h_coordinate(e)) == e
