@@ -12,7 +12,11 @@ monoid, on both sides, is a congruence, since every element is a product
 of generators.  So a closure runs in rounds over the rows x -> g·x and
 x -> x·g of the generators (``MonoidUniverse.generators``: 5 on OR_6, 4 on
 SR_6): each round merges the generator translates of the pairs
-(l, label of l) whose label changed in the round before.
+(l, label of l) whose label changed in the round before.  ``is_congruence``
+checks the same rows.  They come from ``MonoidUniverse.translations``,
+which looks up 2k·N products, so closures and congruence checks build no
+N x N product table; only the lattice's seed selection (``_orbit_seeds``)
+and the naive oracle read it.
 
 The lattice enumerator closes one seed pair per orbit of the unit group
 G×G acting by (a, b) -> (g·a·h, g·b·h): translation by units is invertible,
@@ -92,7 +96,9 @@ def _is_congruence_ids(moves, ids):
 
 
 def _translations(table, gens):
-    """Rows x -> g·x, then rows x -> x·g, for each generator g."""
+    """Rows x -> g·x, then rows x -> x·g, for each g in ``gens``, read off
+    a product table: the naive oracle's translation by every element, and
+    the reference for ``MonoidUniverse.translations``."""
     gens = np.asarray(gens, dtype=np.intp)
     return np.concatenate([table[gens], table[:, gens].T]).astype(np.intp)
 
@@ -100,7 +106,7 @@ def _translations(table, gens):
 def _closure_ids(moves, pairs):
     """Least congruence containing the seed pairs, as least-member labels.
 
-    ``moves`` holds the generator translations from ``_translations``.
+    ``moves`` holds the generator rows of ``MonoidUniverse.translations``.
     Each round merges the pairs of the round before, then translates every
     pair (l, ids[l]) whose label changed by every generator on both sides;
     those translates are the next round's pairs.  At the end every
@@ -259,17 +265,17 @@ def is_congruence(universe, partition):
     """Two-sided compatibility: related pairs stay related under left and
     right translation by each generator (``MonoidUniverse.generators``).
 
-    That suffices because every element is a product of generators: 2k
-    rows of N entries for k generators, instead of all N² products.
+    That suffices because every element is a product of generators: the 2k
+    rows of N entries of ``MonoidUniverse.translations`` for k generators,
+    instead of all N² products, so no product table is built.
     """
-    moves = _translations(universe.multiplication_table(), universe.generators())
-    return _is_congruence_ids(moves, partition.ids)
+    return _is_congruence_ids(universe.translations(), partition.ids)
 
 
 def congruence_closure(universe, pairs):
-    """Least congruence of the universe containing the given index pairs."""
-    moves = _translations(universe.multiplication_table(), universe.generators())
-    return Partition(universe, _closure_ids(moves, list(pairs)))
+    """Least congruence of the universe containing the given index pairs,
+    closed over ``MonoidUniverse.translations``; no product table is built."""
+    return Partition(universe, _closure_ids(universe.translations(), list(pairs)))
 
 
 def join(p, q):
@@ -323,7 +329,7 @@ def congruence_lattice(universe, *, max_elements=DEFAULT_LATTICE_LIMIT, force=Fa
             f" {max_elements}; pass force=True to override"
         )
     table = universe.multiplication_table(limit=None if force else DEFAULT_TABLE_LIMIT)
-    moves = _translations(table, universe.generators())
+    moves = universe.translations()
     ident = np.arange(size, dtype=np.intp)
     principal = {}
     for pair in _orbit_seeds(table, universe.units()):

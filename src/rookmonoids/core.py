@@ -336,6 +336,27 @@ def _locate(sorted_codes, codes):
     return pos, sorted_codes[pos] == codes
 
 
+def _cayley_tree(left):
+    """Breadth-first tree over x -> g·x from the identity, element 1, given
+    the generators' left translation rows ``left``: per level, the new
+    elements, the generator g and the parent p of each, e = g·e_p; and the
+    mask of elements reached."""
+    edges = []
+    reached = np.zeros(left.shape[1], dtype=bool)
+    reached[1] = True
+    frontier = np.array([1], dtype=np.intp)
+    while frontier.size:
+        # A child's first occurrence in the level names its edge.
+        children, first = np.unique(left[:, frontier], return_index=True)
+        new = ~reached[children]
+        children, first = children[new].astype(np.intp), first[new]
+        reached[children] = True
+        gens, slots = np.divmod(first, frontier.size)
+        edges.append((children, gens, frontier[slots]))
+        frontier = children
+    return edges, reached
+
+
 def _member_mask(family, image_matrix):
     """Vectorized ``is_member`` over the rows of an (N, n) image matrix."""
     images = np.asarray(image_matrix).astype(np.intp)
@@ -403,6 +424,8 @@ class MonoidUniverse:
     "II" at rank n/2 of OR, else "") and ``h_coords``, each ``h_coordinate``
     padded with zeros.  Lookups use ``searchsorted`` in the sorted image
     codes; ``elements`` builds ``PartialInjection`` objects on first use.
+    ``generators``, ``translations`` and ``multiplication_table`` are
+    computed on first use and cached.
     The constructor checks the matrix; instances are immutable after it."""
 
     def __init__(self, family, n, image_matrix):
@@ -445,6 +468,7 @@ class MonoidUniverse:
         self.mtypes = np.where((self.ranks == m) & (self.family == "OR"), typed, "")
         self._table = None
         self._generators = None
+        self._translations = None
         self._units = np.flatnonzero(self.ranks == n).tolist()
 
     @functools.cached_property
@@ -469,28 +493,42 @@ class MonoidUniverse:
         if isinstance(i, bool) or not isinstance(i, (int, np.integer)) or not 0 <= i < len(self):
             raise ValueError(f"element {i!r} is not an index in 0..{len(self) - 1}")
 
+    def _products(self, left, right):
+        """Indices of the products e_i·e_j, i in ``left`` and j in ``right``,
+        as one (len(left), len(right)) block: the image codes of the products
+        (``_product_codes``) looked up in the sorted codes.  A code not found
+        raises ``InvariantViolation`` naming the pair."""
+        left = np.asarray(left, dtype=np.intp)
+        right = np.asarray(right, dtype=np.intp)
+        codes = _product_codes(self.image_matrix[left], self.image_matrix[right].T.astype(np.intp))
+        pos, found = _locate(self._sorted_codes, codes)
+        if not found.all():
+            i, j = np.unravel_index(np.argmin(found), found.shape)
+            raise InvariantViolation(
+                f"product of members {left[i]}, {right[j]} escaped {self.family}_{self.n}"
+            )
+        return self._order[pos]
+
     def product(self, i, j):
         self._check_index(i)
         self._check_index(j)
         if self._table is not None:
             return int(self._table[i, j])
-        code = _product_codes(self.image_matrix[[i]], self.image_matrix[[j]].T.astype(np.intp))
-        pos, found = _locate(self._sorted_codes, code.ravel())
-        if not found[0]:
-            raise InvariantViolation(
-                f"product of members {i}, {j} escaped {self.family}_{self.n}"
-            )
-        return int(self._order[pos[0]])
+        return int(self._products([i], [j])[0, 0])
 
     def multiplication_table(self, *, limit=DEFAULT_TABLE_LIMIT):
         """Full N x N product table, ``table[i, j]`` the index of e_i * e_j; cached.
 
-        Gated by ``limit`` because it is quadratic.  For each block of rows
-        of about ``TABLE_BLOCK_BYTES`` of temporaries, the image codes of
-        every product are computed with numpy gathers, one slot at a time,
-        and looked up in the sorted codes.  A code not found raises
-        ``InvariantViolation`` naming the pair, so every table build is an
-        exhaustive closure check.  int16 below 32,768 elements, else int32.
+        Gated by ``limit`` because it is quadratic.  Built from the Cayley
+        graph of the generators (Froidure & Pin, 1997): a breadth-first tree
+        over x -> g·x from the identity gives each element i a parent p and
+        a generator g with e_i = g·e_p, so row i is the left translation row
+        of g gathered at row p, ``table[i] = left[g][table[p]]``.  Rows are
+        filled level by level, in blocks of about ``TABLE_BLOCK_BYTES`` of
+        temporaries.  No product is looked up here: ``translations`` and
+        ``generators`` have checked every generator translate of every
+        element, and an element the tree does not reach raises
+        ``InvariantViolation``.  int16 below 32,768 elements, else int32.
         """
         if self._table is None:
             size = len(self)
@@ -498,46 +536,78 @@ class MonoidUniverse:
                 raise ResourceLimitError(
                     f"product table for {size} elements exceeds the limit {limit}"
                 )
-            slots = self.image_matrix.T.astype(np.intp)
-            # About 40 bytes per product: the int64 code, its searchsorted
-            # position, the code found there, the match mask and the index.
-            rows = max(1, TABLE_BLOCK_BYTES // (size * 40))
-            table = np.empty((size, size), dtype=np.int16 if size < 2**15 else np.int32)
-            for start in range(0, size, rows):
-                codes = _product_codes(self.image_matrix[start:start + rows], slots)
-                pos, found = _locate(self._sorted_codes, codes)
-                if not found.all():
-                    i, j = np.unravel_index(np.argmin(found), found.shape)
-                    raise InvariantViolation(
-                        f"product of members {start + i}, {j} escaped {self.family}_{self.n}"
-                    )
-                table[start:start + rows] = self._order[pos]
+            dtype = np.int16 if size < 2**15 else np.int32
+            left = self.translations()[:len(self.generators())].astype(dtype)
+            edges, reached = _cayley_tree(left)
+            if not reached.all():
+                raise InvariantViolation(
+                    f"element {np.argmin(reached)} of {self.family}_{self.n} is not"
+                    " reached from the identity by the generators"
+                )
+            left = left.ravel()
+            table = np.empty((size, size), dtype=dtype)
+            table[1] = np.arange(size)
+            # Per product: the parent's entry, its 8-byte index and the result.
+            rows = max(1, TABLE_BLOCK_BYTES // (size * (2 * dtype().itemsize + 8)))
+            for children, gens, parents in edges:
+                for start in range(0, len(children), rows):
+                    block = slice(start, start + rows)
+                    index = table[parents[block]].astype(np.intp)
+                    index += gens[block, None] * size
+                    table[children[block]] = left.take(index)
             self._table = table
         return self._table
 
     def generators(self):
         """A generating set of the monoid as element indices; cached.
 
-        Greedy over the product table: elements are scanned by descending
-        rank, ties by index, and each one not yet in the submonoid generated
-        so far is kept.  Every element is then a product of generators.
+        Greedy: elements are scanned by descending rank, ties by index, and
+        each one not yet in the submonoid generated so far is kept.  A kept
+        generator g gets its row x -> x·g by one checked lookup of every
+        element (``_products``); the submonoid then grows by following
+        these rows from the elements reached so far, with no product table.
+        Every element is then a product of generators.
         """
         if self._generators is None:
-            table = self.multiplication_table()
-            reached = np.zeros(len(self), dtype=bool)
+            size = len(self)
+            everything = np.arange(size)
+            reached = np.zeros(size, dtype=bool)
             reached[1] = True
-            gens = []
+            gens, right = [], []
             for x in np.argsort(-self.ranks, kind="stable").tolist():
                 if reached[x]:
                     continue
                 gens.append(x)
+                right.append(self._products(everything, [x]).ravel())
+                rows = np.array(right)
                 frontier = np.flatnonzero(reached)
                 while frontier.size:
-                    prod = table[np.ix_(frontier, gens)].ravel()
-                    frontier = np.unique(prod[~reached[prod]])
-                    reached[frontier] = True
+                    new = np.zeros(size, dtype=bool)
+                    new[rows[:, frontier]] = True
+                    new &= ~reached
+                    reached |= new
+                    frontier = np.flatnonzero(new)
             self._generators = gens
         return list(self._generators)
+
+    def translations(self):
+        """The 2k x N rows x -> g·x, then x -> x·g, for the k generators
+        (``generators``), as read-only intp element indices; cached.
+
+        Together with the generator search they are an exhaustive closure
+        check: every generator translate of every element is looked up and
+        checked, and the generators reach every element, so the universe is
+        the submonoid they generate and is closed under products.  Closures,
+        congruence checks and ideal checks read these rows, not the table.
+        """
+        if self._translations is None:
+            gens, everything = self.generators(), np.arange(len(self))
+            moves = np.concatenate([
+                self._products(gens, everything), self._products(everything, gens).T,
+            ]).astype(np.intp)
+            moves.setflags(write=False)
+            self._translations = moves
+        return self._translations
 
     def units(self):
         return list(self._units)
@@ -557,7 +627,8 @@ def enumerate_universe(family, n, *, limit=None):
     identity, then the rank strata of ``_stratum``, each one numpy block
     filtered by a vectorized membership mask.  So enumeration alone checks
     membership; the count is checked against the closed-form size, and
-    closure under products by the first ``multiplication_table`` build."""
+    closure under products by the first ``translations`` call (which
+    ``multiplication_table`` makes)."""
     fam = _family(family)
     _check_degree(n)
     size = predicted_size(fam, n)

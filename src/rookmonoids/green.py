@@ -15,7 +15,7 @@ from math import comb, factorial
 
 import numpy as np
 
-from .congruences import PermGroup, _canonical_ids, _translations
+from .congruences import PermGroup, _canonical_ids
 from .core import InvariantViolation, PartialInjection, TYPE_I, TYPE_II, is_idempotent
 
 
@@ -183,11 +183,13 @@ def _is_absorbing(moves, mask):
 def enumerate_ideals(universe, green=None):
     """Every nonempty down-closed union of J-classes, verified absorbing.
 
-    The expected shapes get their names; anything else is labelled
-    "union" or "other" and reported rather than suppressed.
+    Absorption is checked on the 2k generator translation rows of
+    ``MonoidUniverse.translations`` (``_is_absorbing``), so no product
+    table is built.  The expected shapes get their names; anything else is
+    labelled "union" or "other" and reported rather than suppressed.
     """
     green = green or green_partition(universe)
-    moves = _translations(universe.multiplication_table(), universe.generators())
+    moves = universe.translations()
     meta = green.j_meta
     count = len(meta)
     m = universe.n // 2

@@ -78,6 +78,17 @@ def test_congruences_predict(capsys):
     assert "OR_eq1" in out
 
 
+def test_degree_8_predictions_and_ideals_need_no_table(capsys):
+    code, out, _ = run_cli(capsys, "congruences", "predict", "--family", "or",
+                           "--n", "8")
+    assert code == EXIT_OK
+    assert "OR_8: 31 distinct predicted congruences" in out
+    for family, count in (("or", 8), ("sr", 6)):
+        code, out, _ = run_cli(capsys, "ideals", "--family", family, "--n", "8")
+        assert code == EXIT_OK
+        assert f"{family.upper()}_8: {count} absorbing down-sets" in out
+
+
 def test_congruences_enumerate(capsys):
     code, out, _ = run_cli(capsys, "congruences", "enumerate", "--family", "or",
                            "--n", "2", "--format", "json")

@@ -12,6 +12,7 @@ from rookmonoids import (
     all_congruences_naive,
     congruence_closure,
     congruence_lattice,
+    enumerate_ideals,
     enumerate_universe,
     is_congruence,
     join,
@@ -209,6 +210,21 @@ def test_lattice_is_meet_closed_and_made_of_congruences(name, request):
     for p, q in itertools.combinations(lattice, 2):
         meet = Partition(universe, p.ids.astype(np.int64) * size + q.ids)
         assert meet.key in keys
+
+
+@pytest.mark.parametrize("n", [6, 8])
+def test_generator_rows_need_no_product_table(n):
+    """Generators, translations, congruence checks, closures, ideals and
+    predictions read the 2k generator rows only; on OR_8 the table would
+    exceed the default limit."""
+    universe = enumerate_universe("OR", n)
+    universe.generators()
+    universe.translations()
+    closure = congruence_closure(universe, [(0, 2)])
+    assert is_congruence(universe, closure)
+    assert enumerate_ideals(universe)
+    assert predicted_congruences(universe)
+    assert universe._table is None
 
 
 def test_lattice_of_toy_two_element_monoid():

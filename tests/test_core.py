@@ -29,7 +29,26 @@ from rookmonoids import (
     type_of,
     zero_map,
 )
-from rookmonoids.core import _member_mask, image_codes
+from rookmonoids.congruences import _translations
+from rookmonoids.core import TABLE_BLOCK_BYTES, _locate, _member_mask, _product_codes, image_codes
+
+
+def table_by_lookup(universe, rows=None):
+    """Oracle for ``multiplication_table``: the image code of every product
+    in the given rows (all by default), computed in blocks of about
+    ``TABLE_BLOCK_BYTES`` and looked up in the sorted codes.  int16 below
+    32,768 elements, else int32, as the table."""
+    size = len(universe)
+    rows = np.arange(size) if rows is None else np.asarray(rows)
+    slots = universe.image_matrix.T.astype(np.intp)
+    step = max(1, TABLE_BLOCK_BYTES // (size * 40))
+    table = np.empty((len(rows), size), dtype=np.int16 if size < 2**15 else np.int32)
+    for start in range(0, len(rows), step):
+        codes = _product_codes(universe.image_matrix[rows[start:start + step]], slots)
+        pos, found = _locate(universe._sorted_codes, codes)
+        assert found.all()
+        table[start:start + step] = universe._order[pos]
+    return table
 
 
 def brute_admissible(n, points):
@@ -452,6 +471,67 @@ def test_product_table_refuses_a_missing_code(or6, where):
         truncated.multiplication_table()
     i, j = map(int, re.search(r"members (\d+), (\d+)", str(caught.value)).groups())
     assert compose(truncated.elements[i], truncated.elements[j]) == missing
+
+
+@pytest.mark.parametrize("method", ["generators", "translations"])
+@pytest.mark.parametrize("where", ["largest", "middle", "last"])
+def test_generator_lookups_refuse_a_missing_element(or4, or6, method, where):
+    """The generator search and the translation rows alone, with no table,
+    refuse a universe missing one element (the one of largest code, one
+    from the middle, or the last unit of OR_4), naming a pair whose
+    product is the missing element."""
+    if where == "last":
+        full, dropped = or4, len(or4) - 1
+    else:
+        codes = image_codes(or6.image_matrix)
+        order = [int(i) for i in np.argsort(codes) if i > 1]
+        full, dropped = or6, order[-1] if where == "largest" else order[len(order) // 2]
+    name = f"{full.family}_{full.n}"
+    truncated = MonoidUniverse(full.family, full.n, np.delete(full.image_matrix, dropped, axis=0))
+    with pytest.raises(InvariantViolation, match=f"escaped {name}") as caught:
+        getattr(truncated, method)()
+    i, j = map(int, re.search(r"members (\d+), (\d+)", str(caught.value)).groups())
+    assert compose(truncated.elements[i], truncated.elements[j]) == full.elements[dropped]
+    assert truncated._table is None
+
+
+def test_product_table_refuses_generators_that_miss_an_element():
+    """The table's Cayley-graph tree must reach every element: with the
+    last generator left out, the rest do not generate the monoid."""
+    universe = enumerate_universe("OR", 4)
+    universe._generators = universe.generators()[:-1]
+    with pytest.raises(InvariantViolation, match="not reached from the identity"):
+        universe.multiplication_table()
+
+
+@pytest.mark.parametrize("name", ["or2", "sr2", "or4", "sr4", "r4", "or6", "sr6"])
+def test_product_table_equals_the_lookup_oracle(name, request):
+    universe = request.getfixturevalue(name)
+    table, expected = universe.multiplication_table(), table_by_lookup(universe)
+    assert table.dtype == expected.dtype
+    assert np.array_equal(table, expected)
+
+
+def test_product_table_equals_the_lookup_oracle_on_or8():
+    """64 seeded rows of the full OR_8 table (226 MB), built past the
+    default limit."""
+    universe = enumerate_universe("OR", 8)
+    table = universe.multiplication_table(limit=None)
+    rows = np.random.default_rng(8).choice(len(universe), 64, replace=False)
+    expected = table_by_lookup(universe, rows)
+    assert table.dtype == expected.dtype == np.int16
+    assert np.array_equal(table[rows], expected)
+
+
+@pytest.mark.parametrize("name", ["or2", "sr2", "or4", "sr4", "r4", "or6", "sr6"])
+def test_translations_are_the_generator_rows_of_the_table(name, request):
+    universe = request.getfixturevalue(name)
+    moves = universe.translations()
+    assert moves is universe.translations()
+    assert not moves.flags.writeable
+    expected = _translations(universe.multiplication_table(), universe.generators())
+    assert moves.dtype == expected.dtype
+    assert np.array_equal(moves, expected)
 
 
 def test_product_rejects_indices_outside_the_universe():
