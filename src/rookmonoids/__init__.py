@@ -8,7 +8,6 @@ checks the predicted congruence families against the brute-force lattice.
 from .congruences import (
     DEFAULT_GROUP_LIMIT,
     DEFAULT_LATTICE_LIMIT,
-    NormalSubgroupList,
     Partition,
     PermGroup,
     all_congruences_naive,

@@ -24,18 +24,20 @@ so translated pairs generate the same principal congruence.  Seeds are
 (a, b) with a the least member of its element orbit and b the least member
 of its orbit under the stabilizer of a.  Every congruence of a finite
 monoid is a join of principal ones, so each lattice member is then joined
-with the principal congruences only, until nothing new appears.
+with the principal congruences only, until nothing new appears
+(``_lattice_ids``).  The same engine lists the normal subgroups of a
+permutation group, as the identity classes of its congruences.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
-from dataclasses import dataclass, field
+import operator
 
 import numpy as np
 
-from .core import DEFAULT_TABLE_LIMIT, TABLE_BLOCK_BYTES, ResourceLimitError, image_codes
-from .core import _locate, _product_codes
+from .core import DEFAULT_TABLE_LIMIT, TABLE_BLOCK_BYTES, ResourceLimitError, _locate, image_codes
 
 DEFAULT_LATTICE_LIMIT = 600
 DEFAULT_GROUP_LIMIT = 10**4
@@ -269,6 +271,8 @@ def is_congruence(universe, partition):
     rows of N entries of ``MonoidUniverse.translations`` for k generators,
     instead of all N² products, so no product table is built.
     """
+    if partition.universe is not universe:
+        raise ValueError("partition lives on another universe")
     return _is_congruence_ids(universe.translations(), partition.ids)
 
 
@@ -313,26 +317,20 @@ def _orbit_seeds(table, units):
     return seeds
 
 
-def congruence_lattice(universe, *, max_elements=DEFAULT_LATTICE_LIMIT, force=False):
-    """Every congruence of the universe, canonically sorted (finest first).
+def _lattice_ids(moves, seeds):
+    """Every congruence of the algebra whose generator translations are the
+    rows of ``moves``, as least-member labels in no particular order.
 
-    Computes the principal congruence of each unit-orbit seed pair (see
-    ``_orbit_seeds``), dedupes, and joins each lattice member with the
-    principal congruences until nothing new appears: every congruence of a
-    finite monoid is a join of principal ones.  The identity and universal
-    partitions are added.  Output is deterministic.
+    Closes each seed pair, dedupes, adds the identity and the universal
+    partition, and joins each member with the principal congruences until
+    nothing new appears.  When the seeds reach every principal congruence
+    this is the whole lattice, since every congruence of a finite algebra
+    is a join of principal ones.
     """
-    size = len(universe)
-    if not force and size > max_elements:
-        raise ResourceLimitError(
-            f"congruence lattice over {size} elements exceeds the budget"
-            f" {max_elements}; pass force=True to override"
-        )
-    table = universe.multiplication_table(limit=None if force else DEFAULT_TABLE_LIMIT)
-    moves = universe.translations()
+    size = moves.shape[1]
     ident = np.arange(size, dtype=np.intp)
     principal = {}
-    for pair in _orbit_seeds(table, universe.units()):
+    for pair in seeds:
         ids = _closure_ids(moves, [pair])
         principal.setdefault(ids.tobytes(), ids)
 
@@ -354,8 +352,25 @@ def congruence_lattice(universe, *, max_elements=DEFAULT_LATTICE_LIMIT, force=Fa
             if key not in distinct:
                 distinct[key] = joined
                 worklist.append(joined)
+    return list(distinct.values())
 
-    parts = [Partition(universe, ids) for ids in distinct.values()]
+
+def congruence_lattice(universe, *, max_elements=DEFAULT_LATTICE_LIMIT, force=False):
+    """Every congruence of the universe, canonically sorted (finest first).
+
+    ``_lattice_ids`` closes each unit-orbit seed pair (see ``_orbit_seeds``)
+    over the generator rows and joins the principal congruences.  Output is
+    deterministic.
+    """
+    size = len(universe)
+    if not force and size > max_elements:
+        raise ResourceLimitError(
+            f"congruence lattice over {size} elements exceeds the budget"
+            f" {max_elements}; pass force=True to override"
+        )
+    table = universe.multiplication_table(limit=None if force else DEFAULT_TABLE_LIMIT)
+    seeds = _orbit_seeds(table, universe.units())
+    parts = [Partition(universe, ids) for ids in _lattice_ids(universe.translations(), seeds)]
     parts.sort(key=lambda p: (-p.num_classes, p.key))
     return parts
 
@@ -399,6 +414,8 @@ def lattice_to_dot(partitions):
     return "\n".join(lines) + "\n"
 
 
+
+
 # -- permutation groups ------------------------------------------------------
 
 def perm_mul(p, q):
@@ -414,133 +431,113 @@ def perm_inv(p):
 
 
 class PermGroup:
-    """A finite permutation group on {1..degree} given by its element set."""
+    """A finite permutation group on {1..degree}: ``perms``, the sorted,
+    read-only (order, degree) array of 1-based images (the identity is row
+    0), and the Cayley table, ``table[i, j]`` the index of perms[i] after
+    perms[j].  Every product is looked up among the image codes, so building
+    the table checks closure; it is refused above ``DEFAULT_GROUP_LIMIT``
+    elements before it is allocated.
+    """
 
-    def __init__(self, degree, elements, *, check=True):
+    def __init__(self, degree, elements):
         self.degree = int(degree)
-        elems = set()
-        for p in elements:
-            p = tuple(int(v) for v in p)
-            if sorted(p) != list(range(1, self.degree + 1)):
-                raise ValueError(f"{p} is not a permutation of 1..{self.degree}")
-            elems.add(p)
-        self.elements = frozenset(elems)
         self.identity = tuple(range(1, self.degree + 1))
-        if self.identity not in self.elements:
+        perms = np.array([tuple(p) for p in elements], dtype=np.intp)
+        if perms.shape[1:] != (self.degree,) or (np.sort(perms, axis=1) != self.identity).any():
+            raise ValueError(f"elements must be permutations of 1..{self.degree}")
+        self._codes, first = np.unique(image_codes(perms), return_index=True)
+        self.perms = perms[first]  # sorted like the codes; the identity first
+        order = len(self.perms)
+        if not np.array_equal(self.perms[0], self.identity):
             raise ValueError("group must contain the identity")
-        if check and self.degree:  # the empty permutation is a group alone
-            self._check_closure()
-
-    def _check_closure(self):
-        """Look up every product, in blocks, among the sorted image codes."""
-        elems = np.array(sorted(self.elements), dtype=np.intp)
-        codes = image_codes(elems)  # ascending, like the sorted tuples
-        rows = max(1, TABLE_BLOCK_BYTES // (len(elems) * 40))
-        for start in range(0, len(elems), rows):
-            found = _locate(codes, _product_codes(elems[start:start + rows], elems.T))[1]
+        if order > DEFAULT_GROUP_LIMIT:
+            raise ResourceLimitError(f"group of order {order} exceeds the bound"
+                                     f" {DEFAULT_GROUP_LIMIT} on its Cayley table")
+        self.table = np.empty((order, order), dtype=np.int16 if order < 2**15 else np.int32)
+        rows = max(1, TABLE_BLOCK_BYTES // (order * 8 * (self.degree + 3)))
+        for start in range(0, order, rows):
+            block = self.perms[start:start + rows]
+            # (p·q)(t) = p(q(t)) for p in the block and every q at once.
+            products = block[:, self.perms - 1].reshape(len(block) * order, self.degree)
+            pos, found = _locate(self._codes, image_codes(products).reshape(len(block), order))
             if not found.all():
                 i, j = np.unravel_index(np.argmin(found), found.shape)
-                a, b = elems[start + i].tolist(), elems[j].tolist()
+                a, b = block[i].tolist(), self.perms[j].tolist()
                 raise ValueError(f"not closed: {tuple(a)} * {tuple(b)} escapes the set")
+            self.table[start:start + len(block)] = pos
+        self.perms.setflags(write=False)
+        self.table.setflags(write=False)
+        self._normal = None
+
+    def _indices(self, perms):
+        """Indices of the given permutations, or None when one is not a member."""
+        rows = np.array([tuple(p) for p in perms], dtype=np.intp)
+        if rows.shape[1:] != (self.degree,) or ((rows < 1) | (rows > self.degree)).any():
+            return None
+        pos, found = _locate(self._codes, image_codes(rows))
+        return pos if found.all() else None
+
+    @functools.cached_property
+    def _conjugation(self):
+        """``conj[h, g]``, the index of h·g·h⁻¹; built on first use only."""
+        inverses = self._indices(np.argsort(self.perms, axis=1) + 1)
+        return self.table[self.table, inverses[:, None]]
+
+    @property
+    def elements(self):
+        return frozenset(self)
 
     def __len__(self):
-        return len(self.elements)
+        return len(self.perms)
 
     def __iter__(self):
-        return iter(sorted(self.elements))
+        return iter(map(tuple, self.perms.tolist()))
 
     def __contains__(self, p):
-        return tuple(p) in self.elements
-
-    def conjugacy_classes(self):
-        """Conjugacy classes, sorted by (size, least member)."""
-        seen = set()
-        classes = []
-        for g in sorted(self.elements):
-            if g in seen:
-                continue
-            orbit = {perm_mul(perm_mul(h, g), perm_inv(h)) for h in self.elements}
-            seen |= orbit
-            classes.append(frozenset(orbit))
-        classes.sort(key=lambda c: (len(c), min(c)))
-        return classes
-
-    def is_subgroup(self, subset):
-        subset = frozenset(tuple(p) for p in subset)
-        if self.identity not in subset or not subset <= self.elements:
-            return False
-        return all(perm_mul(a, b) in subset for a in subset for b in subset)
+        return self._indices([p]) is not None
 
     def is_normal(self, subset):
-        subset = frozenset(tuple(p) for p in subset)
-        if not self.is_subgroup(subset):
+        """True when ``subset`` holds the identity and the products of its
+        members, and their conjugates by every element, stay inside it
+        (inverses follow in a finite group of bijections)."""
+        members = self._indices(subset)
+        if members is None or 0 not in members:
             return False
-        return all(
-            perm_mul(perm_mul(h, g), perm_inv(h)) in subset
-            for h in self.elements
-            for g in subset
-        )
+        inside = np.zeros(len(self), dtype=bool)
+        inside[members] = True
+        closed = inside[self.table[np.ix_(members, members)]].all()
+        return bool(closed and inside[self._conjugation[:, members]].all())
 
     def __repr__(self):
         return f"<PermGroup of degree {self.degree}, order {len(self)}>"
 
 
-def _factorial_exceeds(k, bound):
-    total = 1
-    for i in range(2, k + 1):
-        total *= i
-        if total > bound:
-            return True
-    return False
-
-
+@functools.cache
 def symmetric_group(k):
+    """S_k, built once per degree."""
     if k < 0:
         raise ValueError(f"degree must be >= 0, got {k}")
-    if _factorial_exceeds(k, 10**5):
-        raise ResourceLimitError(f"symmetric group of degree {k} is too large")
-    if k == 0:
-        return PermGroup(0, [()], check=False)
-    return PermGroup(k, itertools.permutations(range(1, k + 1)), check=False)
+    factorials = itertools.accumulate(range(1, k + 1), operator.mul)
+    if any(f > DEFAULT_GROUP_LIMIT for f in factorials):
+        raise ResourceLimitError(f"S_{k} exceeds the group bound {DEFAULT_GROUP_LIMIT}")
+    return PermGroup(k, itertools.permutations(range(1, k + 1)))
 
 
-@dataclass
-class NormalSubgroupList:
-    """All normal subgroups of a parent group, smallest first."""
+def normal_subgroups(group):
+    """Every normal subgroup as a frozenset of image tuples, smallest first,
+    ties broken by the sorted members; computed once per group.
 
-    parent: PermGroup
-    subgroups: list = field(default_factory=list)
-
-    def __iter__(self):
-        return iter(self.subgroups)
-
-    def __len__(self):
-        return len(self.subgroups)
-
-
-def normal_subgroups(group, *, max_order=DEFAULT_GROUP_LIMIT):
-    """Exact enumeration via unions of conjugacy classes.
-
-    Candidates are unions of classes containing the identity whose total
-    size divides the group order; each candidate is kept when closed under
-    products (inverses follow in a finite group of bijections).
+    A congruence on a group is the coset partition of a normal subgroup,
+    its identity class, so ``_lattice_ids`` runs over the Cayley table and
+    its transpose.  (1, g) and (1, h·g·h⁻¹) are translates of each other, so
+    each conjugacy class gives one seed: its least member, a column minimum
+    of the conjugation table.
     """
-    order = len(group)
-    if order > max_order:
-        raise ResourceLimitError(f"group of order {order} exceeds the bound {max_order}")
-    classes = group.conjugacy_classes()
-    ident_class = frozenset({group.identity})
-    rest = [c for c in classes if c != ident_class]
-    found = []
-    for picks in itertools.product((False, True), repeat=len(rest)):
-        size = 1 + sum(len(c) for c, take in zip(rest, picks) if take)
-        if order % size:
-            continue
-        candidate = set(ident_class)
-        for c, take in zip(rest, picks):
-            if take:
-                candidate |= c
-        if all(perm_mul(a, b) in candidate for a in candidate for b in candidate):
-            found.append(frozenset(candidate))
-    found.sort(key=lambda s: (len(s), sorted(s)))
-    return NormalSubgroupList(parent=group, subgroups=found)
+    if group._normal is None:
+        least = group._conjugation.min(axis=0)
+        reps = np.flatnonzero(least == np.arange(len(group)))[1:]  # all but the identity
+        moves = np.concatenate([group.table, group.table.T])
+        found = [np.flatnonzero(ids == 0) for ids in _lattice_ids(moves, [(0, g) for g in reps])]
+        found.sort(key=lambda members: (len(members), members.tolist()))
+        group._normal = tuple(frozenset(map(tuple, group.perms[m].tolist())) for m in found)
+    return group._normal

@@ -19,7 +19,6 @@ import numpy as np
 
 from .congruences import (
     DEFAULT_LATTICE_LIMIT,
-    NormalSubgroupList,
     Partition,
     PermGroup,
     congruence_lattice,
@@ -190,13 +189,14 @@ def build_eq_N_sr(universe, k, subgroup):
     return _family_partition(universe, ranks < k, [(ranks == k, sub)])
 
 
-def _labelled(ns: NormalSubgroupList):
-    """Deterministic short labels: 1, full, alt (even permutations), or
+def _labelled(parent):
+    """The normal subgroups of ``parent``, smallest first, with
+    deterministic short labels: 1, full, alt (even permutations), or
     order<d> with a #i disambiguator when several share an order."""
-    parent = ns.parent
-    even = frozenset(p for p in parent.elements if _is_even(p))
+    subgroups = normal_subgroups(parent)
+    even = frozenset(p for p in parent if _is_even(p))
     generic = [
-        sub for sub in ns.subgroups
+        sub for sub in subgroups
         if 1 < len(sub) < len(parent) and sub != even
     ]
     clashes = {}
@@ -204,7 +204,7 @@ def _labelled(ns: NormalSubgroupList):
         clashes[len(sub)] = clashes.get(len(sub), 0) + 1
     seen = {}
     out = []
-    for sub in ns.subgroups:
+    for sub in subgroups:
         if len(sub) == 1:
             label = "1"
         elif len(sub) == len(parent):
@@ -235,12 +235,12 @@ def predicted_congruences(universe):
     pairs = []
     if universe.family == "OR":
         for k in range(1, m):
-            for label, sub in _labelled(normal_subgroups(symmetric_group(k))):
+            for label, sub in _labelled(symmetric_group(k)):
                 pairs.append((
                     FamilySpec("OR_eqN", k=k, n_label=label),
                     build_eq_N_or(universe, k, sub),
                 ))
-        sm = _labelled(normal_subgroups(symmetric_group(m)))
+        sm = _labelled(symmetric_group(m))
         for label1, sub1 in sm:
             for label2, sub2 in sm:
                 pairs.append((
@@ -258,13 +258,13 @@ def predicted_congruences(universe):
             pairs.append((FamilySpec("OR_eq2"), build_eq_special(universe, 2)))
     else:
         for k in range(1, m + 1):
-            for label, sub in _labelled(normal_subgroups(symmetric_group(k))):
+            for label, sub in _labelled(symmetric_group(k)):
                 pairs.append((
                     FamilySpec("SR_eqN", k=k, n_label=label),
                     build_eq_N_sr(universe, k, sub),
                 ))
         unit_group = PermGroup(n, universe.unit_permutations())
-        for label, sub in _labelled(normal_subgroups(unit_group)):
+        for label, sub in _labelled(unit_group):
             pairs.append((
                 FamilySpec("SR_eqN", k=n, n_label=label),
                 build_eq_N_sr(universe, n, sub),

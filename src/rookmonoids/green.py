@@ -69,6 +69,7 @@ def green_partition(universe):
 
 def principal_right(universe, idx):
     """sigma*S by brute force, asserted equal to image containment."""
+    universe._check_index(idx)
     table = universe.multiplication_table()
     brute = frozenset(np.unique(table[idx]).tolist())
     masks = universe.img_masks
@@ -82,6 +83,7 @@ def principal_right(universe, idx):
 
 def principal_left(universe, idx):
     """S*sigma by brute force, asserted equal to domain containment."""
+    universe._check_index(idx)
     table = universe.multiplication_table()
     brute = frozenset(np.unique(table[:, idx]).tolist())
     masks = universe.dom_masks
@@ -95,6 +97,7 @@ def principal_left(universe, idx):
 
 def principal_twosided(universe, idx):
     """S*sigma*S by brute force, asserted equal to the rank/type bound."""
+    universe._check_index(idx)
     table = universe.multiplication_table()
     brute = frozenset(np.unique(table[table[:, idx], :]).tolist())
     ranks = universe.ranks
@@ -258,6 +261,7 @@ def h_class_group(universe, idx):
     the group together with the element-to-permutation bijection, which
     maps each member to its ``h_coordinate``.
     """
+    universe._check_index(idx)
     elem = PartialInjection(universe.n, universe.image_matrix[idx])
     if not is_idempotent(elem):
         raise ValueError(f"element {idx} ({elem!r}) is not idempotent")

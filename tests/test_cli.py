@@ -83,6 +83,10 @@ def test_degree_8_predictions_and_ideals_need_no_table(capsys):
                            "--n", "8")
     assert code == EXIT_OK
     assert "OR_8: 31 distinct predicted congruences" in out
+    code, out, _ = run_cli(capsys, "congruences", "predict", "--family", "sr",
+                           "--n", "8")
+    assert code == EXIT_OK
+    assert "SR_8: 22 distinct predicted congruences" in out
     for family, count in (("or", 8), ("sr", 6)):
         code, out, _ = run_cli(capsys, "ideals", "--family", family, "--n", "8")
         assert code == EXIT_OK

@@ -1,10 +1,12 @@
 import itertools
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from rookmonoids import (
+    DEFAULT_GROUP_LIMIT,
     PartialInjection,
     Partition,
     PermGroup,
@@ -78,6 +80,12 @@ def test_is_congruence_rejects_a_bad_merge(or4):
     ids = np.arange(len(or4))
     ids[1] = 0
     assert not is_congruence(or4, Partition(or4, ids))
+
+
+def test_is_congruence_refuses_a_partition_of_another_universe(or2, or4, sr4):
+    for other in (sr4, or2):
+        with pytest.raises(ValueError, match="another universe"):
+            is_congruence(or4, Partition.identity(other))
 
 
 def test_congruence_closure_of_nothing_is_identity(or4):
@@ -426,13 +434,123 @@ def test_normal_subgroups_are_normal(sr4):
 
 
 def test_normal_subgroup_budget():
-    with pytest.raises(ResourceLimitError):
-        normal_subgroups(symmetric_group(4), max_order=10)
+    """A group above ``DEFAULT_GROUP_LIMIT`` is refused before its Cayley
+    table, 40,320² entries for S_8, is allocated: ``symmetric_group(8)``
+    before it lists the permutations, ``PermGroup`` once it has them."""
+    s8 = list(itertools.permutations(range(1, 9)))
+    assert len(s8) > DEFAULT_GROUP_LIMIT
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError):
+            symmetric_group(8)
+        assert tracemalloc.get_traced_memory()[1] < 2**20
+        with pytest.raises(ResourceLimitError):
+            PermGroup(8, s8)
+        assert tracemalloc.get_traced_memory()[1] < 2**25
+    finally:
+        tracemalloc.stop()
+
+
+# The tuple group code that the array-backed group replaced, kept as the
+# oracle: conjugacy classes, normality and normal subgroups by perm_mul.
+
+def oracle_conjugacy_classes(group):
+    """Conjugacy classes, sorted by (size, least member)."""
+    seen = set()
+    classes = []
+    for g in sorted(group.elements):
+        if g in seen:
+            continue
+        orbit = frozenset(perm_mul(perm_mul(h, g), perm_inv(h)) for h in group.elements)
+        seen |= orbit
+        classes.append(orbit)
+    classes.sort(key=lambda c: (len(c), min(c)))
+    return classes
+
+
+def oracle_is_normal(group, subset):
+    subset = frozenset(tuple(p) for p in subset)
+    if group.identity not in subset or not subset <= group.elements:
+        return False
+    return all(perm_mul(a, b) in subset for a in subset for b in subset) and all(
+        perm_mul(perm_mul(h, g), perm_inv(h)) in subset
+        for h in group.elements
+        for g in subset
+    )
+
+
+def oracle_normal_subgroups(group):
+    """Unions of conjugacy classes that hold the identity and whose size
+    divides the group order, kept when closed under products."""
+    order = len(group)
+    ident = frozenset({group.identity})
+    rest = [c for c in oracle_conjugacy_classes(group) if c != ident]
+    found = []
+    for picks in itertools.product((False, True), repeat=len(rest)):
+        candidate = ident.union(*(c for c, take in zip(rest, picks) if take))
+        if order % len(candidate) == 0 and all(
+            perm_mul(a, b) in candidate for a in candidate for b in candidate
+        ):
+            found.append(candidate)
+    found.sort(key=lambda s: (len(s), sorted(s)))
+    return found
+
+
+def unit_groups():
+    for family, n in itertools.product(("OR", "SR"), (2, 4, 6)):
+        yield PermGroup(n, enumerate_universe(family, n).unit_permutations())
+    yield PermGroup(8, enumerate_universe("SR", 8).unit_permutations())
+
+
+def test_normal_subgroups_match_the_class_union_oracle():
+    """Same subgroups in the same order on S_0..S_5 and on the unit groups
+    of OR/SR 2, 4, 6 and of SR_8 (order 384, 20 conjugacy classes)."""
+    groups = [symmetric_group(k) for k in range(6)] + list(unit_groups())
+    assert len(groups[-1]) == 384
+    for group in groups:
+        assert list(normal_subgroups(group)) == oracle_normal_subgroups(group), group
+        assert normal_subgroups(group) is normal_subgroups(group)
+
+
+def generated_subgroup(gens, degree):
+    found = {tuple(range(1, degree + 1))}
+    frontier = list(found)
+    while frontier:
+        frontier = [q for p in frontier for g in gens if (q := perm_mul(g, p)) not in found]
+        found.update(frontier)
+    return frozenset(found)
+
+
+@pytest.mark.parametrize("which", ["s4", "sr4_units"])
+def test_is_normal_agrees_with_the_oracle(which, sr4):
+    """Every union of conjugacy classes holding the identity (normal or
+    not closed under products), every subgroup generated by two elements
+    (conjugation-closed or not), sets with a non-member or a non-permutation,
+    a set of the wrong degree and the empty set."""
+    group = symmetric_group(4) if which == "s4" else PermGroup(4, sr4.unit_permutations())
+    ident = frozenset({group.identity})
+    rest = [c for c in oracle_conjugacy_classes(group) if c != ident]
+    subsets = [
+        ident.union(*(c for c, take in zip(rest, picks) if take))
+        for picks in itertools.product((False, True), repeat=len(rest))
+    ]
+    subsets += {
+        generated_subgroup(pair, 4)
+        for pair in itertools.combinations(sorted(group.elements), 2)
+    }
+    verdicts = [group.is_normal(s) for s in subsets]
+    assert verdicts == [oracle_is_normal(group, s) for s in subsets]
+    assert any(verdicts) and not all(verdicts)
+    outsiders = set(itertools.permutations(range(1, 5))) - group.elements
+    # (1, 1, 8, 4) has the base-5 image code of the identity.
+    strangers = [(1, 2, 3, 5), (2, 2, 3, 4), (1, 1, 8, 4)] + sorted(outsiders)[:1]
+    for subset in [ident | {p} for p in strangers] + [[(1, 2, 3)], []]:
+        assert not group.is_normal(subset) and not oracle_is_normal(group, subset)
 
 
 def test_conjugacy_classes_partition_the_group():
     g = symmetric_group(4)
-    classes = g.conjugacy_classes()
+    classes = oracle_conjugacy_classes(g)
     assert sorted(len(c) for c in classes) == [1, 3, 6, 6, 8]
     assert set().union(*classes) == set(g.elements)
 

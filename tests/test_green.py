@@ -42,6 +42,13 @@ def test_principal_ideals_of_distinguished_elements(or4):
     assert principal_twosided(or4, 0) == frozenset({0})
 
 
+@pytest.mark.parametrize("fn", [principal_right, principal_left, principal_twosided, h_class_group])
+@pytest.mark.parametrize("idx", [-1, 37, True, 1.0])
+def test_principal_ideals_and_h_class_groups_refuse_bad_indices(or4, fn, idx):
+    with pytest.raises(ValueError, match="is not an index"):
+        fn(or4, idx)
+
+
 def test_principal_right_of_rank_one_element(or4):
     idx = or4.element_index(PartialInjection.from_pairs(4, [(1, 2)]))
     expected = frozenset(
