@@ -58,9 +58,8 @@ from .core import (
 from .families import (
     ClassificationReport,
     FamilySpec,
+    build_eq_N,
     build_eq_N1N2,
-    build_eq_N_or,
-    build_eq_N_sr,
     build_eq_special,
     build_eq_type,
     predicted_congruences,

@@ -44,46 +44,49 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, default_n=4):
-        p.add_argument("--family", choices=("r", "sr", "or"), default="or")
+    def command(parent, name, handler, help, *, family=True, dot=False,
+                force=False, default_n=4):
+        """A subcommand with only the flags its handler reads."""
+        p = parent.add_parser(name, help=help)
+        if family:
+            p.add_argument("--family", choices=("r", "sr", "or"), default="or")
         p.add_argument("--n", type=int, default=default_n, help="even degree")
-        p.add_argument("--format", choices=("json", "dot", "text"), default="text")
+        formats = ("json", "dot", "text") if dot else ("json", "text")
+        p.add_argument("--format", choices=formats, default="text")
         p.add_argument("--out", help="write output to this path instead of stdout")
-        p.add_argument("--force-budget", action="store_true",
-                       help="override the congruence lattice element budget")
+        if force:
+            p.add_argument("--force-budget", action="store_true",
+                           help="override the congruence lattice element budget")
+        p.set_defaults(handler=handler)
 
-    common(sub.add_parser("elements", help="enumerate a monoid universe"))
-    common(sub.add_parser("green", help="Green classes, counts, and formulas"))
-    common(sub.add_parser("ideals", help="all absorbing down-sets of J-classes"))
+    command(sub, "elements", cmd_elements, "enumerate a monoid universe")
+    command(sub, "green", cmd_green, "Green classes, counts, and formulas", dot=True)
+    command(sub, "ideals", cmd_ideals, "all absorbing down-sets of J-classes")
 
     cong = sub.add_parser("congruences", help="congruence computations")
     verb = cong.add_subparsers(dest="verb", required=True)
-    common(verb.add_parser("predict", help="instantiate the predicted families"))
-    common(verb.add_parser("enumerate", help="brute-force congruence lattice"))
-    common(verb.add_parser("verify", help="diff predictions against the lattice"))
+    command(verb, "predict", cmd_congruences_predict, "instantiate the predicted families")
+    command(verb, "enumerate", cmd_congruences_enumerate, "brute-force congruence lattice",
+            dot=True, force=True)
+    command(verb, "verify", cmd_congruences_verify, "diff predictions against the lattice",
+            force=True)
 
-    counter = sub.add_parser(
-        "counterexample",
-        help="exhibit a conjugate of an orthogonal element escaping SR",
-    )
-    common(counter, default_n=8)
-
-    common(sub.add_parser(
-        "erratum",
-        help="report the known closed-form and ideal-list discrepancies",
-    ))
+    command(sub, "counterexample", cmd_counterexample,
+            "exhibit a conjugate of an orthogonal element escaping SR",
+            family=False, default_n=8)
+    command(sub, "erratum", cmd_erratum,
+            "report the known closed-form and ideal-list discrepancies (OR)",
+            family=False)
     return parser
 
 
-def _emit(args, payload, *, dot=None, text=None):
+def _emit(args, payload, *, text, dot=None):
     if args.format == "json":
         body = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     elif args.format == "dot":
-        if dot is None:
-            raise ValueError(f"no dot rendering for the {args.command} command")
         body = dot
     else:
-        body = text if text is not None else json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        body = text
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(body)
@@ -240,8 +243,7 @@ def cmd_counterexample(args):
 
 
 def cmd_erratum(args):
-    args.family = "or"
-    universe = _universe(args)
+    universe = enumerate_universe("or", args.n)
     report = green_report(universe)
     ideals = enumerate_ideals(universe)
     expected = [d for d in ideals if d.kind != "union"]
@@ -279,22 +281,8 @@ def main(argv=None):
     if args.n % 2 or args.n < 2:
         sys.stderr.write(f"degree must be even and >= 2, got {args.n}\n")
         return EXIT_BUDGET
-    handlers = {
-        "elements": cmd_elements,
-        "green": cmd_green,
-        "ideals": cmd_ideals,
-        "counterexample": cmd_counterexample,
-        "erratum": cmd_erratum,
-    }
     try:
-        if args.command == "congruences":
-            verb_handlers = {
-                "predict": cmd_congruences_predict,
-                "enumerate": cmd_congruences_enumerate,
-                "verify": cmd_congruences_verify,
-            }
-            return verb_handlers[args.verb](args)
-        return handlers[args.command](args)
+        return args.handler(args)
     except ResourceLimitError as exc:
         sys.stderr.write(f"budget refusal: {exc}\n")
         return EXIT_BUDGET

@@ -310,9 +310,11 @@ def _orbit_seeds(table, units):
     size = table.shape[0]
     act = table[units][:, table[:, units].T].reshape(-1, size)
     rep = act.min(axis=0)
+    everything = np.arange(size)
     seeds = []
-    for a in np.unique(rep).tolist():
-        bs = np.unique(act[act[:, a] == a].min(axis=0))
+    # An orbit's least member is its own label; a bare np.unique would import numpy.ma.
+    for a in np.flatnonzero(rep == everything).tolist():
+        bs = np.flatnonzero(act[act[:, a] == a].min(axis=0) == everything)
         seeds.extend((a, b) for b in bs[(bs != a) & (rep[bs] >= a)].tolist())
     return seeds
 
@@ -366,7 +368,7 @@ def congruence_lattice(universe, *, max_elements=DEFAULT_LATTICE_LIMIT, force=Fa
     if not force and size > max_elements:
         raise ResourceLimitError(
             f"congruence lattice over {size} elements exceeds the budget"
-            f" {max_elements}; pass force=True to override"
+            f" {max_elements}; pass force=True (or --force-budget) to override"
         )
     table = universe.multiplication_table(limit=None if force else DEFAULT_TABLE_LIMIT)
     seeds = _orbit_seeds(table, universe.units())
@@ -375,12 +377,12 @@ def congruence_lattice(universe, *, max_elements=DEFAULT_LATTICE_LIMIT, force=Fa
     return parts
 
 
-def all_congruences_naive(universe, *, max_size=NAIVE_LATTICE_LIMIT):
+def all_congruences_naive(universe):
     """Independent oracle: filter every set partition for compatibility."""
     size = len(universe)
-    if size > max_size:
+    if size > NAIVE_LATTICE_LIMIT:
         raise ResourceLimitError(
-            f"naive congruence filter over {size} elements exceeds {max_size}"
+            f"naive congruence filter over {size} elements exceeds {NAIVE_LATTICE_LIMIT}"
         )
     # Translation by every element, so the filter does not rely on generators().
     moves = _translations(universe.multiplication_table(), np.arange(size))
@@ -393,27 +395,27 @@ def all_congruences_naive(universe, *, max_size=NAIVE_LATTICE_LIMIT):
     return parts
 
 
-def lattice_to_dot(partitions):
-    """DOT digraph of the refinement order, edges being covering relations."""
-    count = len(partitions)
-    below = [[False] * count for _ in range(count)]
-    for i, p in enumerate(partitions):
-        for j, q in enumerate(partitions):
-            if i != j and p.refines(q):
-                below[i][j] = True
-    lines = ["digraph congruence_lattice {", "  rankdir=BT;"]
-    for i, p in enumerate(partitions):
-        lines.append(f'  c{i} [label="{p.num_classes} classes"];')
+def _hasse_dot(name, prefix, labels, below):
+    """DOT digraph of a finite order drawn bottom to top: one node per
+    label, and an edge i -> j for each covering relation, ``below[i][j]``
+    with no k between them."""
+    count = len(labels)
+    lines = [f"digraph {name} {{", "  rankdir=BT;"]
+    lines += [f'  {prefix}{i} [label="{label}"];' for i, label in enumerate(labels)]
     for i in range(count):
         for j in range(count):
-            if below[i][j] and not any(
-                below[i][k] and below[k][j] for k in range(count)
-            ):
-                lines.append(f"  c{i} -> c{j};")
+            if below[i][j] and not any(below[i][k] and below[k][j] for k in range(count)):
+                lines.append(f"  {prefix}{i} -> {prefix}{j};")
     lines.append("}")
     return "\n".join(lines) + "\n"
 
 
+def lattice_to_dot(partitions):
+    """DOT digraph of the refinement order, edges being covering relations."""
+    below = [[i != j and p.refines(q) for j, q in enumerate(partitions)]
+             for i, p in enumerate(partitions)]
+    return _hasse_dot("congruence_lattice", "c",
+                      [f"{p.num_classes} classes" for p in partitions], below)
 
 
 # -- permutation groups ------------------------------------------------------
@@ -497,16 +499,9 @@ class PermGroup:
         return self._indices([p]) is not None
 
     def is_normal(self, subset):
-        """True when ``subset`` holds the identity and the products of its
-        members, and their conjugates by every element, stay inside it
-        (inverses follow in a finite group of bijections)."""
-        members = self._indices(subset)
-        if members is None or 0 not in members:
-            return False
-        inside = np.zeros(len(self), dtype=bool)
-        inside[members] = True
-        closed = inside[self.table[np.ix_(members, members)]].all()
-        return bool(closed and inside[self._conjugation[:, members]].all())
+        """True when ``subset``, as a set of image tuples, is one of the
+        normal subgroups (``normal_subgroups``)."""
+        return frozenset(map(tuple, subset)) in normal_subgroups(self)
 
     def __repr__(self):
         return f"<PermGroup of degree {self.degree}, order {len(self)}>"
@@ -528,15 +523,17 @@ def normal_subgroups(group):
     ties broken by the sorted members; computed once per group.
 
     A congruence on a group is the coset partition of a normal subgroup,
-    its identity class, so ``_lattice_ids`` runs over the Cayley table and
-    its transpose.  (1, g) and (1, h·g·h⁻¹) are translates of each other, so
-    each conjugacy class gives one seed: its least member, a column minimum
-    of the conjugation table.
+    its identity class, so ``_lattice_ids`` runs over rows of the Cayley
+    table and its transpose.  (1, g) and (1, h·g·h⁻¹) are translates of
+    each other, so each conjugacy class gives one seed: its least member, a
+    column minimum of the conjugation table.  Those members also generate
+    the group, since a finite group is not the union of the conjugates of
+    a proper subgroup (Jordan), so their rows are the only moves.
     """
     if group._normal is None:
         least = group._conjugation.min(axis=0)
         reps = np.flatnonzero(least == np.arange(len(group)))[1:]  # all but the identity
-        moves = np.concatenate([group.table, group.table.T])
+        moves = np.concatenate([group.table[reps], group.table[:, reps].T])
         found = [np.flatnonzero(ids == 0) for ids in _lattice_ids(moves, [(0, g) for g in reps])]
         found.sort(key=lambda members: (len(members), members.tolist()))
         group._normal = tuple(frozenset(map(tuple, group.perms[m].tolist())) for m in found)

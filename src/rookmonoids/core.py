@@ -424,8 +424,8 @@ class MonoidUniverse:
     "II" at rank n/2 of OR, else "") and ``h_coords``, each ``h_coordinate``
     padded with zeros.  Lookups use ``searchsorted`` in the sorted image
     codes; ``elements`` builds ``PartialInjection`` objects on first use.
-    ``generators``, ``translations`` and ``multiplication_table`` are
-    computed on first use and cached.
+    ``generators``, ``translations``, ``multiplication_table`` and
+    ``unit_group`` are computed on first use and cached.
     The constructor checks the matrix; instances are immutable after it."""
 
     def __init__(self, family, n, image_matrix):
@@ -612,8 +612,12 @@ class MonoidUniverse:
     def units(self):
         return list(self._units)
 
-    def unit_permutations(self):
-        return [tuple(row) for row in self.image_matrix[self._units].tolist()]
+    @functools.cached_property
+    def unit_group(self):
+        """The units' images as a ``PermGroup``, built on first use."""
+        from .congruences import PermGroup  # congruences imports this module
+
+        return PermGroup(self.n, self.image_matrix[self._units])
 
     def idempotent_index(self, points):
         return self.element_index(idempotent_of(self.n, points))

@@ -6,9 +6,9 @@ collapses into the zero class, the elements of one or two J-classes split
 into their H-classes and, inside each, into the cosets of a normal subgroup
 of the H-class group (read off the members' H-coordinates), and everything
 else stays singleton.  The public ``build_eq_*`` functions only check their
-parameters and pick the ideal and the splits: a rank stratum on OR and SR,
-per-type variants at half rank on OR, and, at degree 4 only, two OR
-congruences that also pair up the four units.
+parameters and pick the ideal and the splits: a rank stratum at each level
+of ``_levels`` (``build_eq_N``), per-type variants at half rank on OR, and,
+at degree 4 only, two OR congruences that also pair up the four units.
 """
 
 from __future__ import annotations
@@ -18,9 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .congruences import (
-    DEFAULT_LATTICE_LIMIT,
     Partition,
-    PermGroup,
     congruence_lattice,
     is_congruence,
     normal_subgroups,
@@ -29,15 +27,11 @@ from .congruences import (
 from .core import (
     InvariantViolation,
     PartialInjection,
-    ResourceLimitError,
     TYPE_I,
     TYPE_II,
     image_codes,
 )
 from .green import enumerate_ideals
-
-TAGS = ("OR_eqN", "OR_eqN1N2", "OR_eqI", "OR_eqII", "OR_eq1", "OR_eq2", "SR_eqN")
-
 
 @dataclass(frozen=True)
 class FamilySpec:
@@ -113,14 +107,30 @@ def _family_partition(universe, zero, splits, unit_pairs=()):
     return part
 
 
-def build_eq_N_or(universe, k, subgroup):
-    """Rank-k family on OR, 1 <= k <= m-1: one class below rank k, subgroup
-    orbits inside rank-k H-classes, singletons above."""
-    _require_family(universe, "OR")
+def _levels(universe):
+    """The ranks k of the rank-k family, each with the group whose normal
+    subgroups parametrise it: S_k for 1 <= k <= m-1 on OR and 1 <= k <= m
+    on SR, and the unit group at k = n on SR.  None on R."""
     m = universe.n // 2
-    if not 1 <= k <= m - 1:
-        raise ValueError(f"level must satisfy 1 <= k <= {m - 1}, got {k}")
-    sub = _as_subgroup(symmetric_group(k), subgroup)
+    if universe.family == "OR":
+        return {k: symmetric_group(k) for k in range(1, m)}
+    if universe.family == "SR":
+        levels = {k: symmetric_group(k) for k in range(1, m + 1)}
+        levels[universe.n] = universe.unit_group
+        return levels
+    return {}
+
+
+def build_eq_N(universe, k, subgroup):
+    """Rank-k family, k a level of ``_levels``: one class below rank k,
+    the cosets of the normal subgroup inside each rank-k H-class,
+    singletons above."""
+    levels = _levels(universe)
+    if k not in levels:
+        raise ValueError(
+            f"level must be one of {list(levels)} on {universe.family}_{universe.n}, got {k}"
+        )
+    sub = _as_subgroup(levels[k], subgroup)
     ranks = universe.ranks
     return _family_partition(universe, ranks < k, [(ranks == k, sub)])
 
@@ -171,24 +181,6 @@ def build_eq_special(universe, which):
     )
 
 
-def build_eq_N_sr(universe, k, subgroup):
-    """Rank-k family on SR, k in 1..m or k = n: one class below rank k,
-    subgroup orbits inside rank-k H-classes (the unit group acts at rank
-    n), singletons above."""
-    _require_family(universe, "SR")
-    m = universe.n // 2
-    n = universe.n
-    if k == n:
-        parent = PermGroup(n, universe.unit_permutations())
-    elif 1 <= k <= m:
-        parent = symmetric_group(k)
-    else:
-        raise ValueError(f"level must lie in 1..{m} or be {n}, got {k}")
-    sub = _as_subgroup(parent, subgroup)
-    ranks = universe.ranks
-    return _family_partition(universe, ranks < k, [(ranks == k, sub)])
-
-
 def _labelled(parent):
     """The normal subgroups of ``parent``, smallest first, with
     deterministic short labels: 1, full, alt (even permutations), or
@@ -231,15 +223,14 @@ def predicted_congruences(universe):
     if universe.family not in ("OR", "SR"):
         raise ValueError(f"no predicted families for family {universe.family}")
     m = universe.n // 2
-    n = universe.n
     pairs = []
+    for k, parent in _levels(universe).items():
+        for label, sub in _labelled(parent):
+            pairs.append((
+                FamilySpec(f"{universe.family}_eqN", k=k, n_label=label),
+                build_eq_N(universe, k, sub),
+            ))
     if universe.family == "OR":
-        for k in range(1, m):
-            for label, sub in _labelled(symmetric_group(k)):
-                pairs.append((
-                    FamilySpec("OR_eqN", k=k, n_label=label),
-                    build_eq_N_or(universe, k, sub),
-                ))
         sm = _labelled(symmetric_group(m))
         for label1, sub1 in sm:
             for label2, sub2 in sm:
@@ -253,32 +244,15 @@ def predicted_congruences(universe):
                     FamilySpec(tag, k=m, n_label=label),
                     build_eq_type(universe, variant, sub),
                 ))
-        if n == 4:
+        if universe.n == 4:
             pairs.append((FamilySpec("OR_eq1"), build_eq_special(universe, 1)))
             pairs.append((FamilySpec("OR_eq2"), build_eq_special(universe, 2)))
-    else:
-        for k in range(1, m + 1):
-            for label, sub in _labelled(symmetric_group(k)):
-                pairs.append((
-                    FamilySpec("SR_eqN", k=k, n_label=label),
-                    build_eq_N_sr(universe, k, sub),
-                ))
-        unit_group = PermGroup(n, universe.unit_permutations())
-        for label, sub in _labelled(unit_group):
-            pairs.append((
-                FamilySpec("SR_eqN", k=n, n_label=label),
-                build_eq_N_sr(universe, n, sub),
-            ))
     pairs.append((FamilySpec("universal"), Partition.universal(universe)))
 
     by_key = {}
-    order = []
     for spec, part in pairs:
-        if part.key not in by_key:
-            by_key[part.key] = (part, [])
-            order.append(part.key)
-        by_key[part.key][1].append(spec)
-    merged = [(by_key[k][0], tuple(by_key[k][1])) for k in order]
+        by_key.setdefault(part.key, (part, []))[1].append(spec)
+    merged = [(part, tuple(specs)) for part, specs in by_key.values()]
     merged.sort(key=lambda item: (-item[0].num_classes, item[0].key))
     return merged
 
@@ -339,17 +313,12 @@ def _annotate_unmatched(universe, part, lattice_index, ideal_by_members):
     }
 
 
-def verify_classification(universe, *, max_elements=None, force=False):
+def verify_classification(universe, *, force=False):
     """Enumerate the full congruence lattice and diff it against the
-    predicted families.  Everything unmatched is reported, never dropped."""
-    budget = DEFAULT_LATTICE_LIMIT if max_elements is None else max_elements
-    if not force and len(universe) > budget:
-        raise ResourceLimitError(
-            f"congruence lattice over {len(universe)} elements exceeds the"
-            f" budget {budget}; pass force=True (or --force-budget) to override"
-        )
+    predicted families.  Everything unmatched is reported, never dropped.
+    The lattice's element budget refuses before any work is done."""
+    lattice = congruence_lattice(universe, force=force)
     predictions = predicted_congruences(universe)
-    lattice = congruence_lattice(universe, max_elements=budget, force=force)
     lattice_keys = {part.key: i for i, part in enumerate(lattice)}
     ideal_by_members = {d.members: d for d in enumerate_ideals(universe)}
 

@@ -15,7 +15,7 @@ from math import comb, factorial
 
 import numpy as np
 
-from .congruences import PermGroup, _canonical_ids
+from .congruences import PermGroup, _canonical_ids, _hasse_dot
 from .core import InvariantViolation, PartialInjection, TYPE_I, TYPE_II, is_idempotent
 
 
@@ -71,7 +71,7 @@ def principal_right(universe, idx):
     """sigma*S by brute force, asserted equal to image containment."""
     universe._check_index(idx)
     table = universe.multiplication_table()
-    brute = frozenset(np.unique(table[idx]).tolist())
+    brute = frozenset(table[idx].tolist())
     masks = universe.img_masks
     characterized = frozenset(np.flatnonzero((masks & ~masks[idx]) == 0).tolist())
     if brute != characterized:
@@ -85,7 +85,7 @@ def principal_left(universe, idx):
     """S*sigma by brute force, asserted equal to domain containment."""
     universe._check_index(idx)
     table = universe.multiplication_table()
-    brute = frozenset(np.unique(table[:, idx]).tolist())
+    brute = frozenset(table[:, idx].tolist())
     masks = universe.dom_masks
     characterized = frozenset(np.flatnonzero((masks & ~masks[idx]) == 0).tolist())
     if brute != characterized:
@@ -99,7 +99,7 @@ def principal_twosided(universe, idx):
     """S*sigma*S by brute force, asserted equal to the rank/type bound."""
     universe._check_index(idx)
     table = universe.multiplication_table()
-    brute = frozenset(np.unique(table[table[:, idx], :]).tolist())
+    brute = frozenset(table[table[:, idx]].ravel().tolist())
     ranks = universe.ranks
     r = int(ranks[idx])
     m = universe.n // 2
@@ -295,21 +295,10 @@ def j_order_dot(green):
     meta = green.j_meta
     m = green.universe.n // 2
     family = green.universe.family
-    count = len(meta)
-    below = [
-        [a != b and _j_below(meta[a], meta[b], m, family) for b in range(count)]
-        for a in range(count)
-    ]
-    lines = ["digraph j_order {", "  rankdir=BT;"]
-    for c, (k, t) in enumerate(meta):
-        label = f"rank {k}" + (f" type {t}" if t else "")
-        lines.append(f'  j{c} [label="{label}"];')
-    for a in range(count):
-        for b in range(count):
-            if below[a][b] and not any(below[a][c] and below[c][b] for c in range(count)):
-                lines.append(f"  j{a} -> j{b};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    below = [[a != b and _j_below(meta[a], meta[b], m, family) for b in range(len(meta))]
+             for a in range(len(meta))]
+    labels = [f"rank {k}" + (f" type {t}" if t else "") for k, t in meta]
+    return _hasse_dot("j_order", "j", labels, below)
 
 
 def green_report(universe, green=None):

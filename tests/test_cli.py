@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -186,3 +190,39 @@ def test_internal_invariant_exit_code(capsys, monkeypatch):
                            "--n", "2")
     assert code == 3
     assert "invariant" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("elements", "--force-budget"),
+    ("ideals", "--format", "dot"),
+    ("congruences", "predict", "--force-budget"),
+    ("congruences", "verify", "--format", "dot"),
+    ("erratum", "--family", "sr"),
+    ("counterexample", "--family", "or"),
+])
+def test_flags_a_command_does_not_read_are_refused(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == EXIT_BUDGET
+    err = capsys.readouterr().err
+    assert "unrecognized arguments" in err or "invalid choice: 'dot'" in err
+
+
+def test_verify_and_principal_ideals_leave_numpy_ma_unloaded(tmp_path):
+    """A bare np.unique imports numpy.ma on first use (numpy 2.4)."""
+    script = f"""
+import sys
+from rookmonoids import enumerate_universe, principal_left, principal_right, principal_twosided
+from rookmonoids.cli import main
+assert main(["congruences", "verify", "--family", "or", "--n", "4",
+             "--out", {str(tmp_path / "verify.txt")!r}]) == 0
+or4 = enumerate_universe("OR", 4)
+for principal in (principal_right, principal_left, principal_twosided):
+    principal(or4, 19)
+print("numpy.ma" in sys.modules)
+"""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout == "False\n"

@@ -416,16 +416,17 @@ def test_normal_subgroups_of_small_symmetric_groups():
     assert [len(s) for s in s4] == [1, 4, 12, 24]
     klein = [s for s in s4 if len(s) == 4][0]
     assert all(perm_mul(p, p) == (1, 2, 3, 4) for p in klein)
+    assert [len(s) for s in normal_subgroups(symmetric_group(6))] == [1, 360, 720]
 
 
 def test_normal_subgroups_of_the_klein_unit_group(or4):
-    group = PermGroup(4, or4.unit_permutations())
+    group = or4.unit_group
     subs = normal_subgroups(group)
     assert [len(s) for s in subs] == [1, 2, 2, 2, 4]
 
 
 def test_normal_subgroups_are_normal(sr4):
-    w = PermGroup(4, sr4.unit_permutations())
+    w = sr4.unit_group
     assert len(w) == 8
     subs = normal_subgroups(w)
     assert [len(s) for s in subs] == [1, 2, 4, 4, 4, 8]
@@ -498,8 +499,8 @@ def oracle_normal_subgroups(group):
 
 def unit_groups():
     for family, n in itertools.product(("OR", "SR"), (2, 4, 6)):
-        yield PermGroup(n, enumerate_universe(family, n).unit_permutations())
-    yield PermGroup(8, enumerate_universe("SR", 8).unit_permutations())
+        yield enumerate_universe(family, n).unit_group
+    yield enumerate_universe("SR", 8).unit_group
 
 
 def test_normal_subgroups_match_the_class_union_oracle():
@@ -527,7 +528,7 @@ def test_is_normal_agrees_with_the_oracle(which, sr4):
     not closed under products), every subgroup generated by two elements
     (conjugation-closed or not), sets with a non-member or a non-permutation,
     a set of the wrong degree and the empty set."""
-    group = symmetric_group(4) if which == "s4" else PermGroup(4, sr4.unit_permutations())
+    group = symmetric_group(4) if which == "s4" else sr4.unit_group
     ident = frozenset({group.identity})
     rest = [c for c in oracle_conjugacy_classes(group) if c != ident]
     subsets = [

@@ -5,9 +5,8 @@ from rookmonoids import (
     PartialInjection,
     Partition,
     PermGroup,
+    build_eq_N,
     build_eq_N1N2,
-    build_eq_N_or,
-    build_eq_N_sr,
     build_eq_special,
     build_eq_type,
     congruence_closure,
@@ -31,12 +30,12 @@ def units_of(universe):
 
 def test_rank_family_at_level_one_is_the_identity(or4, or6):
     for universe in (or4, or6):
-        part = build_eq_N_or(universe, 1, TRIVIAL_1)
+        part = build_eq_N(universe, 1, TRIVIAL_1)
         assert part == Partition.identity(universe)
 
 
 def test_rank_family_structure_on_or6(or6):
-    part = build_eq_N_or(or6, 2, FULL_2)
+    part = build_eq_N(or6, 2, FULL_2)
     zero_class = set(part.class_of(0))
     assert zero_class == {i for i in range(len(or6)) if or6.ranks[i] < 2}
     for block in part.classes():
@@ -49,16 +48,28 @@ def test_rank_family_structure_on_or6(or6):
             assert len(block) == 1
 
 
-def test_rank_family_rejects_bad_parameters(or4):
+def test_rank_family_rejects_bad_parameters(or4, or6, sr4, r4):
     with pytest.raises(ValueError):
-        build_eq_N_or(or4, 2, FULL_2)
+        build_eq_N(or4, 2, FULL_2)
     with pytest.raises(ValueError):
-        build_eq_N_or(or4, 0, TRIVIAL_1)
+        build_eq_N(or4, 0, TRIVIAL_1)
     with pytest.raises(ValueError):
-        build_eq_N_or(or4, 1, frozenset({(1, 2), (2, 1)}))
+        build_eq_N(or4, 1, frozenset({(1, 2), (2, 1)}))
     not_normal = frozenset({(1, 2, 3), (2, 1, 3)})
     with pytest.raises(ValueError):
-        build_eq_N_sr(enumerate_universe("SR", 6), 3, not_normal)
+        build_eq_N(enumerate_universe("SR", 6), 3, not_normal)
+    # The levels: 1..m-1 on OR, 1..m and n on SR, none on R.
+    for universe, accepted, rejected in (
+        (or6, (1, 2), (0, 3, 6)),
+        (sr4, (1, 2, 4), (0, 3)),
+        (r4, (), range(6)),
+    ):
+        for k in accepted:
+            trivial = frozenset({tuple(range(1, k + 1))})
+            assert is_congruence(universe, build_eq_N(universe, k, trivial))
+        for k in rejected:
+            with pytest.raises(ValueError, match="level"):
+                build_eq_N(universe, k, frozenset({tuple(range(1, k + 1))}))
 
 
 def test_two_subgroup_family(or2, or4):
@@ -181,17 +192,17 @@ def test_special_congruences_need_degree_four(or6):
 
 
 def test_symplectic_family(sr2, sr4):
-    assert build_eq_N_sr(sr4, 1, TRIVIAL_1) == Partition.identity(sr4)
-    assert build_eq_N_sr(sr2, 1, TRIVIAL_1) == Partition.identity(sr2)
+    assert build_eq_N(sr4, 1, TRIVIAL_1) == Partition.identity(sr4)
+    assert build_eq_N(sr2, 1, TRIVIAL_1) == Partition.identity(sr2)
 
-    w = PermGroup(4, sr4.unit_permutations())
+    w = sr4.unit_group
     full = frozenset(w.elements)
-    top = build_eq_N_sr(sr4, 4, full)
+    top = build_eq_N(sr4, 4, full)
     assert set(top.class_of(0)) == {i for i in range(len(sr4)) if sr4.ranks[i] < 4}
     assert set(top.class_of(1)) == set(units_of(sr4))
     assert top.num_classes == 2
 
-    mid = build_eq_N_sr(sr4, 2, FULL_2)
+    mid = build_eq_N(sr4, 2, FULL_2)
     assert set(mid.class_of(0)) == {i for i in range(len(sr4)) if sr4.ranks[i] < 2}
     for block in mid.classes():
         rank = int(sr4.ranks[block[0]])
@@ -201,19 +212,19 @@ def test_symplectic_family(sr2, sr4):
             assert len(block) == 1
 
     with pytest.raises(ValueError):
-        build_eq_N_sr(sr4, 3, TRIVIAL_1)
+        build_eq_N(sr4, 3, TRIVIAL_1)
 
 
 def test_family_monotonicity(or4, or6, sr4):
     small, big = TRIVIAL_2, FULL_2
-    assert build_eq_N_or(or6, 2, small).refines(build_eq_N_or(or6, 2, big))
+    assert build_eq_N(or6, 2, small).refines(build_eq_N(or6, 2, big))
     assert build_eq_N1N2(or4, small, small).refines(build_eq_N1N2(or4, big, small))
     assert build_eq_type(or4, "I", small).refines(build_eq_type(or4, "I", big))
-    assert build_eq_N_sr(sr4, 2, small).refines(build_eq_N_sr(sr4, 2, big))
-    w = PermGroup(4, sr4.unit_permutations())
+    assert build_eq_N(sr4, 2, small).refines(build_eq_N(sr4, 2, big))
+    w = sr4.unit_group
     subs = sorted(normal_subgroups(w), key=len)
     for sub in subs:
-        assert build_eq_N_sr(sr4, 4, subs[0]).refines(build_eq_N_sr(sr4, 4, sub))
+        assert build_eq_N(sr4, 4, subs[0]).refines(build_eq_N(sr4, 4, sub))
 
 
 def test_every_family_partition_is_a_congruence_and_not_universal():
@@ -232,6 +243,23 @@ def test_every_family_partition_is_a_congruence_and_not_universal():
                 continue
             assert is_congruence(universe, part)
             assert part.num_classes > 1
+
+
+def test_predictions_build_the_unit_group_once(monkeypatch):
+    for k in (1, 2, 3):
+        symmetric_group(k)
+    built = []
+    init = PermGroup.__init__
+
+    def counting(self, degree, elements):
+        built.append(degree)
+        init(self, degree, elements)
+
+    monkeypatch.setattr(PermGroup, "__init__", counting)
+    sr6 = enumerate_universe("SR", 6)
+    predicted_congruences(sr6)
+    assert built == [6]
+    assert len(sr6.unit_group) == 48 and built == [6]
 
 
 def test_predicted_congruences_or2(or2):
@@ -255,7 +283,7 @@ def test_predicted_congruences_or4_include_the_specials(or4):
 def test_predicted_congruence_parameter_count_sr4(sr4):
     preds = predicted_congruences(sr4)
     total_specs = sum(len(specs) for _, specs in preds)
-    w = PermGroup(4, sr4.unit_permutations())
+    w = sr4.unit_group
     expected = (
         len(normal_subgroups(symmetric_group(1)))
         + len(normal_subgroups(symmetric_group(2)))
