@@ -22,11 +22,14 @@ The lattice enumerator closes one seed pair per orbit of the unit group
 G×G acting by (a, b) -> (g·a·h, g·b·h): translation by units is invertible,
 so translated pairs generate the same principal congruence.  Seeds are
 (a, b) with a the least member of its element orbit and b the least member
-of its orbit under the stabilizer of a.  Every congruence of a finite
-monoid is a join of principal ones, so each lattice member is then joined
-with the principal congruences only, until nothing new appears
-(``_lattice_ids``).  The same engine lists the normal subgroups of a
-permutation group, as the identity classes of its congruences.
+of its orbit under the stabilizer of a.  The seeds close in blocks of
+label rows laid end to end, one set of closure rounds per block
+(``_principal_ids``).  Every congruence of a finite monoid is a join of
+principal ones, so each lattice member is then joined with the principal
+congruences only, in one merge per member over the member tiled once per
+principal congruence, until nothing new appears (``_lattice_ids``).  The
+same engine lists the normal subgroups of a permutation group, as the
+identity classes of its congruences.
 """
 
 from __future__ import annotations
@@ -123,8 +126,14 @@ def _closure_ids(moves, pairs):
     if bad.size:
         a, b = pairs[bad[0]].tolist()
         raise ValueError(f"element index pair ({a}, {b}) out of range")
-    ids = np.arange(size, dtype=np.intp)
-    u, v = pairs[:, 0], pairs[:, 1]
+    return _closure_rows(moves, np.arange(size, dtype=np.intp), pairs[:, 0], pairs[:, 1])
+
+
+def _closure_rows(moves, ids, u, v):
+    """The closure rounds of ``_closure_ids``, from the labels ``ids`` and
+    the seed pairs (u[i], v[i]).  Nothing here reads how many elements the
+    algebra has, so ``_principal_ids`` runs it on several label rows laid
+    end to end, with ``moves`` offset to match."""
     while u.size:
         merged = _merge(ids, u, v)
         moved = np.flatnonzero(merged != ids)
@@ -319,42 +328,76 @@ def _orbit_seeds(table, units):
     return seeds
 
 
+def _principal_ids(moves, seeds):
+    """The distinct principal congruences of the seed pairs, as a dict from
+    label bytes to least-member labels, in the order of first appearance.
+
+    A block of R seeds closes at once: its R label rows lie end to end, row
+    r offset by r·N, and so do the generator rows, so no class crosses two
+    rows and one set of ``_closure_rows`` rounds closes all R.  R is as
+    large as ``TABLE_BLOCK_BYTES`` allows for the offset rows and one label
+    row each: every seed of OR_4 at once, 22 on OR_6, one on OR_8.
+    """
+    count, size = moves.shape
+    seeds = np.asarray(seeds, dtype=np.intp).reshape(-1, 2)
+    rows = max(1, min(len(seeds), TABLE_BLOCK_BYTES // (moves.nbytes + 8 * size)))
+    offsets = np.arange(rows, dtype=np.intp) * size
+    # Named R·N, not -1: a group of order 1 has no generator rows.
+    tiled = (moves[:, None, :] + offsets[:, None]).reshape(count, rows * size)
+    found = {}
+    for start in range(0, len(seeds), rows):
+        block = seeds[start:start + rows]
+        shift, width = offsets[:len(block)], len(block) * size
+        ids = _closure_rows(tiled[:, :width], np.arange(width, dtype=np.intp),
+                            block[:, 0] + shift, block[:, 1] + shift)
+        for row in ids.reshape(len(block), size) - shift[:, None]:
+            found.setdefault(row.tobytes(), row)
+    return found
+
+
 def _lattice_ids(moves, seeds):
     """Every congruence of the algebra whose generator translations are the
     rows of ``moves``, as least-member labels in no particular order.
 
-    Closes each seed pair, dedupes, adds the identity and the universal
-    partition, and joins each member with the principal congruences until
-    nothing new appears.  When the seeds reach every principal congruence
-    this is the whole lattice, since every congruence of a finite algebra
-    is a join of principal ones.
+    Closes the seed pairs (``_principal_ids``), adds the identity and the
+    universal partition, and joins each member with the principal
+    congruences until nothing new appears.  When the seeds reach every
+    principal congruence this is the whole lattice, since every congruence
+    of a finite algebra is a join of principal ones.
     """
     size = moves.shape[1]
-    ident = np.arange(size, dtype=np.intp)
-    principal = {}
-    for pair in seeds:
-        ids = _closure_ids(moves, [pair])
-        principal.setdefault(ids.tobytes(), ids)
-
+    principal = _principal_ids(moves, seeds)
     distinct = dict(principal)
-    for ids in (ident, np.zeros(size, dtype=np.intp)):
+    for ids in (np.arange(size, dtype=np.intp), np.zeros(size, dtype=np.intp)):
         distinct.setdefault(ids.tobytes(), ids)
 
-    # A principal congruence joins in as the pairs (element, its label).
-    principal_pairs = []
-    for ids in principal.values():
-        moved = np.flatnonzero(ids != ident)
-        principal_pairs.append((moved, ids[moved]))
+    # One merge joins a member with all P principal congruences: the member
+    # is tiled P times, row p offset by p·N, and row p takes the pairs
+    # (element, its label) of principal p.
+    offsets = np.arange(len(principal), dtype=np.intp)[:, None] * size
+    labels = np.array(list(principal.values()), dtype=np.intp).reshape(-1, size)
+    labels = (labels + offsets).ravel()
+    u = np.flatnonzero(labels != np.arange(labels.size))
+    v = labels[u]
     worklist = list(distinct.values())
     while worklist:
-        current = worklist.pop()
-        for u, v in principal_pairs:
-            joined = _merge(current, u, v)
+        tiled = (worklist.pop() + offsets).ravel()
+        for joined in _merge(tiled, u, v).reshape(-1, size) - offsets:
             key = joined.tobytes()
             if key not in distinct:
                 distinct[key] = joined
                 worklist.append(joined)
     return list(distinct.values())
+
+
+def check_lattice_budget(universe, *, max_elements=DEFAULT_LATTICE_LIMIT, force=False):
+    """Refuse a lattice over more than ``max_elements`` elements unless forced."""
+    size = len(universe)
+    if not force and size > max_elements:
+        raise ResourceLimitError(
+            f"congruence lattice over {size} elements exceeds the budget"
+            f" {max_elements}; pass force=True (or --force-budget) to override"
+        )
 
 
 def congruence_lattice(universe, *, max_elements=DEFAULT_LATTICE_LIMIT, force=False):
@@ -364,12 +407,7 @@ def congruence_lattice(universe, *, max_elements=DEFAULT_LATTICE_LIMIT, force=Fa
     over the generator rows and joins the principal congruences.  Output is
     deterministic.
     """
-    size = len(universe)
-    if not force and size > max_elements:
-        raise ResourceLimitError(
-            f"congruence lattice over {size} elements exceeds the budget"
-            f" {max_elements}; pass force=True (or --force-budget) to override"
-        )
+    check_lattice_budget(universe, max_elements=max_elements, force=force)
     table = universe.multiplication_table(limit=None if force else DEFAULT_TABLE_LIMIT)
     seeds = _orbit_seeds(table, universe.units())
     parts = [Partition(universe, ids) for ids in _lattice_ids(universe.translations(), seeds)]

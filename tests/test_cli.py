@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -121,6 +122,36 @@ def test_congruences_verify_budget(capsys):
                            "--n", "8")
     assert code == EXIT_BUDGET
     assert "budget" in err
+
+
+def test_verify_family_r_refuses_before_the_lattice(capsys, monkeypatch):
+    """R has no predicted families: verify says so before it builds the
+    lattice, and still refuses an oversized one on its budget first."""
+    import rookmonoids.families as families
+
+    def boom(universe, **kwargs):
+        raise AssertionError("the lattice was built")
+
+    monkeypatch.setattr(families, "congruence_lattice", boom)
+    for argv in (("--n", "4"), ("--n", "6", "--force-budget")):
+        code, out, err = run_cli(capsys, "congruences", "verify", "--family", "r", *argv)
+        assert (code, out, err) == (EXIT_BUDGET, "", "error: no predicted families for family R\n")
+    code, _, err = run_cli(capsys, "congruences", "verify", "--family", "r", "--n", "6")
+    assert code == EXIT_BUDGET
+    assert err.startswith("budget refusal: congruence lattice over 13327 elements")
+
+
+@pytest.mark.parametrize("family, digest", [
+    ("or", "b9e11962b61414de594326edf4a1c7eebc97bcf1bc9823a3183253557f35cf2b"),
+    ("sr", "87c3afd97cc465ab1e44a5a304ad8b75ee78cde7e295d90a3ae9f706eca7a0a3"),
+])
+def test_degree_6_verify_json_is_pinned(capsys, family, digest):
+    """The sha256 of the degree-6 classification reports, as recorded
+    before the lattice engine closed seeds in row blocks."""
+    code, out, _ = run_cli(capsys, "congruences", "verify", "--family", family,
+                           "--n", "6", "--force-budget", "--format", "json")
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_counterexample(capsys):

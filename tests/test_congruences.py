@@ -25,11 +25,13 @@ from rookmonoids import (
     perm_mul,
     symmetric_group,
 )
+from rookmonoids import congruences
 from rookmonoids.congruences import (
     _closure_ids,
     _closure_reference,
     _is_congruence_ids,
     _orbit_seeds,
+    _principal_ids,
     _set_partitions,
     _translations,
 )
@@ -168,6 +170,36 @@ def test_orbit_seed_closures_cover_every_principal_congruence(
             for pair in itertools.combinations(range(len(universe)), 2)
         }
         assert seeded == every
+
+
+@pytest.mark.parametrize("rows", [None, 1, 5])
+@pytest.mark.parametrize("name", ["or4", "sr4", "r4", "or6", "sr6"])
+def test_block_closures_match_one_seed_at_a_time(name, rows, request, monkeypatch):
+    """``_principal_ids`` closes seeds in blocks of label rows laid end to
+    end; it must give the per-seed ``_closure_ids`` results, first
+    appearances in seed order.  ``rows`` shrinks the block budget to 1 row
+    per block, or to 5 with a partial last block; None keeps the default."""
+    universe = request.getfixturevalue(name)
+    moves = universe.translations()
+    seeds = _orbit_seeds(universe.multiplication_table(), universe.units())
+    if rows is not None:
+        monkeypatch.setattr(congruences, "TABLE_BLOCK_BYTES",
+                            rows * (moves.nbytes + 8 * len(universe)))
+        assert len(seeds) % rows != 0 or rows == 1
+    expected = {}
+    for pair in seeds:
+        ids = _closure_ids(moves, [pair])
+        expected.setdefault(ids.tobytes(), ids)
+    found = _principal_ids(moves, seeds)
+    assert list(found) == list(expected)
+    for key, ids in found.items():
+        assert ids.dtype == np.intp and ids.tobytes() == key
+
+
+def test_normal_subgroups_of_the_one_element_group():
+    """S_1 has no conjugacy class but the identity's, so its lattice runs
+    on zero generator rows."""
+    assert normal_subgroups(symmetric_group(1)) == (frozenset({(1,)}),)
 
 
 @pytest.mark.parametrize("name", ["or4", "sr4"])
