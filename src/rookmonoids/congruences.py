@@ -14,22 +14,22 @@ x -> x·g of the generators (``MonoidUniverse.generators``: 5 on OR_6, 4 on
 SR_6): each round merges the generator translates of the pairs
 (l, label of l) whose label changed in the round before.  ``is_congruence``
 checks the same rows.  They come from ``MonoidUniverse.translations``,
-which looks up 2k·N products, so closures and congruence checks build no
-N x N product table; only the lattice's seed selection (``_orbit_seeds``)
-and the naive oracle read it.
+which looks up 2k·N products, so the closures, congruence checks and the
+lattice build no N x N product table; only the naive oracle reads it.
 
-The lattice enumerator closes one seed pair per orbit of the unit group
-G×G acting by (a, b) -> (g·a·h, g·b·h): translation by units is invertible,
-so translated pairs generate the same principal congruence.  Seeds are
-(a, b) with a the least member of its element orbit and b the least member
-of its orbit under the stabilizer of a.  The seeds close in blocks of
-label rows laid end to end, one set of closure rounds per block
-(``_principal_ids``).  Every congruence of a finite monoid is a join of
-principal ones, so each lattice member is then joined with the principal
-congruences only, in one merge per member over the member tiled once per
-principal congruence, until nothing new appears (``_lattice_ids``).  The
-same engine lists the normal subgroups of a permutation group, as the
-identity classes of its congruences.
+The lattice enumerator works on inverse monoids, which OR_n, SR_n and R_n
+are: a congruence there is fixed by its kernel and trace, so it is a join
+of principal congruences of kernel pairs (x⁻¹·x, x) and trace pairs
+(e, f) of idempotents with f < e.  Pairs conjugate by a unit close to the
+same principal congruence, so one pair per orbit of x -> g·x·g⁻¹ is a
+seed (``_kernel_trace_seeds``): 21 on OR_4, 45 on OR_6, 124 on OR_8.  The
+seeds close in blocks of label rows laid end to end, one set of closure
+rounds per block (``_principal_ids``).  Every congruence of a finite monoid
+is a join of principal ones, so each lattice member is then joined with
+the principal congruences only, in one merge per member over the member
+tiled once per principal congruence, until nothing new appears
+(``_lattice_ids``).  The same engine lists the normal subgroups of a
+permutation group, as the identity classes of its congruences.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ import operator
 
 import numpy as np
 
-from .core import DEFAULT_TABLE_LIMIT, TABLE_BLOCK_BYTES, ResourceLimitError, _locate, image_codes
+from .core import TABLE_BLOCK_BYTES, InvariantViolation, ResourceLimitError, _locate, image_codes
 
 DEFAULT_LATTICE_LIMIT = 600
 DEFAULT_GROUP_LIMIT = 10**4
@@ -299,33 +299,63 @@ def join(p, q):
     return Partition(p.universe, _merge(_least_members(p.ids), np.arange(other.size), other))
 
 
-def _orbit_seeds(table, units):
-    """One seed pair per class of element pairs under two-sided unit
-    translation, in ascending order.
+def _kernel_trace_seeds(universe):
+    """One seed pair per unit-conjugation orbit of kernel and trace pairs,
+    as an (S, 2) array ascending in the pair code a·N + b, a < b.
 
-    For units g, h the pairs (a, b) and (g·a·h, g·b·h) generate the same
-    principal congruence, since each is a translate of the other.  Row t of
-    ``act`` is x -> g_t·x·h_t for the t-th (g, h) in G×G.  A seed is (a, b)
-    with a the least member of its orbit, b != a the least member of its
-    orbit under the stabilizer of a, and the orbit of b represented by an
-    element >= a.
+    A congruence ρ on an inverse monoid is fixed by its trace, ρ on the
+    idempotents, and its kernel, the union of the classes that hold an
+    idempotent (Petrich, *Inverse Semigroups*, ch. III; Howie, ch. 5).  So
+    ρ is generated by the pairs of two kinds that it holds: trace pairs
+    (e, f) of idempotents with f < e, since e ρ f gives e ρ ef ρ f, and
+    kernel pairs (e_x, x), e_x = x⁻¹·x the partial identity on dom x, since
+    x ρ e gives x ρ x⁻¹·x.  Each congruence is then a join of the principal
+    congruences of such pairs.  Conjugation by a unit g maps these pairs
+    onto themselves, and (a, b) and (g·a·g⁻¹, g·b·g⁻¹) are translates of
+    each other, so they close to the same principal congruence: one
+    ``_merge`` over pair indices gives the orbits, and each keeps its least
+    code.
 
-    ``act`` holds |G|²·N entries in the table's dtype (int16 below 32,768
-    elements): 0.6 MB on OR_6, but 392 M entries (783 MB) on OR_8, about
-    3.5 times the product table.  That is the limit this pass leaves for a
-    degree-8 lattice, which the element budget refuses today.
+    The reverse map of every element is looked up first, so the monoid is
+    checked to be inverse, not assumed to be.  The unit generators, the
+    rank-n entries of ``generators``, generate the unit group, since the
+    greedy scan visits the units first.  For each, g·x·g⁻¹ is the y with
+    y·g = g·x, read off its two rows of ``translations``: x -> x·g is a
+    bijection because g is a unit.  So no product is computed here.
     """
-    units = np.asarray(units, dtype=np.intp)
-    size = table.shape[0]
-    act = table[units][:, table[:, units].T].reshape(-1, size)
-    rep = act.min(axis=0)
+    images = universe.image_matrix.astype(np.intp)
+    size, n = images.shape
     everything = np.arange(size)
-    seeds = []
-    # An orbit's least member is its own label; a bare np.unique would import numpy.ma.
-    for a in np.flatnonzero(rep == everything).tolist():
-        bs = np.flatnonzero(act[act[:, a] == a].min(axis=0) == everything)
-        seeds.extend((a, b) for b in bs[(bs != a) & (rep[bs] >= a)].tolist())
-    return seeds
+    slots = np.arange(1, n + 1)
+    reverse = np.zeros((size, n + 1), dtype=np.intp)
+    reverse[everything[:, None], images] = slots  # column 0 takes the unmapped slots
+    universe._rows(reverse[:, 1:], "the reverse map")
+    partial = universe._rows(np.where(images > 0, slots, 0), "the partial identity on the domain")
+    idempotents = np.flatnonzero(partial == everything)
+    kernel = np.flatnonzero(partial != everything)
+    masks = universe.dom_masks[idempotents]
+    lower, upper = np.nonzero((masks[:, None] & ~masks == 0) & (masks[:, None] != masks))
+    a = np.concatenate([partial[kernel], idempotents[lower]])
+    b = np.concatenate([kernel, idempotents[upper]])
+    codes = np.sort(np.minimum(a, b) * size + np.maximum(a, b))
+
+    gens = universe.generators()
+    moves = universe.translations()
+    units = np.flatnonzero(universe.ranks[gens] == n)
+    undo = np.empty((len(units), size), dtype=np.intp)
+    np.put_along_axis(undo, moves[len(gens) + units], everything, axis=1)
+    conjugate = np.take_along_axis(undo, moves[units], axis=1)
+    ends = conjugate[:, np.divmod(codes, size)]
+    pos, found = _locate(codes, ends.min(axis=1) * size + ends.max(axis=1))
+    if not found.all():
+        g, i = np.unravel_index(np.argmin(found), found.shape)
+        raise InvariantViolation(
+            f"conjugating the pair {divmod(int(codes[i]), size)} by unit generator"
+            f" {gens[units[g]]} leaves the kernel and trace pairs"
+        )
+    index = np.arange(codes.size)
+    least = _merge(index, np.broadcast_to(index, pos.shape).ravel(), pos.ravel())
+    return np.stack(np.divmod(codes[least == index], size), axis=1)
 
 
 def _principal_ids(moves, seeds):
@@ -403,13 +433,13 @@ def check_lattice_budget(universe, *, max_elements=DEFAULT_LATTICE_LIMIT, force=
 def congruence_lattice(universe, *, max_elements=DEFAULT_LATTICE_LIMIT, force=False):
     """Every congruence of the universe, canonically sorted (finest first).
 
-    ``_lattice_ids`` closes each unit-orbit seed pair (see ``_orbit_seeds``)
-    over the generator rows and joins the principal congruences.  Output is
+    ``_lattice_ids`` closes one kernel or trace pair per unit-conjugation
+    orbit (``_kernel_trace_seeds``) over the generator rows and joins the
+    principal congruences; no product table is built.  Output is
     deterministic.
     """
     check_lattice_budget(universe, max_elements=max_elements, force=force)
-    table = universe.multiplication_table(limit=None if force else DEFAULT_TABLE_LIMIT)
-    seeds = _orbit_seeds(table, universe.units())
+    seeds = _kernel_trace_seeds(universe)
     parts = [Partition(universe, ids) for ids in _lattice_ids(universe.translations(), seeds)]
     parts.sort(key=lambda p: (-p.num_classes, p.key))
     return parts
@@ -564,9 +594,12 @@ def normal_subgroups(group):
     its identity class, so ``_lattice_ids`` runs over rows of the Cayley
     table and its transpose.  (1, g) and (1, h·g·h⁻¹) are translates of
     each other, so each conjugacy class gives one seed: its least member, a
-    column minimum of the conjugation table.  Those members also generate
-    the group, since a finite group is not the union of the conjugates of
-    a proper subgroup (Jordan), so their rows are the only moves.
+    column minimum of the conjugation table.  This is the kernel–trace rule
+    of ``_kernel_trace_seeds`` on a group, whose one idempotent is the
+    identity: no trace pairs, and one kernel pair (1, g) per conjugacy
+    class.  Those members also generate the group, since a finite group is
+    not the union of the conjugates of a proper subgroup (Jordan), so their
+    rows are the only moves.
     """
     if group._normal is None:
         least = group._conjugation.min(axis=0)

@@ -493,6 +493,17 @@ class MonoidUniverse:
         if isinstance(i, bool) or not isinstance(i, (int, np.integer)) or not 0 <= i < len(self):
             raise ValueError(f"element {i!r} is not an index in 0..{len(self) - 1}")
 
+    def _rows(self, images, what):
+        """Indices of the rows of an (M, n) image matrix, each a member; the
+        first row that is not raises ``InvariantViolation``, as ``what`` of
+        the element with that row's index."""
+        pos, found = _locate(self._sorted_codes, image_codes(images))
+        if not found.all():
+            raise InvariantViolation(
+                f"{what} of element {np.argmin(found)} is not a member of {self.family}_{self.n}"
+            )
+        return self._order[pos]
+
     def _products(self, left, right):
         """Indices of the products e_i·e_j, i in ``left`` and j in ``right``,
         as one (len(left), len(right)) block: the image codes of the products

@@ -2,10 +2,13 @@
 
 Classes are computed from the structural characterizations over the
 universe's arrays (equal domain mask for L, equal image mask for R, both
-for H, rank plus half-rank type for J) with the quadratic principal-ideal
+for H, rank plus half-rank type for J) with the principal-ideal
 computations kept as cross-checks: the ``principal_*`` functions compute
 their answer by brute force and assert the characterization before
-returning it.  ``MonoidUniverse.h_coords`` holds each ``h_coordinate``.
+returning it.  They look up one row or column of products, and a
+two-sided ideal closes it under the generator rows of
+``MonoidUniverse.translations``, so no product table is built.
+``MonoidUniverse.h_coords`` holds each ``h_coordinate``.
 """
 
 from __future__ import annotations
@@ -70,8 +73,7 @@ def green_partition(universe):
 def principal_right(universe, idx):
     """sigma*S by brute force, asserted equal to image containment."""
     universe._check_index(idx)
-    table = universe.multiplication_table()
-    brute = frozenset(table[idx].tolist())
+    brute = frozenset(universe._products([idx], np.arange(len(universe))).ravel().tolist())
     masks = universe.img_masks
     characterized = frozenset(np.flatnonzero((masks & ~masks[idx]) == 0).tolist())
     if brute != characterized:
@@ -84,8 +86,7 @@ def principal_right(universe, idx):
 def principal_left(universe, idx):
     """S*sigma by brute force, asserted equal to domain containment."""
     universe._check_index(idx)
-    table = universe.multiplication_table()
-    brute = frozenset(table[:, idx].tolist())
+    brute = frozenset(universe._products(np.arange(len(universe)), [idx]).ravel().tolist())
     masks = universe.dom_masks
     characterized = frozenset(np.flatnonzero((masks & ~masks[idx]) == 0).tolist())
     if brute != characterized:
@@ -96,10 +97,22 @@ def principal_left(universe, idx):
 
 
 def principal_twosided(universe, idx):
-    """S*sigma*S by brute force, asserted equal to the rank/type bound."""
+    """S*sigma*S by brute force, asserted equal to the rank/type bound.
+
+    S*sigma is closed under the rows x -> x·g of ``translations``, as in
+    ``enumerate_ideals``: every element of S is a product of generators.
+    """
     universe._check_index(idx)
-    table = universe.multiplication_table()
-    brute = frozenset(table[table[:, idx]].ravel().tolist())
+    moves = universe.translations()
+    right = moves[len(moves) // 2:]
+    reached = np.zeros(len(universe), dtype=bool)
+    frontier = universe._products(np.arange(len(universe)), [idx]).ravel()
+    while frontier.size:
+        reached[frontier] = True
+        new = np.zeros_like(reached)
+        new[right[:, frontier]] = True
+        frontier = np.flatnonzero(new & ~reached)
+    brute = frozenset(np.flatnonzero(reached).tolist())
     ranks = universe.ranks
     r = int(ranks[idx])
     m = universe.n // 2

@@ -154,6 +154,31 @@ def test_degree_6_verify_json_is_pinned(capsys, family, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("family, counts, digest", [
+    ("or", (39, 31, 0, 8), "4c84855702fe0f702b37d1426c788cc752233d7de97494b7c47da9e9b7a8714e"),
+    ("sr", (22, 22, 0, 0), "4b37fdca40d59839ec72b65a39bbf3511912daf6412176db88fd95565d79d6cd"),
+], ids=["or", "sr"])
+def test_degree_8_verify_json_is_pinned(capsys, family, counts, digest):
+    """The degree-8 classification reports: lattice size, matched,
+    predicted but not found, and found but not predicted, and the sha256
+    of the JSON, the OR_8 one as recorded with the G×G orbit seeds."""
+    code, out, _ = run_cli(capsys, "congruences", "verify", "--family", family,
+                           "--n", "8", "--force-budget", "--format", "json")
+    assert code == EXIT_OK
+    payload = json.loads(out)
+    assert (payload["lattice_size"], len(payload["matched"]), len(payload["predicted_not_found"]),
+            len(payload["found_not_predicted"])) == counts
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_lattice_of_r6(capsys):
+    """R_6, 13,327 elements with the unit group S_6, has 17 congruences."""
+    code, out, _ = run_cli(capsys, "congruences", "enumerate", "--family", "r",
+                           "--n", "6", "--force-budget", "--format", "json")
+    assert code == EXIT_OK
+    assert json.loads(out)["count"] == 17
+
+
 def test_counterexample(capsys):
     code, out, _ = run_cli(capsys, "counterexample")
     assert code == EXIT_OK

@@ -23,6 +23,9 @@ from rookmonoids import (
     partition_from_json,
     perm_inv,
     perm_mul,
+    principal_left,
+    principal_right,
+    principal_twosided,
     symmetric_group,
 )
 from rookmonoids import congruences
@@ -30,11 +33,13 @@ from rookmonoids.congruences import (
     _closure_ids,
     _closure_reference,
     _is_congruence_ids,
-    _orbit_seeds,
+    _kernel_trace_seeds,
+    _lattice_ids,
     _principal_ids,
     _set_partitions,
     _translations,
 )
+from rookmonoids.core import InvariantViolation, MonoidUniverse, invert
 from rookmonoids.families import predicted_congruences
 
 
@@ -154,6 +159,31 @@ def test_congruence_closure_rejects_bad_pairs(or4, pair):
         congruence_closure(or4, [pair])
 
 
+def orbit_seeds(table, units):
+    """One seed pair per class of element pairs under two-sided unit
+    translation, in ascending order: the lattice's seeds before the
+    kernel–trace seeds, kept as their oracle.
+
+    For units g, h the pairs (a, b) and (g·a·h, g·b·h) generate the same
+    principal congruence, since each is a translate of the other.  Row t of
+    ``act`` is x -> g_t·x·h_t for the t-th (g, h) in G×G.  A seed is (a, b)
+    with a the least member of its orbit, b != a the least member of its
+    orbit under the stabilizer of a, and the orbit of b represented by an
+    element >= a.  ``act`` holds |G|²·N entries, so this runs at degree 6
+    and below only.
+    """
+    units = np.asarray(units, dtype=np.intp)
+    size = table.shape[0]
+    act = table[units][:, table[:, units].T].reshape(-1, size)
+    rep = act.min(axis=0)
+    everything = np.arange(size)
+    seeds = []
+    for a in np.flatnonzero(rep == everything).tolist():
+        bs = np.flatnonzero(act[act[:, a] == a].min(axis=0) == everything)
+        seeds.extend((a, b) for b in bs[(bs != a) & (rep[bs] >= a)].tolist())
+    return seeds
+
+
 def test_orbit_seed_closures_cover_every_principal_congruence(
     sr2, or4, sr4, reference_principal
 ):
@@ -161,7 +191,7 @@ def test_orbit_seed_closures_cover_every_principal_congruence(
     the seeds reach every principal congruence of an element pair."""
     for universe in (sr2, or4, sr4):
         seeded = set()
-        for pair in _orbit_seeds(universe.multiplication_table(), universe.units()):
+        for pair in orbit_seeds(universe.multiplication_table(), universe.units()):
             part = congruence_closure(universe, [pair])
             assert np.array_equal(part.ids, reference_principal(universe, pair)), pair
             seeded.add(part.key)
@@ -181,7 +211,7 @@ def test_block_closures_match_one_seed_at_a_time(name, rows, request, monkeypatc
     per block, or to 5 with a partial last block; None keeps the default."""
     universe = request.getfixturevalue(name)
     moves = universe.translations()
-    seeds = _orbit_seeds(universe.multiplication_table(), universe.units())
+    seeds = orbit_seeds(universe.multiplication_table(), universe.units())
     if rows is not None:
         monkeypatch.setattr(congruences, "TABLE_BLOCK_BYTES",
                             rows * (moves.nbytes + 8 * len(universe)))
@@ -194,6 +224,66 @@ def test_block_closures_match_one_seed_at_a_time(name, rows, request, monkeypatc
     assert list(found) == list(expected)
     for key, ids in found.items():
         assert ids.dtype == np.intp and ids.tobytes() == key
+
+
+@pytest.mark.parametrize("family, n", [
+    ("OR", 2), ("SR", 2), ("R", 2), ("OR", 4), ("SR", 4), ("R", 4), ("OR", 6), ("SR", 6),
+])
+def test_kernel_trace_lattice_matches_the_orbit_seed_lattice(family, n):
+    """The lattice from one kernel or trace pair per unit-conjugation orbit
+    equals the lattice from one element pair per G×G orbit."""
+    universe = enumerate_universe(family, n)
+    seeds = orbit_seeds(universe.multiplication_table(), universe.units())
+    oracle = [Partition(universe, ids) for ids in _lattice_ids(universe.translations(), seeds)]
+    oracle.sort(key=lambda p: (-p.num_classes, p.key))
+    assert lattice_keys(congruence_lattice(universe, force=True)) == lattice_keys(oracle)
+
+
+def test_lattice_matches_naive_filter_on_r2():
+    """R_2 is the third universe small enough for ``all_congruences_naive``;
+    ``test_lattice_matches_naive_filter_at_degree_2`` checks the others."""
+    universe = enumerate_universe("R", 2)
+    assert lattice_keys(congruence_lattice(universe)) == lattice_keys(
+        all_congruences_naive(universe)
+    )
+
+
+@pytest.mark.parametrize("family, n, count", [
+    ("OR", 4, 21), ("SR", 4, 17), ("R", 4, 25), ("OR", 6, 45), ("SR", 6, 43),
+])
+def test_kernel_trace_seeds_are_one_pair_per_conjugation_orbit(family, n, count):
+    """The kernel pairs (x⁻¹·x, x) and trace pairs (e, f), f < e, built
+    from ``PartialInjection`` arithmetic, fall into orbits under x ->
+    g·x·g⁻¹ for the units g; the seeds are the least pair of each orbit,
+    in ascending order, as (a, b) with a < b."""
+    universe = enumerate_universe(family, n)
+    elements = universe.elements
+    index = {e: i for i, e in enumerate(elements)}.__getitem__
+    idempotents = [i for i, e in enumerate(elements) if e * e == e]
+    pairs = {tuple(sorted((index(invert(x) * x), i))) for i, x in enumerate(elements) if x * x != x}
+    pairs |= {
+        tuple(sorted((e, f))) for e, f in itertools.permutations(idempotents, 2)
+        if elements[e] * elements[f] == elements[f] != elements[e]
+    }
+    units = [elements[g] for g in universe.units()]
+    orbits = {}
+    for pair in pairs:
+        orbit = frozenset(
+            tuple(sorted(index(g * elements[y] * invert(g)) for y in pair)) for g in units
+        )
+        assert orbit <= pairs
+        orbits[min(orbit)] = orbit
+    seeds = _kernel_trace_seeds(universe)
+    assert seeds.shape == (count, 2)
+    assert [tuple(p) for p in seeds.tolist()] == sorted(orbits)
+
+
+def test_kernel_trace_seeds_refuse_a_monoid_that_is_not_inverse():
+    """{0, 1, x} with x: 1 -> 2 is a monoid of partial injections, but the
+    reverse map of x is not in it, so the kernel–trace argument fails."""
+    universe = MonoidUniverse("R", 2, np.array([[0, 0], [1, 2], [2, 0]]))
+    with pytest.raises(InvariantViolation, match="reverse map of element 2"):
+        congruence_lattice(universe)
 
 
 def test_normal_subgroups_of_the_one_element_group():
@@ -264,6 +354,19 @@ def test_generator_rows_need_no_product_table(n):
     assert is_congruence(universe, closure)
     assert enumerate_ideals(universe)
     assert predicted_congruences(universe)
+    assert universe._table is None
+
+
+@pytest.mark.parametrize("family", ["OR", "SR", "R"])
+def test_lattice_and_principal_ideals_need_no_product_table(family):
+    """The lattice's seeds and closures and the three ``principal_*``
+    cross-checks read products and generator rows, not the N x N table."""
+    universe = enumerate_universe(family, 4)
+    assert congruence_lattice(universe)
+    for idx in (0, 1, 19, len(universe) - 1):
+        principal_right(universe, idx)
+        principal_left(universe, idx)
+        principal_twosided(universe, idx)
     assert universe._table is None
 
 
