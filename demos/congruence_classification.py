@@ -1,12 +1,13 @@
 #!/usr/bin/env python3
 """Exhaustive congruence classification at small degree.
 
-For each monoid the script enumerates every congruence by brute force,
-instantiates the predicted families, and prints the diff.  The symplectic
-monoids come out fully classified; the orthogonal monoids additionally
-carry Rees-style congruences over the complement of the unit group,
-refined by normal subgroups of the units, which the family inventory does
-not cover -- the report prints them rather than hiding them.
+For OR_n and SR_n at n = 2, 4 and 6 the script enumerates every
+congruence by brute force, instantiates the predicted families, and
+prints the diff.  The symplectic monoids come out fully classified; the
+orthogonal monoids additionally carry Rees-style congruences over the
+complement of the unit group, refined by normal subgroups of the units,
+which the family inventory does not cover -- the report prints them
+rather than hiding them.
 """
 
 from rookmonoids import enumerate_universe, verify_classification
@@ -44,11 +45,5 @@ def classify(family, n):
 
 
 if __name__ == "__main__":
-    import sys
-
-    for family, n in [("SR", 2), ("SR", 4), ("OR", 2), ("OR", 4)]:
+    for family, n in [("SR", 2), ("SR", 4), ("SR", 6), ("OR", 2), ("OR", 4), ("OR", 6)]:
         classify(family, n)
-    if "--degree-6" in sys.argv:
-        classify("OR", 6)
-    else:
-        print("pass --degree-6 to also classify OR_6 (about a minute)")

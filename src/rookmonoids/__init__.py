@@ -7,7 +7,6 @@ checks the predicted congruence families against the brute-force lattice.
 
 from .congruences import (
     DEFAULT_GROUP_LIMIT,
-    DEFAULT_LATTICE_LIMIT,
     Partition,
     PermGroup,
     all_congruences_naive,

@@ -5,8 +5,11 @@ counterexample, erratum.  Output is deterministic for a fixed invocation:
 JSON is emitted with sorted keys and no timestamps, so repeated runs are
 byte-identical.
 
-Exit codes: 0 success, 2 budget refusal or bad arguments, 3 internal
-invariant violation (a constructed congruence failing its own checks).
+Every subcommand that builds a universe has one budget: the element count
+that ``enumerate_universe`` checks before it allocates a stratum, set by
+``RCL_BUDGET_ELEMENTS``.  Exit codes: 0 success, 2 budget refusal or bad
+arguments, 3 internal invariant violation (a constructed congruence failing
+its own checks).
 """
 
 from __future__ import annotations
@@ -44,8 +47,7 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(parent, name, handler, help, *, family=True, dot=False,
-                force=False, default_n=4):
+    def command(parent, name, handler, help, *, family=True, dot=False, default_n=4):
         """A subcommand with only the flags its handler reads."""
         p = parent.add_parser(name, help=help)
         if family:
@@ -54,9 +56,6 @@ def build_parser():
         formats = ("json", "dot", "text") if dot else ("json", "text")
         p.add_argument("--format", choices=formats, default="text")
         p.add_argument("--out", help="write output to this path instead of stdout")
-        if force:
-            p.add_argument("--force-budget", action="store_true",
-                           help="override the congruence lattice element budget")
         p.set_defaults(handler=handler)
 
     command(sub, "elements", cmd_elements, "enumerate a monoid universe")
@@ -67,9 +66,8 @@ def build_parser():
     verb = cong.add_subparsers(dest="verb", required=True)
     command(verb, "predict", cmd_congruences_predict, "instantiate the predicted families")
     command(verb, "enumerate", cmd_congruences_enumerate, "brute-force congruence lattice",
-            dot=True, force=True)
-    command(verb, "verify", cmd_congruences_verify, "diff predictions against the lattice",
-            force=True)
+            dot=True)
+    command(verb, "verify", cmd_congruences_verify, "diff predictions against the lattice")
 
     command(sub, "counterexample", cmd_counterexample,
             "exhibit a conjugate of an orthogonal element escaping SR",
@@ -167,7 +165,7 @@ def cmd_congruences_predict(args):
 
 def cmd_congruences_enumerate(args):
     universe = _universe(args)
-    lattice = congruence_lattice(universe, force=args.force_budget)
+    lattice = congruence_lattice(universe)
     payload = {
         "family": universe.family,
         "n": universe.n,
@@ -182,7 +180,7 @@ def cmd_congruences_enumerate(args):
 
 def cmd_congruences_verify(args):
     universe = _universe(args)
-    report = verify_classification(universe, force=args.force_budget)
+    report = verify_classification(universe)
     payload = report.to_json()
     lines = [
         f"{universe.family}_{universe.n}: lattice has {report.lattice_size} congruences",

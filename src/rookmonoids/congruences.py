@@ -42,7 +42,6 @@ import numpy as np
 
 from .core import TABLE_BLOCK_BYTES, InvariantViolation, ResourceLimitError, _locate, image_codes
 
-DEFAULT_LATTICE_LIMIT = 600
 DEFAULT_GROUP_LIMIT = 10**4
 NAIVE_LATTICE_LIMIT = 9
 
@@ -420,25 +419,15 @@ def _lattice_ids(moves, seeds):
     return list(distinct.values())
 
 
-def check_lattice_budget(universe, *, max_elements=DEFAULT_LATTICE_LIMIT, force=False):
-    """Refuse a lattice over more than ``max_elements`` elements unless forced."""
-    size = len(universe)
-    if not force and size > max_elements:
-        raise ResourceLimitError(
-            f"congruence lattice over {size} elements exceeds the budget"
-            f" {max_elements}; pass force=True (or --force-budget) to override"
-        )
-
-
-def congruence_lattice(universe, *, max_elements=DEFAULT_LATTICE_LIMIT, force=False):
+def congruence_lattice(universe):
     """Every congruence of the universe, canonically sorted (finest first).
 
     ``_lattice_ids`` closes one kernel or trace pair per unit-conjugation
     orbit (``_kernel_trace_seeds``) over the generator rows and joins the
     principal congruences; no product table is built.  Output is
-    deterministic.
+    deterministic.  There is no budget here: the universe is already
+    within the element budget that ``enumerate_universe`` checked.
     """
-    check_lattice_budget(universe, max_elements=max_elements, force=force)
     seeds = _kernel_trace_seeds(universe)
     parts = [Partition(universe, ids) for ids in _lattice_ids(universe.translations(), seeds)]
     parts.sort(key=lambda p: (-p.num_classes, p.key))

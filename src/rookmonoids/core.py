@@ -49,7 +49,15 @@ def element_limit(override=None):
     if override is not None:
         return int(override)
     env = os.environ.get(ELEMENT_LIMIT_ENV)
-    return int(env) if env else DEFAULT_ELEMENT_LIMIT
+    if not env:
+        return DEFAULT_ELEMENT_LIMIT
+    try:
+        value = int(env)
+        if value >= 0:
+            return value
+    except ValueError:
+        pass
+    raise ValueError(f"{ELEMENT_LIMIT_ENV} must be a non-negative integer, got {env!r}")
 
 
 def _check_degree(n):

@@ -19,7 +19,6 @@ import numpy as np
 
 from .congruences import (
     Partition,
-    check_lattice_budget,
     congruence_lattice,
     is_congruence,
     normal_subgroups,
@@ -218,15 +217,11 @@ def _is_even(p):
     return inversions % 2 == 0
 
 
-def _check_predicted(universe):
-    if universe.family not in ("OR", "SR"):
-        raise ValueError(f"no predicted families for family {universe.family}")
-
-
 def predicted_congruences(universe):
     """Instantiate every family over every admissible parameter, plus the
     universal partition; dedupe by partition, keeping all specs."""
-    _check_predicted(universe)
+    if universe.family not in ("OR", "SR"):
+        raise ValueError(f"no predicted families for family {universe.family}")
     m = universe.n // 2
     pairs = []
     for k, parent in _levels(universe).items():
@@ -318,15 +313,13 @@ def _annotate_unmatched(universe, part, lattice_index, ideal_by_members):
     }
 
 
-def verify_classification(universe, *, force=False):
+def verify_classification(universe):
     """Enumerate the full congruence lattice and diff it against the
     predicted families.  Everything unmatched is reported, never dropped.
-    The lattice's element budget refuses before any work is done, and then
-    a family with no predictions, before the lattice is built."""
-    check_lattice_budget(universe, force=force)
-    _check_predicted(universe)
-    lattice = congruence_lattice(universe, force=force)
+    The predictions come first, so a family with none is refused before
+    the lattice is built."""
     predictions = predicted_congruences(universe)
+    lattice = congruence_lattice(universe)
     lattice_keys = {part.key: i for i, part in enumerate(lattice)}
     ideal_by_members = {d.members: d for d in enumerate_ideals(universe)}
 

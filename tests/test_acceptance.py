@@ -187,7 +187,7 @@ def test_criterion_6_classification(family, n):
 def test_criterion_6_stretch_classification_degree_6(family, n):
     started = time.monotonic()
     universe = enumerate_universe(family, n)
-    report_obj = verify_classification(universe, force=True)
+    report_obj = verify_classification(universe)
     assert report_obj.ok
     assert report_obj.predicted_not_found == []
     extras = report_obj.found_not_predicted

@@ -117,28 +117,34 @@ def test_congruences_verify_ok(capsys):
     assert "found but not predicted: 5" in out
 
 
-def test_congruences_verify_budget(capsys):
-    code, _, err = run_cli(capsys, "congruences", "verify", "--family", "or",
-                           "--n", "8")
-    assert code == EXIT_BUDGET
-    assert "budget" in err
+def test_congruences_verify_budget(capsys, monkeypatch):
+    """Degree 10 is refused on the element budget, the one refusal, before
+    any stratum is built."""
+    import rookmonoids.core as core
+
+    def boom(*args):
+        raise AssertionError("a stratum was built")
+
+    monkeypatch.setattr(core, "_stratum", boom)
+    for verb, family in (("verify", "or"), ("enumerate", "sr")):
+        code, out, err = run_cli(capsys, "congruences", verb, "--family", family, "--n", "10")
+        assert (code, out) == (EXIT_BUDGET, "")
+        assert err.startswith(f"budget refusal: {family.upper()}_10 has ")
+        assert "RCL_BUDGET_ELEMENTS" in err
 
 
 def test_verify_family_r_refuses_before_the_lattice(capsys, monkeypatch):
     """R has no predicted families: verify says so before it builds the
-    lattice, and still refuses an oversized one on its budget first."""
+    lattice."""
     import rookmonoids.families as families
 
     def boom(universe, **kwargs):
         raise AssertionError("the lattice was built")
 
     monkeypatch.setattr(families, "congruence_lattice", boom)
-    for argv in (("--n", "4"), ("--n", "6", "--force-budget")):
-        code, out, err = run_cli(capsys, "congruences", "verify", "--family", "r", *argv)
+    for n in ("4", "6"):
+        code, out, err = run_cli(capsys, "congruences", "verify", "--family", "r", "--n", n)
         assert (code, out, err) == (EXIT_BUDGET, "", "error: no predicted families for family R\n")
-    code, _, err = run_cli(capsys, "congruences", "verify", "--family", "r", "--n", "6")
-    assert code == EXIT_BUDGET
-    assert err.startswith("budget refusal: congruence lattice over 13327 elements")
 
 
 @pytest.mark.parametrize("family, digest", [
@@ -149,7 +155,7 @@ def test_degree_6_verify_json_is_pinned(capsys, family, digest):
     """The sha256 of the degree-6 classification reports, as recorded
     before the lattice engine closed seeds in row blocks."""
     code, out, _ = run_cli(capsys, "congruences", "verify", "--family", family,
-                           "--n", "6", "--force-budget", "--format", "json")
+                           "--n", "6", "--format", "json")
     assert code == EXIT_OK
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
@@ -163,7 +169,7 @@ def test_degree_8_verify_json_is_pinned(capsys, family, counts, digest):
     predicted but not found, and found but not predicted, and the sha256
     of the JSON, the OR_8 one as recorded with the G×G orbit seeds."""
     code, out, _ = run_cli(capsys, "congruences", "verify", "--family", family,
-                           "--n", "8", "--force-budget", "--format", "json")
+                           "--n", "8", "--format", "json")
     assert code == EXIT_OK
     payload = json.loads(out)
     assert (payload["lattice_size"], len(payload["matched"]), len(payload["predicted_not_found"]),
@@ -174,7 +180,7 @@ def test_degree_8_verify_json_is_pinned(capsys, family, counts, digest):
 def test_lattice_of_r6(capsys):
     """R_6, 13,327 elements with the unit group S_6, has 17 congruences."""
     code, out, _ = run_cli(capsys, "congruences", "enumerate", "--family", "r",
-                           "--n", "6", "--force-budget", "--format", "json")
+                           "--n", "6", "--format", "json")
     assert code == EXIT_OK
     assert json.loads(out)["count"] == 17
 
@@ -232,6 +238,11 @@ def test_element_budget_env_override(capsys, monkeypatch):
     monkeypatch.setenv("RCL_BUDGET_ELEMENTS", "40")
     code, out, _ = run_cli(capsys, "elements", "--family", "or", "--n", "4")
     assert code == EXIT_OK
+    for value in ("abc", "-5"):
+        monkeypatch.setenv("RCL_BUDGET_ELEMENTS", value)
+        code, out, err = run_cli(capsys, "elements", "--family", "or", "--n", "2")
+        assert (code, out) == (EXIT_BUDGET, "")
+        assert err == f"error: RCL_BUDGET_ELEMENTS must be a non-negative integer, got '{value}'\n"
 
 
 def test_internal_invariant_exit_code(capsys, monkeypatch):
@@ -255,6 +266,8 @@ def test_internal_invariant_exit_code(capsys, monkeypatch):
     ("congruences", "verify", "--format", "dot"),
     ("erratum", "--family", "sr"),
     ("counterexample", "--family", "or"),
+    ("congruences", "verify", "--force-budget"),
+    ("congruences", "enumerate", "--force-budget"),
 ])
 def test_flags_a_command_does_not_read_are_refused(capsys, argv):
     with pytest.raises(SystemExit) as exc:

@@ -236,7 +236,7 @@ def test_kernel_trace_lattice_matches_the_orbit_seed_lattice(family, n):
     seeds = orbit_seeds(universe.multiplication_table(), universe.units())
     oracle = [Partition(universe, ids) for ids in _lattice_ids(universe.translations(), seeds)]
     oracle.sort(key=lambda p: (-p.num_classes, p.key))
-    assert lattice_keys(congruence_lattice(universe, force=True)) == lattice_keys(oracle)
+    assert lattice_keys(congruence_lattice(universe)) == lattice_keys(oracle)
 
 
 def test_lattice_matches_naive_filter_on_r2():
@@ -454,11 +454,6 @@ def test_lattice_is_join_closed(or4):
     keys = set(lattice_keys(lattice))
     for p, q in itertools.combinations(lattice, 2):
         assert join(p, q).key in keys
-
-
-def test_lattice_budget(or6):
-    with pytest.raises(ResourceLimitError):
-        congruence_lattice(or6, max_elements=100)
 
 
 def test_join_laws(or4):
