@@ -29,7 +29,9 @@ is a join of principal ones, so each lattice member is then joined with
 the principal congruences only, in one merge per member over the member
 tiled once per principal congruence, until nothing new appears
 (``_lattice_ids``).  The same engine lists the normal subgroups of a
-permutation group, as the identity classes of its congruences.
+permutation group, as the identity classes of its congruences, from the
+same orbit step (``_orbit_minima``) and generator rows; a group stores no
+Cayley table.
 """
 
 from __future__ import annotations
@@ -40,7 +42,8 @@ import operator
 
 import numpy as np
 
-from .core import TABLE_BLOCK_BYTES, InvariantViolation, ResourceLimitError, _locate, image_codes
+from .core import (TABLE_BLOCK_BYTES, InvariantViolation, ResourceLimitError, _generator_rows,
+                   _locate, _product_codes, image_codes)
 
 DEFAULT_GROUP_LIMIT = 10**4
 NAIVE_LATTICE_LIMIT = 9
@@ -298,6 +301,30 @@ def join(p, q):
     return Partition(p.universe, _merge(_least_members(p.ids), np.arange(other.size), other))
 
 
+def _orbit_minima(codes, size, left, right):
+    """The least pair of each orbit under x -> g·x·g⁻¹, as an (S, 2) array
+    of (a, b) ascending in the code a·N + b, N = ``size``.
+
+    ``codes`` are the sorted codes of pairs with a < b, a set closed under
+    conjugation; ``left`` and ``right`` hold the rows x -> g·x and x -> x·g
+    of units g that generate the group acting.  g·x·g⁻¹ is the y with
+    y·g = g·x, read off the two rows, since x -> x·g is a bijection; so no
+    product is computed.  One ``_merge`` over pair indices gives the orbits.
+    """
+    undo = np.empty(right.shape, dtype=np.intp)
+    np.put_along_axis(undo, right, np.arange(size), axis=1)
+    conjugate = np.take_along_axis(undo, left, axis=1)
+    ends = conjugate[:, np.divmod(codes, size)]
+    pos, found = _locate(codes, ends.min(axis=1) * size + ends.max(axis=1))
+    if not found.all():
+        g, i = np.unravel_index(np.argmin(found), found.shape)
+        pair = divmod(int(codes[i]), size)
+        raise InvariantViolation(f"conjugating the pair {pair} by row {g} leaves the pairs")
+    index = np.arange(codes.size)
+    least = _merge(index, np.broadcast_to(index, pos.shape).ravel(), pos.ravel())
+    return np.stack(np.divmod(codes[least == index], size), axis=1)
+
+
 def _kernel_trace_seeds(universe):
     """One seed pair per unit-conjugation orbit of kernel and trace pairs,
     as an (S, 2) array ascending in the pair code a·N + b, a < b.
@@ -311,16 +338,14 @@ def _kernel_trace_seeds(universe):
     x ρ e gives x ρ x⁻¹·x.  Each congruence is then a join of the principal
     congruences of such pairs.  Conjugation by a unit g maps these pairs
     onto themselves, and (a, b) and (g·a·g⁻¹, g·b·g⁻¹) are translates of
-    each other, so they close to the same principal congruence: one
-    ``_merge`` over pair indices gives the orbits, and each keeps its least
-    code.
+    each other, so they close to the same principal congruence: each orbit
+    keeps its least code (``_orbit_minima``).
 
     The reverse map of every element is looked up first, so the monoid is
     checked to be inverse, not assumed to be.  The unit generators, the
     rank-n entries of ``generators``, generate the unit group, since the
-    greedy scan visits the units first.  For each, g·x·g⁻¹ is the y with
-    y·g = g·x, read off its two rows of ``translations``: x -> x·g is a
-    bijection because g is a unit.  So no product is computed here.
+    greedy scan visits the units first; their two rows of ``translations``
+    give the conjugations.
     """
     images = universe.image_matrix.astype(np.intp)
     size, n = images.shape
@@ -337,24 +362,9 @@ def _kernel_trace_seeds(universe):
     a = np.concatenate([partial[kernel], idempotents[lower]])
     b = np.concatenate([kernel, idempotents[upper]])
     codes = np.sort(np.minimum(a, b) * size + np.maximum(a, b))
-
-    gens = universe.generators()
-    moves = universe.translations()
+    gens, moves = universe.generators(), universe.translations()
     units = np.flatnonzero(universe.ranks[gens] == n)
-    undo = np.empty((len(units), size), dtype=np.intp)
-    np.put_along_axis(undo, moves[len(gens) + units], everything, axis=1)
-    conjugate = np.take_along_axis(undo, moves[units], axis=1)
-    ends = conjugate[:, np.divmod(codes, size)]
-    pos, found = _locate(codes, ends.min(axis=1) * size + ends.max(axis=1))
-    if not found.all():
-        g, i = np.unravel_index(np.argmin(found), found.shape)
-        raise InvariantViolation(
-            f"conjugating the pair {divmod(int(codes[i]), size)} by unit generator"
-            f" {gens[units[g]]} leaves the kernel and trace pairs"
-        )
-    index = np.arange(codes.size)
-    least = _merge(index, np.broadcast_to(index, pos.shape).ravel(), pos.ravel())
-    return np.stack(np.divmod(codes[least == index], size), axis=1)
+    return _orbit_minima(codes, size, moves[units], moves[len(gens) + units])
 
 
 def _principal_ids(moves, seeds):
@@ -492,10 +502,9 @@ def perm_inv(p):
 class PermGroup:
     """A finite permutation group on {1..degree}: ``perms``, the sorted,
     read-only (order, degree) array of 1-based images (the identity is row
-    0), and the Cayley table, ``table[i, j]`` the index of perms[i] after
-    perms[j].  Every product is looked up among the image codes, so building
-    the table checks closure; it is refused above ``DEFAULT_GROUP_LIMIT``
-    elements before it is allocated.
+    0), with the generators and translation rows of ``_generator_rows``
+    over them, as for a ``MonoidUniverse``.  Their products are looked up
+    among the image codes, so building them checks closure.
     """
 
     def __init__(self, degree, elements):
@@ -506,27 +515,28 @@ class PermGroup:
             raise ValueError(f"elements must be permutations of 1..{self.degree}")
         self._codes, first = np.unique(image_codes(perms), return_index=True)
         self.perms = perms[first]  # sorted like the codes; the identity first
-        order = len(self.perms)
         if not np.array_equal(self.perms[0], self.identity):
             raise ValueError("group must contain the identity")
-        if order > DEFAULT_GROUP_LIMIT:
-            raise ResourceLimitError(f"group of order {order} exceeds the bound"
-                                     f" {DEFAULT_GROUP_LIMIT} on its Cayley table")
-        self.table = np.empty((order, order), dtype=np.int16 if order < 2**15 else np.int32)
-        rows = max(1, TABLE_BLOCK_BYTES // (order * 8 * (self.degree + 3)))
-        for start in range(0, order, rows):
-            block = self.perms[start:start + rows]
-            # (p·q)(t) = p(q(t)) for p in the block and every q at once.
-            products = block[:, self.perms - 1].reshape(len(block) * order, self.degree)
-            pos, found = _locate(self._codes, image_codes(products).reshape(len(block), order))
-            if not found.all():
-                i, j = np.unravel_index(np.argmin(found), found.shape)
-                a, b = block[i].tolist(), self.perms[j].tolist()
-                raise ValueError(f"not closed: {tuple(a)} * {tuple(b)} escapes the set")
-            self.table[start:start + len(block)] = pos
         self.perms.setflags(write=False)
-        self.table.setflags(write=False)
+        self._generators, self._translations = _generator_rows(self._products, range(len(self)), 0)
         self._normal = None
+
+    def _products(self, left, right):
+        """Indices of perms[i] after perms[j], i in ``left`` and j in ``right``,
+        as one block; a product that is not a member raises ``ValueError``."""
+        pos, found = _locate(self._codes, _product_codes(self.perms[left], self.perms[right].T))
+        if not found.all():
+            i, j = np.unravel_index(np.argmin(found), found.shape)
+            a, b = self.perms[left[i]].tolist(), self.perms[right[j]].tolist()
+            raise ValueError(f"not closed: {tuple(a)} * {tuple(b)} escapes the set")
+        return pos
+
+    def generators(self):
+        return list(self._generators)
+
+    def translations(self):
+        """The 2k x order rows x -> g·x, then x -> x·g, for the k generators."""
+        return self._translations
 
     def _indices(self, perms):
         """Indices of the given permutations, or None when one is not a member."""
@@ -535,12 +545,6 @@ class PermGroup:
             return None
         pos, found = _locate(self._codes, image_codes(rows))
         return pos if found.all() else None
-
-    @functools.cached_property
-    def _conjugation(self):
-        """``conj[h, g]``, the index of h·g·h⁻¹; built on first use only."""
-        inverses = self._indices(np.argsort(self.perms, axis=1) + 1)
-        return self.table[self.table, inverses[:, None]]
 
     @property
     def elements(self):
@@ -580,21 +584,16 @@ def normal_subgroups(group):
     ties broken by the sorted members; computed once per group.
 
     A congruence on a group is the coset partition of a normal subgroup,
-    its identity class, so ``_lattice_ids`` runs over rows of the Cayley
-    table and its transpose.  (1, g) and (1, h·g·h⁻¹) are translates of
-    each other, so each conjugacy class gives one seed: its least member, a
-    column minimum of the conjugation table.  This is the kernel–trace rule
-    of ``_kernel_trace_seeds`` on a group, whose one idempotent is the
+    its identity class, so ``_lattice_ids`` runs over the group's
+    translation rows.  The seeds are the kernel–trace seeds of
+    ``_kernel_trace_seeds`` on a group, whose one idempotent is the
     identity: no trace pairs, and one kernel pair (1, g) per conjugacy
-    class.  Those members also generate the group, since a finite group is
-    not the union of the conjugates of a proper subgroup (Jordan), so their
-    rows are the only moves.
+    class (``_orbit_minima``).
     """
     if group._normal is None:
-        least = group._conjugation.min(axis=0)
-        reps = np.flatnonzero(least == np.arange(len(group)))[1:]  # all but the identity
-        moves = np.concatenate([group.table[reps], group.table[:, reps].T])
-        found = [np.flatnonzero(ids == 0) for ids in _lattice_ids(moves, [(0, g) for g in reps])]
+        moves, k = group.translations(), len(group.generators())
+        seeds = _orbit_minima(np.arange(1, len(group)), len(group), moves[:k], moves[k:])
+        found = [np.flatnonzero(ids == 0) for ids in _lattice_ids(moves, seeds)]
         found.sort(key=lambda members: (len(members), members.tolist()))
         group._normal = tuple(frozenset(map(tuple, group.perms[m].tolist())) for m in found)
     return group._normal

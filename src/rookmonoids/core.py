@@ -45,8 +45,11 @@ class InvariantViolation(RuntimeError):
 
 
 def element_limit(override=None):
-    """Active element budget: explicit override, else env var, else default."""
+    """Active element budget: explicit override, else env var, else default.
+    Either must be a non-negative integer; a bool or a float is not one."""
     if override is not None:
+        if isinstance(override, bool) or not isinstance(override, (int, np.integer)) or override < 0:
+            raise ValueError(f"limit= must be a non-negative integer, got {override!r}")
         return int(override)
     env = os.environ.get(ELEMENT_LIMIT_ENV)
     if not env:
@@ -330,8 +333,8 @@ def _product_codes(left, slots):
     # padded[i, t] is the image of t under row i, and 0 for t = 0.
     padded = np.zeros((len(left), left.shape[1] + 1), dtype=np.int64)
     padded[:, 1:] = left
-    code = padded.take(slots[0], axis=1)
-    for slot in slots[1:]:
+    code = np.zeros((len(left), slots.shape[1]), dtype=np.int64)
+    for slot in slots:
         code *= padded.shape[1]
         code += padded.take(slot, axis=1)
     return code
@@ -342,6 +345,38 @@ def _locate(sorted_codes, codes):
     pos = np.searchsorted(sorted_codes, codes)
     np.minimum(pos, len(sorted_codes) - 1, out=pos)
     return pos, sorted_codes[pos] == codes
+
+
+def _generator_rows(products, scan, identity):
+    """Generators picked greedily from the element indices ``scan``, and
+    their 2k x N rows x -> g·x, then x -> x·g, as read-only intp indices.
+    ``products(left, right)`` is the (len(left), len(right)) block of
+    product indices, each looked up and checked to be a member.
+
+    Each element not yet in the submonoid generated so far is kept, and
+    gets its row x -> x·g; the submonoid grows from ``identity`` along these
+    rows, with no product table.  So every element is a product of
+    generators, and every generator translate of every element is a member:
+    the set is the submonoid they generate, hence closed under products.
+    """
+    everything = np.arange(len(scan))
+    reached = everything == identity
+    gens, right = [], []
+    for x in scan:
+        if reached[x]:
+            continue
+        gens.append(x)
+        right.append(products(everything, everything[x:x + 1]).ravel())
+        rows, frontier = np.array(right), np.flatnonzero(reached)
+        while frontier.size:
+            new = np.zeros_like(reached)
+            new[rows[:, frontier]] = True
+            frontier = np.flatnonzero(new & ~reached)
+            reached[frontier] = True
+    left = products(np.array(gens, dtype=np.intp), everything)
+    moves = np.concatenate([left, np.reshape(right, left.shape)]).astype(np.intp)
+    moves.setflags(write=False)
+    return gens, moves
 
 
 def _cayley_tree(left):
@@ -578,54 +613,19 @@ class MonoidUniverse:
         return self._table
 
     def generators(self):
-        """A generating set of the monoid as element indices; cached.
-
-        Greedy: elements are scanned by descending rank, ties by index, and
-        each one not yet in the submonoid generated so far is kept.  A kept
-        generator g gets its row x -> x·g by one checked lookup of every
-        element (``_products``); the submonoid then grows by following
-        these rows from the elements reached so far, with no product table.
-        Every element is then a product of generators.
-        """
+        """A generating set of the monoid as element indices, found by
+        ``_generator_rows`` scanning the elements by descending rank, ties
+        by index; cached with the translation rows."""
         if self._generators is None:
-            size = len(self)
-            everything = np.arange(size)
-            reached = np.zeros(size, dtype=bool)
-            reached[1] = True
-            gens, right = [], []
-            for x in np.argsort(-self.ranks, kind="stable").tolist():
-                if reached[x]:
-                    continue
-                gens.append(x)
-                right.append(self._products(everything, [x]).ravel())
-                rows = np.array(right)
-                frontier = np.flatnonzero(reached)
-                while frontier.size:
-                    new = np.zeros(size, dtype=bool)
-                    new[rows[:, frontier]] = True
-                    new &= ~reached
-                    reached |= new
-                    frontier = np.flatnonzero(new)
-            self._generators = gens
+            scan = np.argsort(-self.ranks, kind="stable").tolist()
+            self._generators, self._translations = _generator_rows(self._products, scan, 1)
         return list(self._generators)
 
     def translations(self):
         """The 2k x N rows x -> g·x, then x -> x·g, for the k generators
-        (``generators``), as read-only intp element indices; cached.
-
-        Together with the generator search they are an exhaustive closure
-        check: every generator translate of every element is looked up and
-        checked, and the generators reach every element, so the universe is
-        the submonoid they generate and is closed under products.  Closures,
-        congruence checks and ideal checks read these rows, not the table.
-        """
-        if self._translations is None:
-            gens, everything = self.generators(), np.arange(len(self))
-            moves = np.concatenate([
-                self._products(gens, everything), self._products(everything, gens).T,
-            ]).astype(np.intp)
-            moves.setflags(write=False)
-            self._translations = moves
+        (``_generator_rows``); cached.  Closures, congruence checks and ideal
+        checks read these rows, not the table."""
+        self.generators()
         return self._translations
 
     def units(self):

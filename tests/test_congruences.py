@@ -521,7 +521,8 @@ def test_perm_group_checks_every_product_of_a_large_set():
         with pytest.raises(ValueError, match="not closed"):
             PermGroup(7, [p for p in s7 if p != missing])
     # K = Sym{3..7} sorts first and K·S stays in S = K ∪ K·(1 3), so only
-    # the rows of the coset, in a later block, find the escaping products.
+    # products whose left factor lies in the coset escape; a generator's row
+    # x -> x·g, which looks up every x, finds them.
     k = [p for p in s7 if p[:2] == (1, 2)]
     with pytest.raises(ValueError, match="not closed"):
         PermGroup(7, k + [perm_mul(p, (3, 2, 1, 4, 5, 6, 7)) for p in k])
@@ -565,9 +566,10 @@ def test_normal_subgroups_are_normal(sr4):
 
 
 def test_normal_subgroup_budget():
-    """A group above ``DEFAULT_GROUP_LIMIT`` is refused before its Cayley
-    table, 40,320² entries for S_8, is allocated: ``symmetric_group(8)``
-    before it lists the permutations, ``PermGroup`` once it has them."""
+    """``symmetric_group(8)`` is refused before it lists its 40,320
+    permutations.  Given them, ``PermGroup`` builds S_8 with no Cayley table
+    (40,320² entries), and its normal subgroups come from its generator
+    rows."""
     s8 = list(itertools.permutations(range(1, 9)))
     assert len(s8) > DEFAULT_GROUP_LIMIT
     tracemalloc.start()
@@ -575,9 +577,10 @@ def test_normal_subgroup_budget():
         with pytest.raises(ResourceLimitError):
             symmetric_group(8)
         assert tracemalloc.get_traced_memory()[1] < 2**20
-        with pytest.raises(ResourceLimitError):
-            PermGroup(8, s8)
-        assert tracemalloc.get_traced_memory()[1] < 2**25
+        group = PermGroup(8, s8)
+        assert not hasattr(group, "table")
+        assert [len(s) for s in normal_subgroups(group)] == [1, 20160, 40320]
+        assert tracemalloc.get_traced_memory()[1] < 2**26
     finally:
         tracemalloc.stop()
 
@@ -650,6 +653,43 @@ def generated_subgroup(gens, degree):
         frontier = [q for p in frontier for g in gens if (q := perm_mul(g, p)) not in found]
         found.update(frontier)
     return frozenset(found)
+
+
+def test_perm_group_rows_are_the_generator_translations():
+    """On S_0..S_5 and the unit groups, the translation rows are x -> g·x,
+    then x -> x·g, for the generators g, by ``perm_mul``; and the
+    generators generate the group."""
+    for group in [symmetric_group(k) for k in range(6)] + list(unit_groups()):
+        perms = list(group)
+        index = {p: i for i, p in enumerate(perms)}
+        gens = [perms[g] for g in group.generators()]
+        expected = [[index[perm_mul(g, x)] for x in perms] for g in gens]
+        expected += [[index[perm_mul(x, g)] for x in perms] for g in gens]
+        moves = group.translations()
+        assert moves.dtype == np.intp and not moves.flags.writeable
+        assert moves.shape == (2 * len(gens), len(group)), group
+        assert moves.tolist() == expected, group
+        assert generated_subgroup(gens, group.degree) == group.elements, group
+
+
+def test_normal_subgroup_seeds_are_one_pair_per_conjugacy_class(monkeypatch):
+    """On S_0..S_5 and the unit groups, each built afresh, ``normal_subgroups``
+    closes one pair (identity, g) per conjugacy class but the identity's,
+    g the least member of its class (``oracle_conjugacy_classes``)."""
+    passed = []
+    lattice_ids = congruences._lattice_ids
+    monkeypatch.setattr(congruences, "_lattice_ids",
+                        lambda moves, seeds: passed.append(seeds) or lattice_ids(moves, seeds))
+    fresh = [PermGroup(k, itertools.permutations(range(1, k + 1))) for k in range(6)]
+    for group in fresh + list(unit_groups()):
+        passed.clear()
+        normal_subgroups(group)
+        index = {p: i for i, p in enumerate(group)}
+        classes = [c for c in oracle_conjugacy_classes(group) if group.identity not in c]
+        assert len(passed) == 1, group
+        assert [tuple(p) for p in passed[0].tolist()] == sorted(
+            (0, index[min(c)]) for c in classes
+        ), group
 
 
 @pytest.mark.parametrize("which", ["s4", "sr4_units"])

@@ -415,6 +415,22 @@ def test_universe_budget():
     assert len(enumerate_universe("R", 8, limit=10**7)) == 1441729
 
 
+@pytest.mark.parametrize("limit", [-5, "abc", True, 2.7])
+def test_universe_budget_refuses_a_limit_that_is_not_a_non_negative_integer(limit):
+    """``limit=`` is checked as ``RCL_BUDGET_ELEMENTS`` is: not read as -5,
+    parsed as a string, or rounded from a bool or a float."""
+    message = f"limit= must be a non-negative integer, got {limit!r}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        enumerate_universe("OR", 2, limit=limit)
+
+
+def test_universe_budget_accepts_integer_limits():
+    with pytest.raises(ResourceLimitError, match="over the budget 0"):
+        enumerate_universe("OR", 2, limit=0)
+    assert predicted_size("OR", 4) <= 40
+    assert len(enumerate_universe("OR", 4, limit=np.int64(40))) == predicted_size("OR", 4)
+
+
 def test_universe_closure_exhaustive_small():
     for family, n in [("OR", 2), ("OR", 4), ("SR", 2), ("SR", 4), ("R", 4)]:
         universe = enumerate_universe(family, n)
