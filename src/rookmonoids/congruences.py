@@ -30,8 +30,8 @@ the principal congruences only, in one merge per member over the member
 tiled once per principal congruence, until nothing new appears
 (``_lattice_ids``).  The same engine lists the normal subgroups of a
 permutation group, as the identity classes of its congruences, from the
-same orbit step (``_orbit_minima``) and generator rows; a group stores no
-Cayley table.
+same orbit step (``_orbit_minima``) and generator rows, and keeps each
+congruence as the subgroup's coset labels; a group stores no Cayley table.
 """
 
 from __future__ import annotations
@@ -519,7 +519,7 @@ class PermGroup:
             raise ValueError("group must contain the identity")
         self.perms.setflags(write=False)
         self._generators, self._translations = _generator_rows(self._products, range(len(self)), 0)
-        self._normal = None
+        self._normal = self._cosets = None
 
     def _products(self, left, right):
         """Indices of perms[i] after perms[j], i in ``left`` and j in ``right``,
@@ -538,13 +538,10 @@ class PermGroup:
         """The 2k x order rows x -> g·x, then x -> x·g, for the k generators."""
         return self._translations
 
-    def _indices(self, perms):
-        """Indices of the given permutations, or None when one is not a member."""
-        rows = np.array([tuple(p) for p in perms], dtype=np.intp)
-        if rows.shape[1:] != (self.degree,) or ((rows < 1) | (rows > self.degree)).any():
-            return None
-        pos, found = _locate(self._codes, image_codes(rows))
-        return pos if found.all() else None
+    def _indices(self, images):
+        """Positions of the rows of an (M, degree) array of images 1..degree
+        among the members, and whether each row is one."""
+        return _locate(self._codes, image_codes(images))
 
     @property
     def elements(self):
@@ -557,12 +554,20 @@ class PermGroup:
         return iter(map(tuple, self.perms.tolist()))
 
     def __contains__(self, p):
-        return self._indices([p]) is not None
+        row = np.array([tuple(p)], dtype=np.intp)
+        if row.shape[1:] != (self.degree,) or ((row < 1) | (row > self.degree)).any():
+            return False
+        return bool(self._indices(row)[1][0])
+
+    def cosets(self, subset):
+        """The coset labels of ``subset``, a set of image tuples, when it is
+        one of the normal subgroups (``normal_subgroups``), else None."""
+        normal_subgroups(self)
+        return self._cosets.get(frozenset(map(tuple, subset)))
 
     def is_normal(self, subset):
-        """True when ``subset``, as a set of image tuples, is one of the
-        normal subgroups (``normal_subgroups``)."""
-        return frozenset(map(tuple, subset)) in normal_subgroups(self)
+        """True when ``subset`` is one of the normal subgroups."""
+        return self.cosets(subset) is not None
 
     def __repr__(self):
         return f"<PermGroup of degree {self.degree}, order {len(self)}>"
@@ -588,12 +593,19 @@ def normal_subgroups(group):
     translation rows.  The seeds are the kernel–trace seeds of
     ``_kernel_trace_seeds`` on a group, whose one idempotent is the
     identity: no trace pairs, and one kernel pair (1, g) per conjugacy
-    class (``_orbit_minima``).
+    class (``_orbit_minima``).  Each subgroup's congruence is kept too, as
+    read-only least-member labels over the group's indices, one label per
+    coset (``PermGroup.cosets``); the family builder splits by them.
     """
     if group._normal is None:
+        found = []
         moves, k = group.translations(), len(group.generators())
         seeds = _orbit_minima(np.arange(1, len(group)), len(group), moves[:k], moves[k:])
-        found = [np.flatnonzero(ids == 0) for ids in _lattice_ids(moves, seeds)]
-        found.sort(key=lambda members: (len(members), members.tolist()))
-        group._normal = tuple(frozenset(map(tuple, group.perms[m].tolist())) for m in found)
+        for ids in _lattice_ids(moves, seeds):
+            ids = ids.copy()  # a row of a block: keep it, not the block
+            ids.setflags(write=False)
+            found.append((np.flatnonzero(ids == 0), ids))
+        found.sort(key=lambda item: (len(item[0]), item[0].tolist()))
+        group._cosets = {frozenset(map(tuple, group.perms[m].tolist())): ids for m, ids in found}
+        group._normal = tuple(group._cosets)
     return group._normal

@@ -566,8 +566,6 @@ class MonoidUniverse:
     def product(self, i, j):
         self._check_index(i)
         self._check_index(j)
-        if self._table is not None:
-            return int(self._table[i, j])
         return int(self._products([i], [j])[0, 0])
 
     def multiplication_table(self, *, limit=DEFAULT_TABLE_LIMIT):

@@ -4,11 +4,14 @@ that diffs them against the brute-force congruence lattice.
 Every family has one shape, built by a single private builder: an ideal
 collapses into the zero class, the elements of one or two J-classes split
 into their H-classes and, inside each, into the cosets of a normal subgroup
-of the H-class group (read off the members' H-coordinates), and everything
-else stays singleton.  The public ``build_eq_*`` functions only check their
-parameters and pick the ideal and the splits: a rank stratum at each level
-of ``_levels`` (``build_eq_N``), per-type variants at half rank on OR, and,
-at degree 4 only, two OR congruences that also pair up the four units.
+of the H-class group, and everything else stays singleton.  A normal
+subgroup is given by its coset labels, the congruence on the group that
+``normal_subgroups`` computed; each member reads the label of its
+H-coordinate, and a whole H-class is the full group's one coset.  The
+public ``build_eq_*`` functions only check their parameters and pick the
+ideal and the splits: a rank stratum at each level of ``_levels``
+(``build_eq_N``), per-type variants at half rank on OR, and, at degree 4
+only, two OR congruences that also pair up the four units.
 """
 
 from __future__ import annotations
@@ -24,13 +27,7 @@ from .congruences import (
     normal_subgroups,
     symmetric_group,
 )
-from .core import (
-    InvariantViolation,
-    PartialInjection,
-    TYPE_I,
-    TYPE_II,
-    image_codes,
-)
+from .core import InvariantViolation, PartialInjection, TYPE_I, TYPE_II
 from .green import enumerate_ideals
 
 @dataclass(frozen=True)
@@ -44,12 +41,7 @@ class FamilySpec:
     n2_label: str | None = None
 
     def to_json(self):
-        out = {"tag": self.tag}
-        for name in ("k", "n_label", "n1_label", "n2_label"):
-            value = getattr(self, name)
-            if value is not None:
-                out[name] = value
-        return out
+        return {name: value for name, value in vars(self).items() if value is not None}
 
 
 def _require_family(universe, family):
@@ -58,10 +50,11 @@ def _require_family(universe, family):
 
 
 def _as_subgroup(parent, subgroup):
-    sub = frozenset(tuple(int(v) for v in p) for p in subgroup)
-    if not parent.is_normal(sub):
+    """The coset labels of a normal subgroup of ``parent`` (``PermGroup.cosets``)."""
+    labels = parent.cosets(subgroup)
+    if labels is None:
         raise ValueError("subgroup is not normal in its parent group")
-    return sub
+    return labels
 
 
 # Unit pairings of the two degree-4 specials, as full-rank image tuples.
@@ -75,26 +68,24 @@ def _family_partition(universe, zero, splits, unit_pairs=()):
     """The one shape every predicted family has.
 
     ``zero`` masks the ideal that collapses into the zero class.  Each
-    ``(mask, subgroup)`` split cuts the masked elements (of rank k, the
-    subgroup's degree) into their H-classes and, when a subgroup is given,
-    each H-class into the cosets mu·N of that normal subgroup, keyed at
-    once by the least image code of mu·x, x in N, from the H-coordinates
-    mu (``h_coords``); ``None`` keeps whole H-classes.  ``unit_pairs``
-    lists element pairs merged on top.  Everything else stays singleton.
-    The result is checked to be a congruence before it is returned.
+    ``(mask, group, labels)`` split cuts the masked elements, of rank k =
+    ``group.degree``, into their H-classes and each H-class into the cosets
+    of a normal subgroup N of ``group``: members of one H-class are related
+    when their H-coordinates (``h_coords``) lie in one coset of N, read off
+    the coset labels of ``_as_subgroup``.  ``unit_pairs`` lists element
+    pairs merged on top.  Everything else stays singleton.  The result is
+    checked to be a congruence before it is returned.
     """
     ids = np.arange(len(universe), dtype=np.int64)
     ids[zero] = 0  # the zero map, element 0, lies in every ideal
-    for mask, subgroup in splits:
+    for mask, group, labels in splits:
         members = np.flatnonzero(mask)
-        keys = [universe.dom_masks[members], universe.img_masks[members]]
-        if subgroup is not None:
-            perms = np.array(sorted(subgroup), dtype=np.intp)
-            k = perms.shape[1]
-            mu = universe.h_coords[members, :k].astype(np.intp)
-            # (mu·x)(t) = mu(x(t)) for every member and every x at once.
-            codes = image_codes(mu[:, perms - 1].reshape(-1, k))
-            keys.append(codes.reshape(len(members), len(perms)).min(axis=1))
+        pos, found = group._indices(universe.h_coords[members, :group.degree])
+        if not found.all():
+            raise InvariantViolation(
+                f"the H-coordinate of element {members[np.argmin(found)]} is not in {group!r}"
+            )
+        keys = [universe.dom_masks[members], universe.img_masks[members], labels[pos]]
         # One void scalar per row of int64 keys: a 1-D unique groups the rows.
         rows = np.column_stack(keys).view(np.dtype((np.void, 8 * len(keys)))).ravel()
         _, first, inverse = np.unique(rows, return_index=True, return_inverse=True)
@@ -130,9 +121,9 @@ def build_eq_N(universe, k, subgroup):
         raise ValueError(
             f"level must be one of {list(levels)} on {universe.family}_{universe.n}, got {k}"
         )
-    sub = _as_subgroup(levels[k], subgroup)
-    ranks = universe.ranks
-    return _family_partition(universe, ranks < k, [(ranks == k, sub)])
+    group, ranks = levels[k], universe.ranks
+    split = (ranks == k, group, _as_subgroup(group, subgroup))
+    return _family_partition(universe, ranks < k, [split])
 
 
 def build_eq_N1N2(universe, sub1, sub2):
@@ -142,8 +133,8 @@ def build_eq_N1N2(universe, sub1, sub2):
     m = universe.n // 2
     parent = symmetric_group(m)
     splits = [
-        (universe.mtypes == TYPE_I, _as_subgroup(parent, sub1)),
-        (universe.mtypes == TYPE_II, _as_subgroup(parent, sub2)),
+        (universe.mtypes == TYPE_I, parent, _as_subgroup(parent, sub1)),
+        (universe.mtypes == TYPE_II, parent, _as_subgroup(parent, sub2)),
     ]
     return _family_partition(universe, universe.ranks < m, splits)
 
@@ -156,10 +147,11 @@ def build_eq_type(universe, variant, subgroup):
     if variant not in (TYPE_I, TYPE_II):
         raise ValueError(f"variant must be {TYPE_I!r} or {TYPE_II!r}, got {variant!r}")
     m = universe.n // 2
-    sub = _as_subgroup(symmetric_group(m), subgroup)
+    parent = symmetric_group(m)
+    split = (universe.mtypes == variant, parent, _as_subgroup(parent, subgroup))
     other = TYPE_II if variant == TYPE_I else TYPE_I
     zero = (universe.ranks < m) | (universe.mtypes == other)
-    return _family_partition(universe, zero, [(universe.mtypes == variant, sub)])
+    return _family_partition(universe, zero, [split])
 
 
 def build_eq_special(universe, which):
@@ -176,9 +168,9 @@ def build_eq_special(universe, which):
         tuple(universe.element_index(PartialInjection(4, images)) for images in pair)
         for pair in _OR4_UNIT_PAIRS[which]
     ]
-    return _family_partition(
-        universe, zero, [(universe.mtypes == kept, None)], unit_pairs
-    )
+    s2 = symmetric_group(2)  # one coset: whole H-classes
+    split = (universe.mtypes == kept, s2, _as_subgroup(s2, s2))
+    return _family_partition(universe, zero, [split], unit_pairs)
 
 
 def _labelled(parent):
@@ -274,15 +266,8 @@ class ClassificationReport:
         return not self.predicted_not_found
 
     def to_json(self):
-        return {
-            "family": self.family,
-            "n": self.n,
-            "lattice_size": self.lattice_size,
-            "matched": self.matched,
-            "predicted_not_found": self.predicted_not_found,
-            "found_not_predicted": self.found_not_predicted,
-            "notes": self.notes,
-        }
+        # The fields by name, not ``asdict``, which deep-copies every entry.
+        return dict(vars(self))
 
 
 def _annotate_unmatched(universe, part, lattice_index, ideal_by_members):

@@ -168,8 +168,8 @@ class IdealDescriptor:
     """A two-sided absorbing subset, labelled against the expected shapes.
 
     kind is "I_k" (everything of rank <= k), "I_m_I" / "I_m_II" (a single
-    half-rank type on top of the lower ranks), "union" (both half-rank
-    types but no units), or "other".
+    half-rank type on top of the lower ranks), or "union" (both half-rank
+    types but no units).
     """
 
     kind: str
@@ -201,8 +201,7 @@ def enumerate_ideals(universe, green=None):
 
     Absorption is checked on the 2k generator translation rows of
     ``MonoidUniverse.translations`` (``_is_absorbing``), so no product
-    table is built.  The expected shapes get their names; anything else is
-    labelled "union" or "other" and reported rather than suppressed.
+    table is built.  Each is named by ``_ideal_kind``.
     """
     green = green or green_partition(universe)
     moves = universe.translations()
@@ -237,11 +236,9 @@ def enumerate_ideals(universe, green=None):
 
 
 def _ideal_kind(chosen, meta, m, universe):
-    ranks = sorted({meta[c][0] for c in chosen})
-    top = ranks[-1]
-    expected_below = {c for c, (k, _) in enumerate(meta) if k < top}
-    if not expected_below <= set(chosen):
-        return "other"
+    """A down-set holds every J-class of lower rank (``_j_below``), so its
+    top rank names it, and at OR half rank which types it holds there."""
+    top = max(meta[c][0] for c in chosen)
     at_top = [c for c in chosen if meta[c][0] == top]
     if universe.family == "OR" and top == m:
         if len(at_top) == 2:

@@ -34,6 +34,11 @@ def sr6():
 
 
 @pytest.fixture(scope="session")
+def sr8():
+    return enumerate_universe("SR", 8)
+
+
+@pytest.fixture(scope="session")
 def r4():
     return enumerate_universe("R", 4)
 

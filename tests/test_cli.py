@@ -160,6 +160,21 @@ def test_degree_6_verify_json_is_pinned(capsys, family, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("family, n, digest", [
+    ("or", "6", "145fba910d5a46bff3732e51c210b248c80aae350ce3cf6193b821367bcf899f"),
+    ("or", "8", "12e4d2d23dba71499887676b01e48005c4960e09563e488430139192a513eb90"),
+    ("sr", "6", "611094c5c5778a370cc21b31282160a17a96b61e6bc972f21efa7e239783b0a3"),
+    ("sr", "8", "190d117c037a54edc6275b050093180043390a0e3179cb84f448616d29fc5099"),
+])
+def test_predictions_json_is_pinned(capsys, family, n, digest):
+    """The sha256 of the predicted families at degrees 6 and 8, as recorded
+    when the family builder keyed cosets by the least image code."""
+    code, out, _ = run_cli(capsys, "congruences", "predict", "--family", family,
+                           "--n", n, "--format", "json")
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 @pytest.mark.parametrize("family, counts, digest", [
     ("or", (39, 31, 0, 8), "4c84855702fe0f702b37d1426c788cc752233d7de97494b7c47da9e9b7a8714e"),
     ("sr", (22, 22, 0, 0), "4b37fdca40d59839ec72b65a39bbf3511912daf6412176db88fd95565d79d6cd"),

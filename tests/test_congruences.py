@@ -646,6 +646,25 @@ def test_normal_subgroups_match_the_class_union_oracle():
         assert normal_subgroups(group) is normal_subgroups(group)
 
 
+def test_coset_labels_are_the_cosets_of_each_normal_subgroup():
+    """On S_0..S_5 and the unit groups, ``cosets`` labels each member of
+    each coset g·N by the least index in it; the labels are read-only and
+    cached, and a subgroup that is not normal has none."""
+    for group in [symmetric_group(k) for k in range(6)] + list(unit_groups()):
+        perms = list(group)
+        for sub in normal_subgroups(group):
+            labels = group.cosets(sub)
+            assert not labels.flags.writeable and group.cosets(sub) is labels
+            index = {p: i for i, p in enumerate(perms)}
+            expected = [None] * len(perms)
+            for i, g in enumerate(perms):
+                if expected[i] is None:  # g is the least member of g·N
+                    for x in sub:
+                        expected[index[perm_mul(g, x)]] = i
+            assert labels.tolist() == expected, (group, len(sub))
+    assert symmetric_group(3).cosets({(1, 2, 3), (2, 1, 3)}) is None
+
+
 def generated_subgroup(gens, degree):
     found = {tuple(range(1, degree + 1))}
     frontier = list(found)

@@ -1,3 +1,6 @@
+import tracemalloc
+
+import numpy as np
 import pytest
 
 from rookmonoids import (
@@ -17,7 +20,8 @@ from rookmonoids import (
     symmetric_group,
     verify_classification,
 )
-from rookmonoids.families import _family_partition
+from rookmonoids.core import image_codes
+from rookmonoids.families import _OR4_UNIT_PAIRS, _as_subgroup, _family_partition, _levels
 
 TRIVIAL_1 = frozenset({(1,)})
 TRIVIAL_2 = frozenset({(1, 2)})
@@ -184,6 +188,93 @@ def test_builder_refuses_a_partition_that_is_not_a_congruence(or4):
     d1 = or4.element_index(PartialInjection(4, (2, 1, 4, 3)))
     with pytest.raises(InvariantViolation):
         _family_partition(or4, or4.ranks < 1, [], [(1, d1)])
+
+
+def min_code_partition(universe, zero, splits, unit_pairs=()):
+    """Oracle for ``_family_partition``, keyed as before coset labels: a
+    ``(mask, subgroup)`` split keys each member mu by its H-class and by the
+    least image code of mu·x over x in the subgroup, from its H-coordinate
+    mu; a ``None`` subgroup keeps whole H-classes.  Rows group in a dict."""
+    ids = np.arange(len(universe), dtype=np.int64)
+    ids[zero] = 0
+    for mask, subgroup in splits:
+        members = np.flatnonzero(mask)
+        keys = [universe.dom_masks[members], universe.img_masks[members]]
+        if subgroup is not None:
+            perms = np.array(sorted(subgroup), dtype=np.intp)
+            k = perms.shape[1]
+            mu = universe.h_coords[members, :k].astype(np.intp)
+            codes = image_codes(mu[:, perms - 1].reshape(-1, k))
+            keys.append(codes.reshape(len(members), len(perms)).min(axis=1))
+        rows = [tuple(row) for row in np.column_stack(keys).tolist()]
+        first = {}
+        for i, row in zip(members.tolist(), rows):
+            first.setdefault(row, i)
+        ids[members] = [first[row] for row in rows]
+    for a, b in unit_pairs:
+        ids[ids == ids[b]] = ids[a]
+    return Partition(universe, ids)
+
+
+@pytest.mark.parametrize("name", ["or2", "or4", "or6", "sr2", "sr4", "sr6", "sr8"])
+def test_coset_label_splits_match_the_min_image_code_oracle(name, request):
+    """Every level × normal subgroup, the SR_8 unit level among them, and on
+    OR every pair of half-rank subgroups and every typed variant, against
+    the min-image-code key."""
+    universe = request.getfixturevalue(name)
+    ranks, mtypes, m = universe.ranks, universe.mtypes, universe.n // 2
+    for k, group in _levels(universe).items():
+        for sub in normal_subgroups(group):
+            assert build_eq_N(universe, k, sub) == min_code_partition(
+                universe, ranks < k, [(ranks == k, sub)])
+    if universe.family == "OR":
+        subs = normal_subgroups(symmetric_group(m))
+        for sub1 in subs:
+            for sub2 in subs:
+                assert build_eq_N1N2(universe, sub1, sub2) == min_code_partition(
+                    universe, ranks < m, [(mtypes == "I", sub1), (mtypes == "II", sub2)])
+            for variant, other in (("I", "II"), ("II", "I")):
+                assert build_eq_type(universe, variant, sub1) == min_code_partition(
+                    universe, (ranks < m) | (mtypes == other), [(mtypes == variant, sub1)])
+
+
+def test_specials_split_by_the_one_coset_of_s2(or4):
+    """The full S_2 split of the degree-4 specials is the old whole-H-class
+    (``None``) split."""
+    for which, (swallowed, kept) in ((1, ("II", "I")), (2, ("I", "II"))):
+        zero = (or4.ranks < 2) | (or4.mtypes == swallowed)
+        pairs = [
+            tuple(or4.element_index(PartialInjection(4, images)) for images in pair)
+            for pair in _OR4_UNIT_PAIRS[which]
+        ]
+        assert build_eq_special(or4, which) == min_code_partition(
+            or4, zero, [(or4.mtypes == kept, None)], pairs)
+    s2 = symmetric_group(2)
+    assert not _as_subgroup(s2, s2).any()
+
+
+def test_unit_level_split_gathers_no_coset_images(sr8):
+    """The SR_8 unit level with the full unit group W, order 384: each
+    member is keyed by one coset label, so the build peaks far below the
+    384 × 384 × 8 intp gather of the min-image-code key (9.4 MB)."""
+    w = sr8.unit_group
+    sr8.translations()
+    normal_subgroups(w)
+    tracemalloc.start()
+    try:
+        part = build_eq_N(sr8, 8, frozenset(w))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert part.num_classes == 2
+    assert peak < 2**22
+
+
+def test_builder_refuses_an_h_coordinate_outside_the_group(or4):
+    trivial = PermGroup(2, [(1, 2)])
+    split = (or4.ranks == 2, trivial, _as_subgroup(trivial, trivial))
+    with pytest.raises(InvariantViolation, match="H-coordinate of element"):
+        _family_partition(or4, or4.ranks < 2, [split])
 
 
 def test_special_congruences_need_degree_four(or6):
