@@ -8,8 +8,8 @@ byte-identical.
 Every subcommand that builds a universe has one budget: the element count
 that ``enumerate_universe`` checks before it allocates a stratum, set by
 ``RCL_BUDGET_ELEMENTS``.  Exit codes: 0 success, 2 budget refusal or bad
-arguments, 3 internal invariant violation (a constructed congruence failing
-its own checks).
+arguments (an ``--out`` path that cannot be written among them), 3 internal
+invariant violation (a constructed congruence failing its own checks).
 """
 
 from __future__ import annotations
@@ -287,7 +287,7 @@ def main(argv=None):
     except InvariantViolation as exc:
         sys.stderr.write(f"internal invariant violated: {exc}\n")
         return EXIT_INVARIANT
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:  # OSError: an --out path that cannot be written
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_BUDGET
 

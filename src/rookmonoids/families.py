@@ -28,7 +28,7 @@ from .congruences import (
     symmetric_group,
 )
 from .core import InvariantViolation, PartialInjection, TYPE_I, TYPE_II
-from .green import enumerate_ideals
+from .green import _ideal_name, _j_order, green_partition
 
 @dataclass(frozen=True)
 class FamilySpec:
@@ -100,16 +100,15 @@ def _family_partition(universe, zero, splits, unit_pairs=()):
 
 def _levels(universe):
     """The ranks k of the rank-k family, each with the group whose normal
-    subgroups parametrise it: S_k for 1 <= k <= m-1 on OR and 1 <= k <= m
-    on SR, and the unit group at k = n on SR.  None on R."""
-    m = universe.n // 2
-    if universe.family == "OR":
-        return {k: symmetric_group(k) for k in range(1, m)}
-    if universe.family == "SR":
-        levels = {k: symmetric_group(k) for k in range(1, m + 1)}
-        levels[universe.n] = universe.unit_group
-        return levels
-    return {}
+    subgroups parametrise it: S_k for 1 <= k <= top, where top is m-1 on
+    OR, m on SR and n-1 on R, and the unit group at k = n on SR and R.  On
+    R these are Liber's congruences of the symmetric inverse monoid."""
+    n = universe.n
+    top = {"OR": n // 2 - 1, "SR": n // 2, "R": n - 1}[universe.family]
+    levels = {k: symmetric_group(k) for k in range(1, top + 1)}
+    if universe.family != "OR":
+        levels[n] = universe.unit_group
+    return levels
 
 
 def build_eq_N(universe, k, subgroup):
@@ -212,8 +211,6 @@ def _is_even(p):
 def predicted_congruences(universe):
     """Instantiate every family over every admissible parameter, plus the
     universal partition; dedupe by partition, keeping all specs."""
-    if universe.family not in ("OR", "SR"):
-        raise ValueError(f"no predicted families for family {universe.family}")
     m = universe.n // 2
     pairs = []
     for k, parent in _levels(universe).items():
@@ -270,43 +267,43 @@ class ClassificationReport:
         return dict(vars(self))
 
 
-def _annotate_unmatched(universe, part, lattice_index, ideal_by_members):
-    zero_class = part.class_of(0)
-    descriptor = ideal_by_members.get(tuple(zero_class))
-    units = set(universe.units())
-    unit_classes = []
-    seen = set()
-    for u in sorted(units):
-        cid = int(part.ids[u])
-        if cid not in seen:
-            seen.add(cid)
-            unit_classes.append(part.class_of(u))
-    tag = ""
-    if descriptor is not None and descriptor.kind == "union" and all(
-        set(c) <= units for c in unit_classes
-    ):
-        tag = "rees_over_complement_of_units"
+def _annotate_unmatched(universe, part, lattice_index, green):
+    """Describe a lattice member no family predicted.  Its zero class is an
+    ideal, so a down-set of J-classes in ``_j_order``, named by
+    ``_ideal_name``; the tag marks the Rees quotients by the union ideal,
+    which holds every non-unit."""
+    zero = part.ids == part.ids[0]
+    held = np.zeros(len(green.j_meta), dtype=bool)
+    held[green.j_ids[zero]] = True
+    # The order is reflexive, so this down-closure of the zero class's
+    # J-classes equals the zero class exactly when it is a down-set of them.
+    if not np.array_equal(_j_order(green)[:, held].any(axis=1)[green.j_ids], zero):
+        raise InvariantViolation(
+            f"the zero class of lattice member {lattice_index} is not a down-set of J-classes"
+        )
+    kind, k = _ideal_name(green, np.flatnonzero(held))
+    units = np.asarray(universe.units())
+    first = np.unique(part.ids[units], return_index=True)[1]
     return {
         "lattice_index": lattice_index,
         "num_classes": part.num_classes,
         "classes": part.classes(),
-        "zero_class_kind": descriptor.kind if descriptor else "not_an_enumerated_ideal",
-        "zero_class_k": descriptor.k if descriptor else None,
-        "zero_class_size": len(zero_class),
-        "unit_classes": unit_classes,
-        "tag": tag,
+        "zero_class_kind": kind,
+        "zero_class_k": k,
+        "zero_class_size": int(zero.sum()),
+        "unit_classes": [part.class_of(u) for u in units[np.sort(first)]],
+        "tag": "rees_over_complement_of_units" if kind == "union" else "",
     }
 
 
 def verify_classification(universe):
     """Enumerate the full congruence lattice and diff it against the
-    predicted families.  Everything unmatched is reported, never dropped.
-    The predictions come first, so a family with none is refused before
-    the lattice is built."""
+    predicted families.  Everything unmatched is reported, never dropped,
+    with its zero class named from its J-classes."""
     predictions = predicted_congruences(universe)
     lattice = congruence_lattice(universe)
     lattice_keys = {part.key: i for i, part in enumerate(lattice)}
-    ideal_by_members = {d.members: d for d in enumerate_ideals(universe)}
+    green = green_partition(universe)
 
     matched = []
     predicted_not_found = []
@@ -324,7 +321,7 @@ def verify_classification(universe):
             predicted_not_found.append(entry)
 
     found_not_predicted = [
-        _annotate_unmatched(universe, part, i, ideal_by_members)
+        _annotate_unmatched(universe, part, i, green)
         for i, part in enumerate(lattice)
         if part.key not in pred_by_key
     ]

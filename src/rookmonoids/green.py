@@ -7,7 +7,10 @@ computations kept as cross-checks: the ``principal_*`` functions compute
 their answer by brute force and assert the characterization before
 returning it.  They look up one row or column of products, and a
 two-sided ideal closes it under the generator rows of
-``MonoidUniverse.translations``, so no product table is built.
+``MonoidUniverse.translations``, so no product table is built.  The
+J-order is one boolean matrix, ``_j_order``: the ideals are its down-sets
+(``enumerate_ideals``), each named by ``_ideal_name``, and the two-sided
+check and the DOT drawing read it too.
 ``MonoidUniverse.h_coords`` holds each ``h_coordinate``.
 """
 
@@ -19,7 +22,7 @@ from math import comb, factorial
 import numpy as np
 
 from .congruences import PermGroup, _canonical_ids, _hasse_dot
-from .core import InvariantViolation, PartialInjection, TYPE_I, TYPE_II, is_idempotent
+from .core import InvariantViolation, PartialInjection, TYPE_II, is_idempotent
 
 
 @dataclass
@@ -97,10 +100,11 @@ def principal_left(universe, idx):
 
 
 def principal_twosided(universe, idx):
-    """S*sigma*S by brute force, asserted equal to the rank/type bound.
+    """S*sigma*S by brute force, asserted equal to the ideal of sigma's
+    J-class in ``_j_order``.
 
-    S*sigma is closed under the rows x -> x·g of ``translations``, as in
-    ``enumerate_ideals``: every element of S is a product of generators.
+    S*sigma is closed under the rows x -> x·g of ``translations``: every
+    element of S is a product of generators.
     """
     universe._check_index(idx)
     moves = universe.translations()
@@ -113,17 +117,12 @@ def principal_twosided(universe, idx):
         new[right[:, frontier]] = True
         frontier = np.flatnonzero(new & ~reached)
     brute = frozenset(np.flatnonzero(reached).tolist())
-    ranks = universe.ranks
-    r = int(ranks[idx])
-    m = universe.n // 2
-    if universe.family == "OR" and r == m:
-        keep = (ranks < m) | ((ranks == m) & (universe.mtypes == universe.mtypes[idx]))
-    else:
-        keep = ranks <= r
-    characterized = frozenset(np.flatnonzero(keep).tolist())
+    green = green_partition(universe)
+    j = green.j_ids
+    characterized = frozenset(np.flatnonzero(_j_order(green)[j, j[idx]]).tolist())
     if brute != characterized:
         raise InvariantViolation(
-            f"two-sided ideal of element {idx} disagrees with the rank/type bound"
+            f"two-sided ideal of element {idx} disagrees with the J-order"
         )
     return brute
 
@@ -181,12 +180,13 @@ class IdealDescriptor:
         return len(self.members)
 
 
-def _j_below(a, b, m, family):
-    """Order of the J-poset: is class a contained in the ideal of class b?"""
-    (ka, ta), (kb, tb) = a, b
-    if ka == kb:
-        return family != "OR" or ka != m or ta == tb
-    return ka < kb
+def _j_order(green):
+    """The J-order as a boolean matrix: ``below[a, b]`` when J-class a lies
+    in the ideal of J-class b.  That holds for every class of lower rank;
+    at equal rank only for b itself, as only the orthogonal family has two
+    classes of one rank, the half-rank types, and neither holds the other."""
+    ranks = np.array([k for k, _ in green.j_meta])
+    return (ranks[:, None] < ranks) | np.eye(len(ranks), dtype=bool)
 
 
 def _is_absorbing(moves, mask):
@@ -197,61 +197,46 @@ def _is_absorbing(moves, mask):
 
 
 def enumerate_ideals(universe, green=None):
-    """Every nonempty down-closed union of J-classes, verified absorbing.
+    """Every nonempty down-set of ``_j_order``, verified absorbing.
 
     Absorption is checked on the 2k generator translation rows of
     ``MonoidUniverse.translations`` (``_is_absorbing``), so no product
-    table is built.  Each is named by ``_ideal_kind``.
+    table is built.  Each is named by ``_ideal_name``.
     """
     green = green or green_partition(universe)
     moves = universe.translations()
-    meta = green.j_meta
-    count = len(meta)
-    m = universe.n // 2
+    below = _j_order(green)
+    count = len(below)
     out = []
     for bits in range(1, 2**count):
-        chosen = [c for c in range(count) if bits >> c & 1]
-        down_closed = all(
-            _j_below(meta[other], meta[c], m, universe.family)
-            <= (other in chosen)
-            for c in chosen
-            for other in range(count)
-        )
-        if not down_closed:
-            continue
-        mask = np.isin(green.j_ids, chosen)
-        members = np.flatnonzero(mask)
+        held = (bits >> np.arange(count) & 1).astype(bool)
+        if not np.array_equal(below[:, held].any(axis=1), held):
+            continue  # its down-closure holds more classes
+        chosen, mask = np.flatnonzero(held), held[green.j_ids]
         if not _is_absorbing(moves, mask):
             raise InvariantViolation(
-                f"down-set of J-classes {chosen} is not absorbing in "
+                f"down-set of J-classes {chosen.tolist()} is not absorbing in "
                 f"{universe.family}_{universe.n}"
             )
-        out.append(IdealDescriptor(
-            kind=_ideal_kind(chosen, meta, m, universe),
-            k=_ideal_level(chosen, meta, m, universe),
-            members=tuple(int(i) for i in members),
-        ))
+        kind, k = _ideal_name(green, chosen)
+        out.append(IdealDescriptor(kind, k, tuple(np.flatnonzero(mask).tolist())))
     out.sort(key=lambda d: (d.size, d.kind))
     return out
 
 
-def _ideal_kind(chosen, meta, m, universe):
-    """A down-set holds every J-class of lower rank (``_j_below``), so its
-    top rank names it, and at OR half rank which types it holds there."""
-    top = max(meta[c][0] for c in chosen)
-    at_top = [c for c in chosen if meta[c][0] == top]
-    if universe.family == "OR" and top == m:
-        if len(at_top) == 2:
-            return "union"
-        return "I_m_I" if meta[at_top[0]][1] == TYPE_I else "I_m_II"
-    return "I_k"
-
-
-def _ideal_level(chosen, meta, m, universe):
-    top = max(meta[c][0] for c in chosen)
-    if universe.family == "OR" and top == m:
-        return None
-    return top
+def _ideal_name(green, chosen):
+    """The (kind, k) of the down-set of J-classes ``chosen``.  It holds
+    every class of lower rank, so its top rank k names it, "I_k"; at OR
+    half rank the types it holds there do, "I_m_I", "I_m_II" or both,
+    "union", with k None."""
+    meta = [green.j_meta[c] for c in chosen]
+    top = max(k for k, _ in meta)
+    types = [t for k, t in meta if k == top]
+    if not types[0]:
+        return "I_k", top
+    if len(types) == 2:
+        return "union", None
+    return f"I_m_{types[0]}", None
 
 
 def h_coordinate(elem):
@@ -302,12 +287,8 @@ def apply_mu(sigma, mu):
 
 def j_order_dot(green):
     """DOT digraph of the J-class order (edges are covering relations)."""
-    meta = green.j_meta
-    m = green.universe.n // 2
-    family = green.universe.family
-    below = [[a != b and _j_below(meta[a], meta[b], m, family) for b in range(len(meta))]
-             for a in range(len(meta))]
-    labels = [f"rank {k}" + (f" type {t}" if t else "") for k, t in meta]
+    below = _j_order(green) & ~np.eye(len(green.j_meta), dtype=bool)
+    labels = [f"rank {k}" + (f" type {t}" if t else "") for k, t in green.j_meta]
     return _hasse_dot("j_order", "j", labels, below)
 
 

@@ -133,18 +133,16 @@ def test_congruences_verify_budget(capsys, monkeypatch):
         assert "RCL_BUDGET_ELEMENTS" in err
 
 
-def test_verify_family_r_refuses_before_the_lattice(capsys, monkeypatch):
-    """R has no predicted families: verify says so before it builds the
-    lattice."""
-    import rookmonoids.families as families
-
-    def boom(universe, **kwargs):
-        raise AssertionError("the lattice was built")
-
-    monkeypatch.setattr(families, "congruence_lattice", boom)
-    for n in ("4", "6"):
-        code, out, err = run_cli(capsys, "congruences", "verify", "--family", "r", "--n", n)
-        assert (code, out, err) == (EXIT_BUDGET, "", "error: no predicted families for family R\n")
+def test_verify_family_r_matches_every_congruence(capsys):
+    """R has Liber's rank families: every congruence of R_2, R_4 and R_6
+    is predicted, and every prediction is found."""
+    for n, size in (("2", 4), ("4", 11), ("6", 17)):
+        code, out, err = run_cli(capsys, "congruences", "verify", "--family", "r",
+                                 "--n", n, "--format", "json")
+        payload = json.loads(out)
+        assert (code, err) == (EXIT_OK, "")
+        assert payload["lattice_size"] == len(payload["matched"]) == size
+        assert payload["predicted_not_found"] == payload["found_not_predicted"] == []
 
 
 @pytest.mark.parametrize("family, digest", [
@@ -232,6 +230,14 @@ def test_output_to_file(tmp_path, capsys):
     assert code == EXIT_OK
     assert out == ""
     assert json.loads(target.read_text())["size"] == 4
+
+
+def test_unwritable_output_path_is_an_argument_error(tmp_path, capsys):
+    missing = tmp_path / "missing" / "elements.json"
+    code, out, err = run_cli(capsys, "elements", "--n", "2", "--out", str(missing))
+    assert (code, out) == (EXIT_BUDGET, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(missing) in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("argv", [

@@ -13,7 +13,10 @@ from rookmonoids import (
     build_eq_special,
     build_eq_type,
     congruence_closure,
+    congruence_lattice,
+    enumerate_ideals,
     enumerate_universe,
+    green_partition,
     is_congruence,
     normal_subgroups,
     predicted_congruences,
@@ -21,7 +24,13 @@ from rookmonoids import (
     verify_classification,
 )
 from rookmonoids.core import image_codes
-from rookmonoids.families import _OR4_UNIT_PAIRS, _as_subgroup, _family_partition, _levels
+from rookmonoids.families import (
+    _OR4_UNIT_PAIRS,
+    _annotate_unmatched,
+    _as_subgroup,
+    _family_partition,
+    _levels,
+)
 
 TRIVIAL_1 = frozenset({(1,)})
 TRIVIAL_2 = frozenset({(1, 2)})
@@ -62,11 +71,11 @@ def test_rank_family_rejects_bad_parameters(or4, or6, sr4, r4):
     not_normal = frozenset({(1, 2, 3), (2, 1, 3)})
     with pytest.raises(ValueError):
         build_eq_N(enumerate_universe("SR", 6), 3, not_normal)
-    # The levels: 1..m-1 on OR, 1..m and n on SR, none on R.
+    # The levels: 1..m-1 on OR, 1..m and n on SR, 1..n on R.
     for universe, accepted, rejected in (
         (or6, (1, 2), (0, 3, 6)),
         (sr4, (1, 2, 4), (0, 3)),
-        (r4, (), range(6)),
+        (r4, (1, 2, 3, 4), (0, 5)),
     ):
         for k in accepted:
             trivial = frozenset({tuple(range(1, k + 1))})
@@ -423,6 +432,52 @@ def test_report_json_shape(or4):
         assert {"classes", "zero_class_kind", "unit_classes"} <= set(entry)
 
 
-def test_predictions_rejected_for_plain_rook_family(r4):
-    with pytest.raises(ValueError):
-        predicted_congruences(r4)
+def test_plain_rook_predictions_are_the_rank_families(r4):
+    """R_4: one rank family for each normal subgroup of S_1, S_2, S_3 and
+    the unit group S_4, plus the universal congruence, all distinct."""
+    preds = predicted_congruences(r4)
+    specs = [s for _, group in preds for s in group]
+    assert {s.tag for s in specs} == {"R_eqN", "universal"}
+    assert sorted(s.k for s in specs if s.k is not None) == [1, 2, 2, 3, 3, 3, 4, 4, 4, 4]
+    assert len(preds) == len(specs) == 11
+
+
+def old_unit_classes(universe, part):
+    """The unit classes in order of their least unit, by a set loop."""
+    out, seen = [], set()
+    for u in sorted(universe.units()):
+        if int(part.ids[u]) not in seen:
+            seen.add(int(part.ids[u]))
+            out.append(part.class_of(u))
+    return out
+
+
+@pytest.mark.parametrize("family, n", [
+    ("OR", 2), ("OR", 4), ("OR", 6), ("SR", 2), ("SR", 4), ("SR", 6), ("R", 2), ("R", 4),
+])
+def test_zero_class_names_match_the_enumerated_ideals(family, n):
+    """Every lattice member's zero class, named from its J-classes, has
+    the kind and k of the enumerated ideal with the same members; the
+    union kind alone decides the tag."""
+    universe = enumerate_universe(family, n)
+    green = green_partition(universe)
+    ideal_by_members = {d.members: d for d in enumerate_ideals(universe, green)}
+    units = set(universe.units())
+    for i, part in enumerate(congruence_lattice(universe)):
+        entry = _annotate_unmatched(universe, part, i, green)
+        ideal = ideal_by_members[tuple(part.class_of(0))]
+        assert (entry["zero_class_kind"], entry["zero_class_k"]) == (ideal.kind, ideal.k)
+        assert entry["unit_classes"] == old_unit_classes(universe, part)
+        old_tag = ideal.kind == "union" and all(set(c) <= units for c in entry["unit_classes"])
+        assert (entry["tag"] == "rees_over_complement_of_units") == old_tag == (ideal.kind == "union")
+
+
+def test_a_zero_class_that_is_not_a_down_set_of_j_classes_is_refused(or4):
+    """Refused: a zero class that splits the rank-1 J-class, and one that
+    is the zero and the units, a union of J-classes but not a down-set."""
+    green = green_partition(or4)
+    for glued in (np.flatnonzero(or4.ranks == 1)[:1], np.flatnonzero(or4.ranks == 4)):
+        ids = np.arange(len(or4))
+        ids[glued] = 0
+        with pytest.raises(InvariantViolation, match="not a down-set of J-classes"):
+            _annotate_unmatched(or4, Partition(or4, ids), 0, green)

@@ -24,7 +24,7 @@ from rookmonoids import (
     principal_twosided,
 )
 from rookmonoids.congruences import _translations
-from rookmonoids.green import _is_absorbing
+from rookmonoids.green import _is_absorbing, _j_order
 
 
 def partition_of(keys):
@@ -256,6 +256,38 @@ def test_j_order_is_a_chain_with_a_half_rank_fork(green_or6):
     half = [c for c, (k, _) in enumerate(meta) if k == 3]
     assert len(half) == 2
     assert {meta[c][1] for c in half} == {"I", "II"}
+
+
+def two_sided_ideal(universe, e):
+    """S·e·S: the column S·e of products, closed under the right
+    translations x -> x·g by the generators."""
+    right = universe.translations()[len(universe.generators()):]
+    reached = np.zeros(len(universe), dtype=bool)
+    frontier = universe._products(np.arange(len(universe)), [e]).ravel()
+    while frontier.size:
+        reached[frontier] = True
+        grown = np.zeros_like(reached)
+        grown[right[:, frontier]] = True
+        frontier = np.flatnonzero(grown & ~reached)
+    return reached
+
+
+@pytest.mark.parametrize("family", ["OR", "SR", "R"])
+@pytest.mark.parametrize("n", [2, 4, 6])
+def test_j_order_matches_brute_force_two_sided_ideals(family, n):
+    """below[a, b] holds exactly when J-class a lies in S·e·S, for e the
+    first member of J-class b, and S·e·S is a union of J-classes."""
+    universe = enumerate_universe(family, n)
+    green = green_partition(universe)
+    below = _j_order(green)
+    count = len(green.j_meta)
+    assert below.shape == (count, count)
+    for b in range(count):
+        ideal = two_sided_ideal(universe, int(np.flatnonzero(green.j_ids == b)[0]))
+        for a in range(count):
+            inside = ideal[green.j_ids == a]
+            assert inside.all() or not inside.any()
+            assert below[a, b] == inside.all()
 
 
 def test_h_class_groups_are_symmetric_groups(or4, or6):
