@@ -9,7 +9,6 @@ from .congruences import (
     DEFAULT_GROUP_LIMIT,
     Partition,
     PermGroup,
-    all_congruences_naive,
     congruence_closure,
     congruence_lattice,
     is_congruence,

@@ -12,10 +12,13 @@ monoid, on both sides, is a congruence, since every element is a product
 of generators.  So a closure runs in rounds over the rows x -> g·x and
 x -> x·g of the generators (``MonoidUniverse.generators``: 5 on OR_6, 4 on
 SR_6): each round merges the generator translates of the pairs
-(l, label of l) whose label changed in the round before.  ``is_congruence``
-checks the same rows.  They come from ``MonoidUniverse.translations``,
-which looks up 2k·N products, so the closures, congruence checks and the
-lattice build no N x N product table; only the naive oracle reads it.
+(l, label of l) whose label changed in the round before.  On a monoid with
+zero each round also grows the zero class to the ideal it generates, read
+off ``MonoidUniverse.j_order``: a zero class is always an ideal, so those
+pairs lie in every congruence holding the pairs so far, and the ideal's
+members need no translation (``_closure_rows``).  ``is_congruence`` checks
+the same rows.  They come from ``MonoidUniverse.translations``, which
+looks up 2k·N products, so nothing here builds an N x N product table.
 
 The lattice enumerator works on inverse monoids, which OR_n, SR_n and R_n
 are: a congruence there is fixed by its kernel and trace, so it is a join
@@ -42,21 +45,10 @@ import operator
 
 import numpy as np
 
-from .core import (TABLE_BLOCK_BYTES, InvariantViolation, ResourceLimitError, _generator_rows,
-                   _locate, _product_codes, image_codes)
+from .core import (TABLE_BLOCK_BYTES, InvariantViolation, ResourceLimitError, _canonical_ids,
+                   _generator_rows, _locate, _product_codes, image_codes)
 
 DEFAULT_GROUP_LIMIT = 10**4
-NAIVE_LATTICE_LIMIT = 9
-
-
-def _canonical_ids(ids):
-    """Renumber class labels by first occurrence, as int32."""
-    ids = np.asarray(ids)
-    _, first, inverse = np.unique(ids, return_index=True, return_inverse=True)
-    order = np.argsort(first, kind="stable")
-    rank = np.empty_like(order)
-    rank[order] = np.arange(order.size)
-    return rank[inverse.ravel()].astype(np.int32)
 
 
 def _least_members(ids):
@@ -102,23 +94,16 @@ def _is_congruence_ids(moves, ids):
     return bool(np.array_equal(labels, labels[:, least]))
 
 
-def _translations(table, gens):
-    """Rows x -> g·x, then rows x -> x·g, for each g in ``gens``, read off
-    a product table: the naive oracle's translation by every element, and
-    the reference for ``MonoidUniverse.translations``."""
-    gens = np.asarray(gens, dtype=np.intp)
-    return np.concatenate([table[gens], table[:, gens].T]).astype(np.intp)
-
-
-def _closure_ids(moves, pairs):
+def _closure_ids(moves, pairs, j_order=None):
     """Least congruence containing the seed pairs, as least-member labels.
 
     ``moves`` holds the generator rows of ``MonoidUniverse.translations``.
     Each round merges the pairs of the round before, then translates every
     pair (l, ids[l]) whose label changed by every generator on both sides;
     those translates are the next round's pairs.  At the end every
-    (l, ids[l]) has been translated with its final label, so the partition
-    is compatible with each generator, hence a congruence.
+    (l, ids[l]) has been translated with its final label, or lies in an
+    ideal inside the zero class (``_closure_rows``), so the partition is
+    compatible with each generator, hence a congruence.
     """
     size = moves.shape[1]
     pairs = np.asarray(pairs).reshape(-1, 2)
@@ -128,59 +113,54 @@ def _closure_ids(moves, pairs):
     if bad.size:
         a, b = pairs[bad[0]].tolist()
         raise ValueError(f"element index pair ({a}, {b}) out of range")
-    return _closure_rows(moves, np.arange(size, dtype=np.intp), pairs[:, 0], pairs[:, 1])
+    return _closure_rows(moves, np.arange(size, dtype=np.intp), pairs[:, 0], pairs[:, 1], j_order)
 
 
-def _closure_rows(moves, ids, u, v):
+def _closure_rows(moves, ids, u, v, j_order=None):
     """The closure rounds of ``_closure_ids``, from the labels ``ids`` and
-    the seed pairs (u[i], v[i]).  Nothing here reads how many elements the
-    algebra has, so ``_principal_ids`` runs it on several label rows laid
-    end to end, with ``moves`` offset to match."""
+    the seed pairs (u[i], v[i]).  ``_principal_ids`` runs it on several
+    label rows laid end to end, with ``moves`` offset to match.
+
+    Given the ``MonoidUniverse.j_order`` of a monoid whose element 0 is its
+    zero, each round also grows every row's zero class to the ideal it
+    generates (Freese, "Computing congruences efficiently", 2008, adds
+    implied pairs during a closure in the same way).  A zero class is an
+    ideal, since x ρ 0 gives s·x·t ρ s·0·t = 0: once it meets a J-class,
+    the down-set I of that class in the J-order lies in it in every
+    congruence that holds the pairs so far.  So the pairs (0, x), x in I,
+    join the next round's pairs, and the result is the same least
+    congruence.  The members of I need no translation: g·x and x·g lie in
+    I, which ends in the zero class with g·0 = 0·g = 0.  An element that
+    joins the zero class outside I is still translated, and its J-class
+    collapses the round after.  A permutation group has no zero and passes
+    no ``j_order``.
+    """
+    if j_order is not None:
+        j_ids, below = j_order
+        size = len(j_ids)
+        done = np.zeros((ids.size // size, len(below)), dtype=bool)  # J-classes collapsed per row
+        collapsed = np.zeros(ids.size, dtype=bool)
     while u.size:
         merged = _merge(ids, u, v)
         moved = np.flatnonzero(merged != ids)
         ids = merged
+        grow = None
+        if j_order is not None:
+            moved = moved[~collapsed[moved]]
+            zero = moved[ids[moved] == moved - moved % size]  # labelled by their row's zero
+            if zero.size:
+                reached = np.zeros_like(done)
+                reached[zero // size, j_ids[zero % size]] = True
+                new = (reached @ below.T) & ~done
+                if new.any():
+                    done |= new
+                    grow = np.flatnonzero(new[:, j_ids])
+                    collapsed[grow] = True
+                    moved = moved[~collapsed[moved]]
         u, v = moves[:, moved].ravel(), moves[:, ids[moved]].ravel()
+        if grow is not None:
+            u, v = np.concatenate([u, grow - grow % size]), np.concatenate([v, grow])
     return ids
-
-
-def _closure_reference(table, pairs):
-    """Plain dict union-find closure; slow, used as a cross-check oracle."""
-    size = len(table)
-    parent = list(range(size))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    work = list(pairs)
-    while work:
-        a, b = work.pop()
-        ra, rb = find(a), find(b)
-        if ra == rb:
-            continue
-        parent[rb] = ra
-        for x in range(size):
-            work.append((table[x][a], table[x][b]))
-            work.append((table[a][x], table[b][x]))
-    return _canonical_ids([find(x) for x in range(size)])
-
-
-def _set_partitions(size):
-    """All set partitions of range(size) as restricted-growth id vectors."""
-    ids = [0] * size
-
-    def rec(i, maxid):
-        if i == size:
-            yield np.array(ids, dtype=np.int32)
-            return
-        for c in range(maxid + 2):
-            ids[i] = c
-            yield from rec(i + 1, max(maxid, c))
-
-    yield from rec(1, 0) if size else iter([np.zeros(0, np.int32)])
 
 
 class Partition:
@@ -289,8 +269,9 @@ def is_congruence(universe, partition):
 
 def congruence_closure(universe, pairs):
     """Least congruence of the universe containing the given index pairs,
-    closed over ``MonoidUniverse.translations``; no product table is built."""
-    return Partition(universe, _closure_ids(universe.translations(), list(pairs)))
+    closed over ``MonoidUniverse.translations`` with the zero class grown
+    along ``MonoidUniverse.j_order``; no product table is built."""
+    return Partition(universe, _closure_ids(universe.translations(), list(pairs), universe.j_order))
 
 
 def join(p, q):
@@ -367,7 +348,7 @@ def _kernel_trace_seeds(universe):
     return _orbit_minima(codes, size, moves[units], moves[len(gens) + units])
 
 
-def _principal_ids(moves, seeds):
+def _principal_ids(moves, seeds, j_order=None):
     """The distinct principal congruences of the seed pairs, as a dict from
     label bytes to least-member labels, in the order of first appearance.
 
@@ -388,13 +369,13 @@ def _principal_ids(moves, seeds):
         block = seeds[start:start + rows]
         shift, width = offsets[:len(block)], len(block) * size
         ids = _closure_rows(tiled[:, :width], np.arange(width, dtype=np.intp),
-                            block[:, 0] + shift, block[:, 1] + shift)
+                            block[:, 0] + shift, block[:, 1] + shift, j_order)
         for row in ids.reshape(len(block), size) - shift[:, None]:
             found.setdefault(row.tobytes(), row)
     return found
 
 
-def _lattice_ids(moves, seeds):
+def _lattice_ids(moves, seeds, j_order=None):
     """Every congruence of the algebra whose generator translations are the
     rows of ``moves``, as least-member labels in no particular order.
 
@@ -405,7 +386,7 @@ def _lattice_ids(moves, seeds):
     of a finite algebra is a join of principal ones.
     """
     size = moves.shape[1]
-    principal = _principal_ids(moves, seeds)
+    principal = _principal_ids(moves, seeds, j_order)
     distinct = dict(principal)
     for ids in (np.arange(size, dtype=np.intp), np.zeros(size, dtype=np.intp)):
         distinct.setdefault(ids.tobytes(), ids)
@@ -439,25 +420,8 @@ def congruence_lattice(universe):
     within the element budget that ``enumerate_universe`` checked.
     """
     seeds = _kernel_trace_seeds(universe)
-    parts = [Partition(universe, ids) for ids in _lattice_ids(universe.translations(), seeds)]
-    parts.sort(key=lambda p: (-p.num_classes, p.key))
-    return parts
-
-
-def all_congruences_naive(universe):
-    """Independent oracle: filter every set partition for compatibility."""
-    size = len(universe)
-    if size > NAIVE_LATTICE_LIMIT:
-        raise ResourceLimitError(
-            f"naive congruence filter over {size} elements exceeds {NAIVE_LATTICE_LIMIT}"
-        )
-    # Translation by every element, so the filter does not rely on generators().
-    moves = _translations(universe.multiplication_table(), np.arange(size))
-    parts = [
-        Partition(universe, ids)
-        for ids in _set_partitions(size)
-        if _is_congruence_ids(moves, ids)
-    ]
+    moves = universe.translations()
+    parts = [Partition(universe, ids) for ids in _lattice_ids(moves, seeds, universe.j_order)]
     parts.sort(key=lambda p: (-p.num_classes, p.key))
     return parts
 

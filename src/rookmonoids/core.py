@@ -347,6 +347,16 @@ def _locate(sorted_codes, codes):
     return pos, sorted_codes[pos] == codes
 
 
+def _canonical_ids(ids):
+    """Renumber class labels by first occurrence, as int32."""
+    ids = np.asarray(ids)
+    _, first, inverse = np.unique(ids, return_index=True, return_inverse=True)
+    order = np.argsort(first, kind="stable")
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    return rank[inverse.ravel()].astype(np.int32)
+
+
 def _generator_rows(products, scan, identity):
     """Generators picked greedily from the element indices ``scan``, and
     their 2k x N rows x -> g·x, then x -> x·g, as read-only intp indices.
@@ -467,8 +477,8 @@ class MonoidUniverse:
     "II" at rank n/2 of OR, else "") and ``h_coords``, each ``h_coordinate``
     padded with zeros.  Lookups use ``searchsorted`` in the sorted image
     codes; ``elements`` builds ``PartialInjection`` objects on first use.
-    ``generators``, ``translations``, ``multiplication_table`` and
-    ``unit_group`` are computed on first use and cached.
+    ``generators``, ``translations``, ``multiplication_table``, ``j_order``
+    and ``unit_group`` are computed on first use and cached.
     The constructor checks the matrix; instances are immutable after it."""
 
     def __init__(self, family, n, image_matrix):
@@ -628,6 +638,22 @@ class MonoidUniverse:
 
     def units(self):
         return list(self._units)
+
+    @functools.cached_property
+    def j_order(self):
+        """The J-classes and their order, as read-only ``(j_ids, below)``.
+
+        ``j_ids`` gives each element's J-class, its rank plus, at OR half
+        rank, its type, numbered by first member.  ``below[a, b]`` when
+        class a lies in the ideal of class b: every class of lower rank,
+        and b itself, since only OR has two classes of one rank, the
+        half-rank types, and neither holds the other."""
+        j_ids = _canonical_ids(self.ranks * 2 + (self.mtypes == TYPE_II))
+        ranks = self.ranks[np.unique(j_ids, return_index=True)[1]]
+        below = (ranks[:, None] < ranks) | np.eye(len(ranks), dtype=bool)
+        j_ids.setflags(write=False)
+        below.setflags(write=False)
+        return j_ids, below
 
     @functools.cached_property
     def unit_group(self):

@@ -28,7 +28,7 @@ from .congruences import (
     symmetric_group,
 )
 from .core import InvariantViolation, PartialInjection, TYPE_I, TYPE_II
-from .green import _ideal_name, _j_order, green_partition
+from .green import _ideal_name, green_partition
 
 @dataclass(frozen=True)
 class FamilySpec:
@@ -269,7 +269,7 @@ class ClassificationReport:
 
 def _annotate_unmatched(universe, part, lattice_index, green):
     """Describe a lattice member no family predicted.  Its zero class is an
-    ideal, so a down-set of J-classes in ``_j_order``, named by
+    ideal, so a down-set of J-classes in ``MonoidUniverse.j_order``, named by
     ``_ideal_name``; the tag marks the Rees quotients by the union ideal,
     which holds every non-unit."""
     zero = part.ids == part.ids[0]
@@ -277,7 +277,7 @@ def _annotate_unmatched(universe, part, lattice_index, green):
     held[green.j_ids[zero]] = True
     # The order is reflexive, so this down-closure of the zero class's
     # J-classes equals the zero class exactly when it is a down-set of them.
-    if not np.array_equal(_j_order(green)[:, held].any(axis=1)[green.j_ids], zero):
+    if not np.array_equal(universe.j_order[1][:, held].any(axis=1)[green.j_ids], zero):
         raise InvariantViolation(
             f"the zero class of lattice member {lattice_index} is not a down-set of J-classes"
         )

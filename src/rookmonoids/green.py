@@ -8,9 +8,10 @@ their answer by brute force and assert the characterization before
 returning it.  They look up one row or column of products, and a
 two-sided ideal closes it under the generator rows of
 ``MonoidUniverse.translations``, so no product table is built.  The
-J-order is one boolean matrix, ``_j_order``: the ideals are its down-sets
+J-classes and the J-order come from ``MonoidUniverse.j_order``, which the
+closure engine reads too: the ideals are its down-sets
 (``enumerate_ideals``), each named by ``_ideal_name``, and the two-sided
-check and the DOT drawing read it too.
+check and the DOT drawing read it as well.
 ``MonoidUniverse.h_coords`` holds each ``h_coordinate``.
 """
 
@@ -21,8 +22,8 @@ from math import comb, factorial
 
 import numpy as np
 
-from .congruences import PermGroup, _canonical_ids, _hasse_dot
-from .core import InvariantViolation, PartialInjection, TYPE_II, is_idempotent
+from .congruences import PermGroup, _hasse_dot
+from .core import InvariantViolation, PartialInjection, _canonical_ids, is_idempotent
 
 
 @dataclass
@@ -61,7 +62,7 @@ class GreenData:
 def green_partition(universe):
     """Compute the Green class structure of a universe."""
     ranks, dom, img = universe.ranks, universe.dom_masks, universe.img_masks
-    j_ids = _canonical_ids(ranks * 2 + (universe.mtypes == TYPE_II))
+    j_ids = universe.j_order[0]
     firsts = np.unique(j_ids, return_index=True)[1]
     return GreenData(
         universe=universe,
@@ -101,7 +102,7 @@ def principal_left(universe, idx):
 
 def principal_twosided(universe, idx):
     """S*sigma*S by brute force, asserted equal to the ideal of sigma's
-    J-class in ``_j_order``.
+    J-class in ``MonoidUniverse.j_order``.
 
     S*sigma is closed under the rows x -> x·g of ``translations``: every
     element of S is a product of generators.
@@ -117,9 +118,8 @@ def principal_twosided(universe, idx):
         new[right[:, frontier]] = True
         frontier = np.flatnonzero(new & ~reached)
     brute = frozenset(np.flatnonzero(reached).tolist())
-    green = green_partition(universe)
-    j = green.j_ids
-    characterized = frozenset(np.flatnonzero(_j_order(green)[j, j[idx]]).tolist())
+    j, below = universe.j_order
+    characterized = frozenset(np.flatnonzero(below[j, j[idx]]).tolist())
     if brute != characterized:
         raise InvariantViolation(
             f"two-sided ideal of element {idx} disagrees with the J-order"
@@ -180,15 +180,6 @@ class IdealDescriptor:
         return len(self.members)
 
 
-def _j_order(green):
-    """The J-order as a boolean matrix: ``below[a, b]`` when J-class a lies
-    in the ideal of J-class b.  That holds for every class of lower rank;
-    at equal rank only for b itself, as only the orthogonal family has two
-    classes of one rank, the half-rank types, and neither holds the other."""
-    ranks = np.array([k for k, _ in green.j_meta])
-    return (ranks[:, None] < ranks) | np.eye(len(ranks), dtype=bool)
-
-
 def _is_absorbing(moves, mask):
     """True when the set ``mask`` is a two-sided ideal, given the rows
     ``moves`` of left and right translation by each generator: closure
@@ -197,7 +188,7 @@ def _is_absorbing(moves, mask):
 
 
 def enumerate_ideals(universe, green=None):
-    """Every nonempty down-set of ``_j_order``, verified absorbing.
+    """Every nonempty down-set of ``MonoidUniverse.j_order``, verified absorbing.
 
     Absorption is checked on the 2k generator translation rows of
     ``MonoidUniverse.translations`` (``_is_absorbing``), so no product
@@ -205,7 +196,7 @@ def enumerate_ideals(universe, green=None):
     """
     green = green or green_partition(universe)
     moves = universe.translations()
-    below = _j_order(green)
+    below = universe.j_order[1]
     count = len(below)
     out = []
     for bits in range(1, 2**count):
@@ -287,7 +278,7 @@ def apply_mu(sigma, mu):
 
 def j_order_dot(green):
     """DOT digraph of the J-class order (edges are covering relations)."""
-    below = _j_order(green) & ~np.eye(len(green.j_meta), dtype=bool)
+    below = green.universe.j_order[1] & ~np.eye(len(green.j_meta), dtype=bool)
     labels = [f"rank {k}" + (f" type {t}" if t else "") for k, t in green.j_meta]
     return _hasse_dot("j_order", "j", labels, below)
 

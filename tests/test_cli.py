@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from rookmonoids.cli import EXIT_BUDGET, EXIT_OK, main
+from rookmonoids.core import element_limit
 
 
 def run_cli(capsys, *argv):
@@ -148,10 +149,12 @@ def test_verify_family_r_matches_every_congruence(capsys):
 @pytest.mark.parametrize("family, digest", [
     ("or", "b9e11962b61414de594326edf4a1c7eebc97bcf1bc9823a3183253557f35cf2b"),
     ("sr", "87c3afd97cc465ab1e44a5a304ad8b75ee78cde7e295d90a3ae9f706eca7a0a3"),
+    ("r", "7fab8a5b0271b50cc091db9cf846e247d7562157004a52faa8af7c140bd64987"),
 ])
 def test_degree_6_verify_json_is_pinned(capsys, family, digest):
-    """The sha256 of the degree-6 classification reports, as recorded
-    before the lattice engine closed seeds in row blocks."""
+    """The sha256 of the degree-6 classification reports, the OR and SR
+    ones as recorded before the lattice engine closed seeds in row blocks,
+    the R one before the closures grew zero classes to their ideals."""
     code, out, _ = run_cli(capsys, "congruences", "verify", "--family", family,
                            "--n", "6", "--format", "json")
     assert code == EXIT_OK
@@ -188,6 +191,23 @@ def test_degree_8_verify_json_is_pinned(capsys, family, counts, digest):
     assert (payload["lattice_size"], len(payload["matched"]), len(payload["predicted_not_found"]),
             len(payload["found_not_predicted"])) == counts
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.skipif(element_limit() < 322_021,
+                    reason="degree 10 needs RCL_BUDGET_ELEMENTS of at least 322,021, the size of SR_10")
+@pytest.mark.parametrize("family, counts", [
+    ("or", (30, 26, 0, 4)),
+    ("sr", (23, 23, 0, 0)),
+])
+def test_degree_10_verify_counts(capsys, family, counts):
+    """The degree-10 classification reports: lattice size, matched,
+    predicted but not found, and found but not predicted."""
+    code, out, _ = run_cli(capsys, "congruences", "verify", "--family", family,
+                           "--n", "10", "--format", "json")
+    assert code == EXIT_OK
+    payload = json.loads(out)
+    assert (payload["lattice_size"], len(payload["matched"]), len(payload["predicted_not_found"]),
+            len(payload["found_not_predicted"])) == counts
 
 
 def test_lattice_of_r6(capsys):

@@ -11,7 +11,6 @@ from rookmonoids import (
     Partition,
     PermGroup,
     ResourceLimitError,
-    all_congruences_naive,
     congruence_closure,
     congruence_lattice,
     enumerate_ideals,
@@ -31,16 +30,16 @@ from rookmonoids import (
 from rookmonoids import congruences
 from rookmonoids.congruences import (
     _closure_ids,
-    _closure_reference,
     _is_congruence_ids,
     _kernel_trace_seeds,
     _lattice_ids,
     _principal_ids,
-    _set_partitions,
-    _translations,
 )
 from rookmonoids.core import InvariantViolation, MonoidUniverse, invert
 from rookmonoids.families import predicted_congruences
+
+from oracles import (all_congruences_naive, closure_reference, plain_closure, set_partitions,
+                     table_translations)
 
 
 def lattice_keys(parts):
@@ -57,7 +56,7 @@ def reference_principal():
         key = (universe.family, universe.n, pair)
         if key not in memo:
             listed = universe.multiplication_table().tolist()
-            memo[key] = _closure_reference(listed, [pair])
+            memo[key] = closure_reference(listed, [pair])
         return memo[key]
 
     return principal
@@ -150,13 +149,76 @@ def test_fast_closure_agrees_with_reference(or2, sr2, or4, sr4, reference_princi
                 for _ in range(rng.randint(1, 3))
             ]
             fast = congruence_closure(universe, seeds).ids
-            assert np.array_equal(fast, _closure_reference(listed, seeds)), seeds
+            assert np.array_equal(fast, closure_reference(listed, seeds)), seeds
 
 
 @pytest.mark.parametrize("pair", [(0, 37), (-1, 0), (0.5, 1)])
 def test_congruence_closure_rejects_bad_pairs(or4, pair):
     with pytest.raises(ValueError):
         congruence_closure(or4, [pair])
+
+
+def stratified_pairs(universe, seed, per_stratum=8):
+    """Element pairs i < j drawn from the seed, the same number per rank
+    stratum, a pair's stratum being the larger rank of its two elements:
+    low-rank pairs, half-rank pairs and pairs with a unit all appear."""
+    ranks = universe.ranks.astype(np.int64)
+    iu, ju = np.triu_indices(ranks.size, k=1)
+    top = np.maximum(ranks[iu], ranks[ju])
+    rng = np.random.default_rng(seed)
+    picks = []
+    for stratum in np.unique(top):
+        members = np.flatnonzero(top == stratum)
+        picks.extend(rng.choice(members, min(per_stratum, members.size), replace=False))
+    return [(int(iu[k]), int(ju[k])) for k in picks]
+
+
+@pytest.mark.parametrize("name", ["or6", "sr6"])
+def test_ideal_collapse_agrees_with_the_plain_rounds_on_stratified_pairs(name, request):
+    """The closure that grows each zero class to its ideal against the plain
+    closure rounds, on the pairs of three seeds drawn per rank stratum."""
+    universe = request.getfixturevalue(name)
+    moves = universe.translations()
+    for seed in range(3):
+        for pair in stratified_pairs(universe, seed):
+            plain = Partition(universe, plain_closure(moves, [pair]))
+            assert congruence_closure(universe, [pair]) == plain, pair
+
+
+@pytest.mark.parametrize("name", ["r4", "or6", "sr6"])
+def test_ideal_collapse_agrees_with_the_plain_rounds_on_kernel_trace_seeds(name, request):
+    """Every kernel–trace seed, closed alone and in the lattice's row blocks,
+    where each row collapses to its own zero."""
+    universe = request.getfixturevalue(name)
+    moves = universe.translations()
+    seeds = _kernel_trace_seeds(universe)
+    expected = {}
+    for pair in seeds.tolist():
+        plain = plain_closure(moves, [pair])
+        assert congruence_closure(universe, [pair]) == Partition(universe, plain), pair
+        expected.setdefault(plain.tobytes(), plain)
+    assert list(_principal_ids(moves, seeds, universe.j_order)) == list(expected)
+
+
+def test_ideal_collapse_cuts_the_closure_rounds(or6, monkeypatch):
+    """The zero class reaches its ideal in one round instead of one round
+    per step down the J-order: the seed-0 stratified pairs of OR_6 take 297
+    rounds without the collapse and fewer than half of that with it."""
+    merges = []
+    merge = congruences._merge
+
+    def counted(*args):
+        merges.append(args)
+        return merge(*args)
+
+    monkeypatch.setattr(congruences, "_merge", counted)
+    moves, pairs = or6.translations(), stratified_pairs(or6, 0)
+    for pair in pairs:
+        _closure_ids(moves, [pair])
+    plain, merges[:] = len(merges), []
+    for pair in pairs:
+        _closure_ids(moves, [pair], or6.j_order)
+    assert plain == 297 and len(merges) < plain / 2
 
 
 def orbit_seeds(table, units):
@@ -206,8 +268,8 @@ def test_orbit_seed_closures_cover_every_principal_congruence(
 @pytest.mark.parametrize("name", ["or4", "sr4", "r4", "or6", "sr6"])
 def test_block_closures_match_one_seed_at_a_time(name, rows, request, monkeypatch):
     """``_principal_ids`` closes seeds in blocks of label rows laid end to
-    end; it must give the per-seed ``_closure_ids`` results, first
-    appearances in seed order.  ``rows`` shrinks the block budget to 1 row
+    end, with and without the zero-class collapse; it must give the
+    per-seed ``_closure_ids`` results, first appearances in seed order.  ``rows`` shrinks the block budget to 1 row
     per block, or to 5 with a partial last block; None keeps the default."""
     universe = request.getfixturevalue(name)
     moves = universe.translations()
@@ -220,10 +282,11 @@ def test_block_closures_match_one_seed_at_a_time(name, rows, request, monkeypatc
     for pair in seeds:
         ids = _closure_ids(moves, [pair])
         expected.setdefault(ids.tobytes(), ids)
-    found = _principal_ids(moves, seeds)
-    assert list(found) == list(expected)
-    for key, ids in found.items():
-        assert ids.dtype == np.intp and ids.tobytes() == key
+    for j_order in (None, universe.j_order):
+        found = _principal_ids(moves, seeds, j_order)
+        assert list(found) == list(expected)
+        for key, ids in found.items():
+            assert ids.dtype == np.intp and ids.tobytes() == key
 
 
 @pytest.mark.parametrize("family, n", [
@@ -372,10 +435,10 @@ def test_lattice_and_principal_ideals_need_no_product_table(family):
 
 def test_lattice_of_toy_two_element_monoid():
     table = np.array([[0, 0], [0, 1]], dtype=np.int32)
-    moves = _translations(table, [0, 1])
+    moves = table_translations(table, [0, 1])
     found = {
         ids.tobytes()
-        for ids in _set_partitions(2)
+        for ids in set_partitions(2)
         if _is_congruence_ids(moves, ids)
     }
     assert len(found) == 2
@@ -416,7 +479,7 @@ def test_is_congruence_agrees_with_all_products(or4, sr4, or6, sr6):
                     ids = part.ids.copy()
                     ids[b] = ids[a]
                     rejected += not agrees_with_all_products(Partition(universe, ids))
-        moves = _translations(universe.multiplication_table(), universe.generators())
+        moves = table_translations(universe.multiplication_table(), universe.generators())
         half = len(moves) // 2
         for rows in (moves[:half], moves[half:]):
             for _ in range(5):
@@ -428,7 +491,7 @@ def test_is_congruence_agrees_with_all_products(or4, sr4, or6, sr6):
 def test_set_partition_generator_counts():
     # Bell numbers 1, 1, 2, 5, 15, 52, 203, 877
     for size, bell in [(1, 1), (2, 2), (3, 5), (4, 15), (5, 52), (6, 203), (7, 877)]:
-        assert sum(1 for _ in _set_partitions(size)) == bell
+        assert sum(1 for _ in set_partitions(size)) == bell
 
 
 def test_lattice_matches_naive_filter_at_degree_2(or2, sr2):
