@@ -326,11 +326,13 @@ def verify_classification(universe):
         if part.key not in pred_by_key
     ]
 
-    notes = [
-        "typed families are built with the zero class equal to everything of "
-        "rank < m plus the opposite-type half-rank stratum; the named type "
-        "splits into subgroup orbits inside H-classes and units stay singletons",
-    ]
+    notes = []
+    if universe.family == "OR":  # only OR has typed families
+        notes.append(
+            "typed families are built with the zero class equal to everything of "
+            "rank < m plus the opposite-type half-rank stratum; the named type "
+            "splits into subgroup orbits inside H-classes and units stay singletons"
+        )
     single_class = [p for p in lattice if p.num_classes == 1]
     if len(single_class) != 1:
         notes.append(

@@ -148,13 +148,13 @@ def test_verify_family_r_matches_every_congruence(capsys):
 
 @pytest.mark.parametrize("family, digest", [
     ("or", "b9e11962b61414de594326edf4a1c7eebc97bcf1bc9823a3183253557f35cf2b"),
-    ("sr", "87c3afd97cc465ab1e44a5a304ad8b75ee78cde7e295d90a3ae9f706eca7a0a3"),
-    ("r", "7fab8a5b0271b50cc091db9cf846e247d7562157004a52faa8af7c140bd64987"),
+    ("sr", "662d48cde4bfff317da0705e1eb3a5a6316dd4fbd9d80589a936d1fb6c0ffb54"),
+    ("r", "63eb536a926d7d7f4010849a9cbae10f8f2188b7e1caa57fefe134a8a5b65d94"),
 ])
 def test_degree_6_verify_json_is_pinned(capsys, family, digest):
-    """The sha256 of the degree-6 classification reports, the OR and SR
-    ones as recorded before the lattice engine closed seeds in row blocks,
-    the R one before the closures grew zero classes to their ideals."""
+    """The sha256 of the degree-6 classification reports: the OR one as
+    recorded before the lattice engine closed seeds in row blocks, the SR
+    and R ones since OR's typed-families note left their reports."""
     code, out, _ = run_cli(capsys, "congruences", "verify", "--family", family,
                            "--n", "6", "--format", "json")
     assert code == EXIT_OK
@@ -178,12 +178,13 @@ def test_predictions_json_is_pinned(capsys, family, n, digest):
 
 @pytest.mark.parametrize("family, counts, digest", [
     ("or", (39, 31, 0, 8), "4c84855702fe0f702b37d1426c788cc752233d7de97494b7c47da9e9b7a8714e"),
-    ("sr", (22, 22, 0, 0), "4b37fdca40d59839ec72b65a39bbf3511912daf6412176db88fd95565d79d6cd"),
+    ("sr", (22, 22, 0, 0), "560a402a4cc8c818015ae8ee3942c2b03d488f51e2aec7d89487a910bb21c6b5"),
 ], ids=["or", "sr"])
 def test_degree_8_verify_json_is_pinned(capsys, family, counts, digest):
     """The degree-8 classification reports: lattice size, matched,
     predicted but not found, and found but not predicted, and the sha256
-    of the JSON, the OR_8 one as recorded with the G×G orbit seeds."""
+    of the JSON, the OR_8 one as recorded with the G×G orbit seeds, the
+    SR_8 one since OR's typed-families note left SR's report."""
     code, out, _ = run_cli(capsys, "congruences", "verify", "--family", family,
                            "--n", "8", "--format", "json")
     assert code == EXIT_OK

@@ -432,6 +432,14 @@ def test_report_json_shape(or4):
         assert {"classes", "zero_class_kind", "unit_classes"} <= set(entry)
 
 
+def test_typed_families_note_is_reported_for_or_only(or4, sr4, r4):
+    """Only OR has typed families, so only its report describes them."""
+    for universe, typed in ((or4, True), (sr4, False), (r4, False)):
+        notes = verify_classification(universe).notes
+        assert any(note.startswith("typed families") for note in notes) == typed
+        assert "the only single-class lattice member is the universal congruence" in notes
+
+
 def test_plain_rook_predictions_are_the_rank_families(r4):
     """R_4: one rank family for each normal subgroup of S_1, S_2, S_3 and
     the unit group S_4, plus the universal congruence, all distinct."""
