@@ -354,7 +354,8 @@ def _principal_ids(moves, seeds, j_order=None):
 
     A block of R seeds closes at once: its R label rows lie end to end, row
     r offset by r·N, and so do the generator rows, so no class crosses two
-    rows and one set of ``_closure_rows`` rounds closes all R.  R is as
+    rows and one set of ``_closure_rows`` rounds closes all R, each row
+    growing its own zero class when ``j_order`` is given.  R is as
     large as ``TABLE_BLOCK_BYTES`` allows for the offset rows and one label
     row each: every seed of OR_4 at once, 22 on OR_6, one on OR_8.
     """
@@ -379,7 +380,8 @@ def _lattice_ids(moves, seeds, j_order=None):
     """Every congruence of the algebra whose generator translations are the
     rows of ``moves``, as least-member labels in no particular order.
 
-    Closes the seed pairs (``_principal_ids``), adds the identity and the
+    Closes the seed pairs (``_principal_ids``, with ``j_order`` when the
+    algebra is a monoid with zero), adds the identity and the
     universal partition, and joins each member with the principal
     congruences until nothing new appears.  When the seeds reach every
     principal congruence this is the whole lattice, since every congruence
@@ -414,8 +416,9 @@ def congruence_lattice(universe):
     """Every congruence of the universe, canonically sorted (finest first).
 
     ``_lattice_ids`` closes one kernel or trace pair per unit-conjugation
-    orbit (``_kernel_trace_seeds``) over the generator rows and joins the
-    principal congruences; no product table is built.  Output is
+    orbit (``_kernel_trace_seeds``) over the generator rows, growing zero
+    classes along ``MonoidUniverse.j_order``, and joins the principal
+    congruences; no product table is built.  Output is
     deterministic.  There is no budget here: the universe is already
     within the element budget that ``enumerate_universe`` checked.
     """

