@@ -130,10 +130,11 @@ def _closure_rows(moves, ids, u, v, j_order=None):
     congruence that holds the pairs so far.  So the pairs (0, x), x in I,
     join the next round's pairs, and the result is the same least
     congruence.  The members of I need no translation: g·x and x·g lie in
-    I, which ends in the zero class with g·0 = 0·g = 0.  An element that
-    joins the zero class outside I is still translated, and its J-class
-    collapses the round after.  A permutation group has no zero and passes
-    no ``j_order``.
+    I, which ends in the zero class with g·0 = 0·g = 0.  Every element that
+    joins the zero class, through a seed, a translate or a collapse pair
+    that pulls its whole class in, has its own J-class in the down-set
+    collapsed that round, so no member of the zero class is translated.  A
+    permutation group has no zero and passes no ``j_order``.
     """
     if j_order is not None:
         j_ids, below = j_order
