@@ -9,7 +9,8 @@ itself is gated by ``DEFAULT_TABLE_LIMIT``.
 import numpy as np
 
 from rookmonoids import Partition, ResourceLimitError
-from rookmonoids.congruences import _canonical_ids, _is_congruence_ids, _merge
+from rookmonoids.congruences import _is_congruence_ids, _merge
+from rookmonoids.core import _canonical_ids
 
 NAIVE_LATTICE_LIMIT = 9
 
