@@ -12,9 +12,9 @@ monoid, on both sides, is a congruence, since every element is a product
 of generators.  So a closure runs in rounds over the rows x -> g·x and
 x -> x·g of the generators (``MonoidUniverse.generators``: 5 on OR_6, 4 on
 SR_6): each round merges the generator translates of the pairs
-(l, label of l) whose label changed in the round before.  On a monoid with
-zero each round also grows the zero class to the ideal it generates, read
-off ``MonoidUniverse.j_order``: a zero class is always an ideal, so those
+(l, label of l) whose label changed in the round before.  On a whole
+OR_n, SR_n or R_n each round also grows the zero class to the ideal it
+generates, read off ``MonoidUniverse.j_order``: a zero class is always an ideal, so those
 pairs lie in every congruence holding the pairs so far, and the ideal's
 members need no translation (``_closure_rows``).  ``is_congruence`` checks
 the same rows.  They come from ``MonoidUniverse.translations``, which
@@ -268,11 +268,18 @@ def is_congruence(universe, partition):
     return _is_congruence_ids(universe.translations(), partition.ids)
 
 
+def _zero_order(universe):
+    """``MonoidUniverse.j_order`` for the zero-class collapse on the whole
+    family; None on a submonoid, whose J-classes ranks do not give."""
+    return universe.j_order if universe._whole_family else None
+
+
 def congruence_closure(universe, pairs):
     """Least congruence of the universe containing the given index pairs,
     closed over ``MonoidUniverse.translations`` with the zero class grown
-    along ``MonoidUniverse.j_order``; no product table is built."""
-    return Partition(universe, _closure_ids(universe.translations(), list(pairs), universe.j_order))
+    along ``_zero_order``; no product table is built."""
+    moves = universe.translations()
+    return Partition(universe, _closure_ids(moves, list(pairs), _zero_order(universe)))
 
 
 def join(p, q):
@@ -418,14 +425,14 @@ def congruence_lattice(universe):
 
     ``_lattice_ids`` closes one kernel or trace pair per unit-conjugation
     orbit (``_kernel_trace_seeds``) over the generator rows, growing zero
-    classes along ``MonoidUniverse.j_order``, and joins the principal
+    classes along ``_zero_order``, and joins the principal
     congruences; no product table is built.  Output is
     deterministic.  There is no budget here: the universe is already
     within the element budget that ``enumerate_universe`` checked.
     """
     seeds = _kernel_trace_seeds(universe)
     moves = universe.translations()
-    parts = [Partition(universe, ids) for ids in _lattice_ids(moves, seeds, universe.j_order)]
+    parts = [Partition(universe, ids) for ids in _lattice_ids(moves, seeds, _zero_order(universe))]
     parts.sort(key=lambda p: (-p.num_classes, p.key))
     return parts
 

@@ -647,13 +647,20 @@ class MonoidUniverse:
         rank, its type, numbered by first member.  ``below[a, b]`` when
         class a lies in the ideal of class b: every class of lower rank,
         and b itself, since only OR has two classes of one rank, the
-        half-rank types, and neither holds the other."""
+        half-rank types, and neither holds the other.  This rule is the
+        J-order of the whole family (``_whole_family``), not of a submonoid."""
         j_ids = _canonical_ids(self.ranks * 2 + (self.mtypes == TYPE_II))
         ranks = self.ranks[np.unique(j_ids, return_index=True)[1]]
         below = (ranks[:, None] < ranks) | np.eye(len(ranks), dtype=bool)
         j_ids.setflags(write=False)
         below.setflags(write=False)
         return j_ids, below
+
+    @functools.cached_property
+    def _whole_family(self):
+        """True when the elements are every member of the family."""
+        return (len(self) == predicted_size(self.family, self.n)
+                and bool(_member_mask(self.family, self.image_matrix).all()))
 
     @functools.cached_property
     def unit_group(self):

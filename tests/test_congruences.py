@@ -345,6 +345,34 @@ def test_kernel_trace_seeds_refuse_a_monoid_that_is_not_inverse():
         congruence_lattice(universe)
 
 
+@pytest.mark.parametrize("family", ["OR", "R"])
+def test_closures_of_a_submonoid_agree_with_the_oracles(family):
+    """{0, 1, e1 = [1, 0], e2 = [0, 2]} is the whole of OR_2, where e1 and
+    e2 are J-classes of two half-rank types, neither below the other.  As
+    a submonoid of R_2 it has the same J-classes, but the rank rule of
+    ``j_order`` would put e1 and e2 in one, so a zero class that meets e1
+    must not take in e2 there.  Every principal closure and the lattice
+    match the product-table oracles under both names."""
+    universe = MonoidUniverse(family, 2, np.array([[0, 0], [1, 2], [1, 0], [0, 2]]))
+    assert universe._whole_family == (family == "OR")
+    assert congruence_closure(universe, [(0, 2)]).classes() == [[0, 2], [1], [3]]
+    listed = universe.multiplication_table().tolist()
+    for pair in itertools.combinations(range(len(universe)), 2):
+        fast = congruence_closure(universe, [pair]).ids
+        assert np.array_equal(fast, closure_reference(listed, [pair])), pair
+    assert lattice_keys(congruence_lattice(universe)) == lattice_keys(
+        all_congruences_naive(universe)
+    )
+
+
+def test_a_monoid_the_size_of_its_family_is_not_taken_for_it():
+    """{0, 1, [1, 0], [0, 1]} has the four elements of OR_2, but [0, 1]
+    maps a point of type II to one of type I, so it is not OR_2."""
+    universe = MonoidUniverse("OR", 2, np.array([[0, 0], [1, 2], [1, 0], [0, 1]]))
+    assert not universe._whole_family
+    assert enumerate_universe("OR", 2)._whole_family
+
+
 def test_normal_subgroups_of_the_one_element_group():
     """S_1 has no conjugacy class but the identity's, so its lattice runs
     on zero generator rows."""
