@@ -31,10 +31,11 @@ rounds per block (``_principal_ids``).  Every congruence of a finite monoid
 is a join of principal ones, so each lattice member is then joined with
 the principal congruences only, in one merge per member over the member
 tiled once per principal congruence, until nothing new appears
-(``_lattice_ids``).  The same engine lists the normal subgroups of a
-permutation group, as the identity classes of its congruences, from the
-same orbit step (``_orbit_minima``) and generator rows, and keeps each
-congruence as the subgroup's coset labels; a group stores no Cayley table.
+(``_lattice_ids``), each principal one checked to be a congruence first.
+The same engine lists the normal subgroups of a permutation group, as the
+identity classes of its congruences, from the same orbit step
+(``_orbit_minima``) and generator rows, and keeps each congruence as the
+subgroup's coset labels; a group stores no Cayley table.
 """
 
 from __future__ import annotations
@@ -393,10 +394,21 @@ def _lattice_ids(moves, seeds, j_order=None):
     universal partition, and joins each member with the principal
     congruences until nothing new appears.  When the seeds reach every
     principal congruence this is the whole lattice, since every congruence
-    of a finite algebra is a join of principal ones.
+    of a finite algebra is a join of principal ones.  Each principal closure
+    is checked to be a congruence first: joins of congruences stay in the
+    finite lattice, but joins of closures that are not can be exponentially
+    many, so a broken closure raises ``InvariantViolation`` here instead of
+    filling memory.
     """
     size = moves.shape[1]
     principal = _principal_ids(moves, seeds, j_order)
+    for ids in principal.values():
+        # Least-member labels: compatible when each element moves as its label does.
+        moved = ids[moves]
+        if not np.array_equal(moved, moved[:, ids]):
+            raise InvariantViolation(
+                f"the closure of a seed pair, with {len(np.unique(ids))} classes, is not a congruence"
+            )
     distinct = dict(principal)
     for ids in (np.arange(size, dtype=np.intp), np.zeros(size, dtype=np.intp)):
         distinct.setdefault(ids.tobytes(), ids)

@@ -14,6 +14,11 @@ monoid families live on top of that combinatorics:
 
 A universe (``MonoidUniverse``) is stored once, as an (N, n) image matrix
 that ``enumerate_universe`` builds in numpy, one rank stratum at a time.
+Below full rank a member is a bijection between two admissible sets, and a
+unit of SR or OR a permutation commuting with the mirror map, so each
+stratum is built from those sets and signed permutations, and every row is
+a member by construction; the tests check each stratum against listing
+every arrangement and filtering it with ``_member_mask``.
 ``PartialInjection`` is the single-element type and the tests' oracle.
 """
 
@@ -434,22 +439,65 @@ def _member_mask(family, image_matrix):
     return keep
 
 
+def _arrangements(sets):
+    """Every arrangement of each row of ``sets``, a (count, k) matrix of
+    k-sets, as one (count * k!, k) uint8 matrix in lexicographic order."""
+    k = sets.shape[1]
+    perms = np.array(list(itertools.permutations(range(k))), dtype=np.intp).reshape(-1, k)
+    rows = sets[:, perms].reshape(-1, k)
+    return rows[np.lexsort(rows.T[::-1])].astype(np.uint8)
+
+
+def _units(family, n):
+    """The units of SR_n or OR_n in lexicographic order: the permutations
+    that commute with the mirror map, sending 1..m to one point of each
+    mirror pair, in any order and on either side, and the mirror points to
+    the mirrors, σ(n+1-i) = n+1-σ(i).  OR keeps the even ones, which send
+    evenly many of 1..m across the middle (``_member_mask``)."""
+    m = n // 2
+    pairs = np.array(list(itertools.permutations(range(1, m + 1))), dtype=np.uint8)
+    sides = np.array(list(itertools.product((False, True), repeat=m)), dtype=bool)
+    first = np.where(sides, n + 1 - pairs[:, None], pairs[:, None]).reshape(-1, m)
+    units = np.concatenate([first, (n + 1 - first)[:, ::-1]], axis=1)
+    if family == "OR":
+        units = units[_member_mask(family, units)]
+    return units[np.lexsort(units.T[::-1])]
+
+
 def _stratum(family, n, k):
     """The rank-k members in canonical order, as rows of an image matrix:
-    the domain sets (admissible unless the family is R) in lexicographic
-    order, each with every arrangement of k images in lexicographic order,
-    filtered by one membership mask."""
-    sets = list(itertools.combinations(range(1, n + 1), k) if family == "R"
-                else admissible_subsets(n, k))
-    if not sets:
-        return np.zeros((0, n), dtype=np.uint8)
-    sets = np.array(sets, dtype=np.intp)
-    arranged = np.array(list(itertools.permutations(range(1, n + 1), k)), dtype=np.uint8)
-    block = np.zeros((len(sets), len(arranged), n), dtype=np.uint8)
-    for t in range(k):
-        block[np.arange(len(sets)), :, sets[:, t] - 1] = arranged[:, t]
-    block = block.reshape(-1, n)
-    return block[_member_mask(family, block)]
+    the domain sets in lexicographic order, each with the arrangements of
+    its image sets in lexicographic order.  Every row is a member by
+    construction, and no candidate is filtered, except OR's odd units.
+
+    On R every k-set is a domain and an image set, so the arrangements are
+    ``itertools.permutations`` of the n letters, already in order.  On SR
+    and OR both are the admissible k-sets, and at OR half rank a domain
+    takes the arrangements of the image sets of its own parity type only.
+    The units of SR and OR come from ``_units``.  The tests check every
+    stratum against generating all arrangements and filtering them with
+    ``_member_mask``."""
+    if family == "R":
+        sets = np.array(list(itertools.combinations(range(1, n + 1), k)), dtype=np.intp)
+        kinds = np.zeros(len(sets), dtype=np.intp)
+        arrangements = [np.array(list(itertools.permutations(range(1, n + 1), k)), dtype=np.uint8)]
+    elif k == n:
+        return _units(family, n)
+    else:
+        sets = np.array(admissible_subsets(n, k), dtype=np.intp).reshape(-1, k)
+        if not len(sets):
+            return np.zeros((0, n), dtype=np.uint8)
+        # The parity type of a set counts its points above m; only OR's
+        # half rank pairs domains and image sets by it.
+        typed = family == "OR" and k == n // 2
+        kinds = np.count_nonzero(sets > n // 2, axis=1) % 2 if typed else np.zeros(len(sets), np.intp)
+        arrangements = [_arrangements(sets[kinds == kind]) for kind in range(kinds.max() + 1)]
+    block = np.zeros((len(sets), len(arrangements[0]), n), dtype=np.uint8)
+    for kind, arranged in enumerate(arrangements):
+        doms = np.flatnonzero(kinds == kind)
+        for t in range(k):
+            block[doms, :, sets[doms, t] - 1] = arranged[:, t]
+    return block.reshape(-1, n)
 
 
 def predicted_size(family, n):
@@ -648,7 +696,13 @@ class MonoidUniverse:
         class a lies in the ideal of class b: every class of lower rank,
         and b itself, since only OR has two classes of one rank, the
         half-rank types, and neither holds the other.  This rule is the
-        J-order of the whole family (``_whole_family``), not of a submonoid."""
+        J-order of the whole family (``_whole_family``), not of a submonoid,
+        so on any other universe this raises ``ValueError``."""
+        if not self._whole_family:
+            raise ValueError(
+                f"the J-order is read off the rank rule of the whole {self.family}_{self.n},"
+                " and this universe is not all of it"
+            )
         j_ids = _canonical_ids(self.ranks * 2 + (self.mtypes == TYPE_II))
         ranks = self.ranks[np.unique(j_ids, return_index=True)[1]]
         below = (ranks[:, None] < ranks) | np.eye(len(ranks), dtype=bool)
@@ -658,7 +712,8 @@ class MonoidUniverse:
 
     @functools.cached_property
     def _whole_family(self):
-        """True when the elements are every member of the family."""
+        """True when the elements are every member of the family;
+        ``enumerate_universe`` records it without this check."""
         return (len(self) == predicted_size(self.family, self.n)
                 and bool(_member_mask(self.family, self.image_matrix).all()))
 
@@ -678,11 +733,12 @@ class MonoidUniverse:
 
 def enumerate_universe(family, n, *, limit=None):
     """Build a full monoid universe in canonical order: the zero map, the
-    identity, then the rank strata of ``_stratum``, each one numpy block
-    filtered by a vectorized membership mask.  So enumeration alone checks
-    membership; the count is checked against the closed-form size, and
-    closure under products by the first ``translations`` call (which
-    ``multiplication_table`` makes)."""
+    identity, then the rank strata of ``_stratum``, whose rows are members
+    by construction.  The budget is checked before any stratum is built,
+    the count against the closed-form size after, and closure under
+    products by the first ``translations`` call (which
+    ``multiplication_table`` makes).  Members only, as many as the family
+    has: so the universe records that it is the whole family."""
     fam = _family(family)
     _check_degree(n)
     size = predicted_size(fam, n)
@@ -699,7 +755,9 @@ def enumerate_universe(family, n, *, limit=None):
         raise InvariantViolation(
             f"enumerated {len(images)} elements of {fam}_{n}, expected {size}"
         )
-    return MonoidUniverse(fam, n, images)
+    universe = MonoidUniverse(fam, n, images)
+    universe._whole_family = True
+    return universe
 
 
 # -- serialization -----------------------------------------------------------

@@ -60,7 +60,9 @@ class GreenData:
 
 
 def green_partition(universe):
-    """Compute the Green class structure of a universe."""
+    """Compute the Green class structure of a universe.  The J-classes come
+    from ``MonoidUniverse.j_order``, so a universe that is not a whole
+    family raises ``ValueError``."""
     ranks, dom, img = universe.ranks, universe.dom_masks, universe.img_masks
     j_ids = universe.j_order[0]
     firsts = np.unique(j_ids, return_index=True)[1]
@@ -190,7 +192,9 @@ def _is_absorbing(moves, mask):
 def enumerate_ideals(universe, green=None):
     """Every nonempty down-set of ``MonoidUniverse.j_order``, verified absorbing.
 
-    Absorption is checked on the 2k generator translation rows of
+    Every subset of the J-classes is tested at once: it is a down-set when
+    no class below one of its members lies outside it.  Absorption is
+    checked on the 2k generator translation rows of
     ``MonoidUniverse.translations`` (``_is_absorbing``), so no product
     table is built.  Each is named by ``_ideal_name``.
     """
@@ -198,11 +202,11 @@ def enumerate_ideals(universe, green=None):
     moves = universe.translations()
     below = universe.j_order[1]
     count = len(below)
+    subsets = (np.arange(1, 2**count)[:, None] >> np.arange(count) & 1).astype(bool)
+    # escapes[s, a, b]: class b is in subset s, and a is below b but not in s.
+    escapes = subsets[:, None, :] & below & ~subsets[:, :, None]
     out = []
-    for bits in range(1, 2**count):
-        held = (bits >> np.arange(count) & 1).astype(bool)
-        if not np.array_equal(below[:, held].any(axis=1), held):
-            continue  # its down-closure holds more classes
+    for held in subsets[~escapes.any(axis=(1, 2))]:
         chosen, mask = np.flatnonzero(held), held[green.j_ids]
         if not _is_absorbing(moves, mask):
             raise InvariantViolation(

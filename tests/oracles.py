@@ -1,18 +1,40 @@
 """Slow, independent oracles that the tests check the engine against.
 
-None of these is used by the library.  Each reads a product table or runs
-the plain closure rounds, so they stay small: the naive lattice filter
-refuses over ``NAIVE_LATTICE_LIMIT`` elements, and the product table
-itself is gated by ``DEFAULT_TABLE_LIMIT``.
+None of these is used by the library.  Each reads a product table, runs
+the plain closure rounds or lists every candidate of a rank stratum, so
+they stay small: the naive lattice filter refuses over
+``NAIVE_LATTICE_LIMIT`` elements, and the product table itself is gated by
+``DEFAULT_TABLE_LIMIT``.
 """
+
+import itertools
 
 import numpy as np
 
-from rookmonoids import Partition, ResourceLimitError
+from rookmonoids import Partition, ResourceLimitError, admissible_subsets
 from rookmonoids.congruences import _is_congruence_ids, _merge
-from rookmonoids.core import _canonical_ids
+from rookmonoids.core import _canonical_ids, _member_mask
 
 NAIVE_LATTICE_LIMIT = 9
+
+
+def filtered_stratum(family, n, k):
+    """The rank-k members in canonical order, by generate and filter: the
+    domain sets (admissible unless the family is R) in lexicographic
+    order, each with every arrangement of k of the n letters in
+    lexicographic order, filtered by one membership mask.  At k = n this
+    lists all n! permutations, so it stays below degree 10."""
+    sets = list(itertools.combinations(range(1, n + 1), k) if family == "R"
+                else admissible_subsets(n, k))
+    if not sets:
+        return np.zeros((0, n), dtype=np.uint8)
+    sets = np.array(sets, dtype=np.intp)
+    arranged = np.array(list(itertools.permutations(range(1, n + 1), k)), dtype=np.uint8)
+    block = np.zeros((len(sets), len(arranged), n), dtype=np.uint8)
+    for t in range(k):
+        block[np.arange(len(sets)), :, sets[:, t] - 1] = arranged[:, t]
+    block = block.reshape(-1, n)
+    return block[_member_mask(family, block)]
 
 
 def table_translations(table, gens):

@@ -196,19 +196,22 @@ def test_degree_8_verify_json_is_pinned(capsys, family, counts, digest):
 
 @pytest.mark.skipif(element_limit() < 322_021,
                     reason="degree 10 needs RCL_BUDGET_ELEMENTS of at least 322,021, the size of SR_10")
-@pytest.mark.parametrize("family, counts", [
-    ("or", (30, 26, 0, 4)),
-    ("sr", (23, 23, 0, 0)),
+@pytest.mark.parametrize("family, counts, digest", [
+    ("or", (30, 26, 0, 4), "a482f2ba5f601c5b488628d23845b97ef435208cfb439c1b243bc312c9b2616c"),
+    ("sr", (23, 23, 0, 0), "5bad79dc840deeab2b8afeb699fd28d2519f15ca94dbdb2b0868aca056052f6d"),
 ], ids=["or", "sr"])
-def test_degree_10_verify_counts(capsys, family, counts):
+def test_degree_10_verify_counts(capsys, family, counts, digest):
     """The degree-10 classification reports: lattice size, matched,
-    predicted but not found, and found but not predicted."""
+    predicted but not found, and found but not predicted, and the sha256
+    of the JSON, as recorded when the units were still filtered from all
+    10! permutations."""
     code, out, _ = run_cli(capsys, "congruences", "verify", "--family", family,
                            "--n", "10", "--format", "json")
     assert code == EXIT_OK
     payload = json.loads(out)
     assert (payload["lattice_size"], len(payload["matched"]), len(payload["predicted_not_found"]),
             len(payload["found_not_predicted"])) == counts
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_lattice_of_r6(capsys):

@@ -337,6 +337,19 @@ def test_kernel_trace_seeds_are_one_pair_per_conjugation_orbit(family, n, count)
     assert [tuple(p) for p in seeds.tolist()] == sorted(orbits)
 
 
+def test_lattice_refuses_a_principal_closure_that_is_not_a_congruence(or4, monkeypatch):
+    """Joins of equivalences that are not congruences need not stay in the
+    lattice and can be exponentially many, so the lattice checks each
+    principal closure before joining: here one that relates the identity
+    to element 2 and nothing else."""
+    broken = np.arange(len(or4))
+    broken[2] = 1
+    monkeypatch.setattr(congruences, "_principal_ids",
+                        lambda moves, seeds, j_order=None: {broken.tobytes(): broken})
+    with pytest.raises(InvariantViolation, match=f"with {len(or4) - 1} classes, is not a congruence"):
+        congruence_lattice(or4)
+
+
 def test_kernel_trace_seeds_refuse_a_monoid_that_is_not_inverse():
     """{0, 1, x} with x: 1 -> 2 is a monoid of partial injections, but the
     reverse map of x is not in it, so the kernel–trace argument fails."""

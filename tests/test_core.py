@@ -29,9 +29,16 @@ from rookmonoids import (
     type_of,
     zero_map,
 )
-from rookmonoids.core import TABLE_BLOCK_BYTES, _locate, _member_mask, _product_codes, image_codes
+from rookmonoids.core import (
+    TABLE_BLOCK_BYTES,
+    _locate,
+    _member_mask,
+    _product_codes,
+    _stratum,
+    image_codes,
+)
 
-from oracles import table_translations
+from oracles import filtered_stratum, table_translations
 
 
 def table_by_lookup(universe, rows=None):
@@ -341,6 +348,20 @@ def reference_universe(family, n):
 def test_image_matrix_matches_the_object_enumeration(family, n):
     expected = [list(e.images) for e in reference_universe(family, n)]
     assert enumerate_universe(family, n).image_matrix.tolist() == expected
+
+
+@pytest.mark.parametrize("family, n", [
+    *((family, n) for family in ("OR", "SR") for n in (2, 4, 6, 8)),
+    ("R", 2), ("R", 4), ("R", 6),
+])
+def test_strata_match_the_filter_oracle(family, n):
+    """Every rank stratum, built from the admissible image sets and the
+    signed permutations, is byte for byte the stratum that listing every
+    arrangement and filtering it with ``_member_mask`` gives."""
+    for k in range(1, n + 1):
+        built, expected = _stratum(family, n, k), filtered_stratum(family, n, k)
+        assert built.dtype == expected.dtype and built.shape == expected.shape, k
+        assert built.tobytes() == expected.tobytes(), k
 
 
 @pytest.mark.parametrize("n", [2, 4, 6])

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from rookmonoids import (
+    MonoidUniverse,
     PartialInjection,
     admissible_subsets,
     apply_mu,
@@ -206,6 +207,23 @@ def test_ideals_sr4(sr4):
     assert [d.size for d in ideals] == [1, 17, 49, 57]
 
 
+@pytest.mark.parametrize("name", ["or2", "or4", "sr4", "r4", "or6", "sr6", "sr8"])
+def test_ideals_are_the_subsets_equal_to_their_down_closure(name, request):
+    """``enumerate_ideals`` tests every subset of J-classes at once; a loop
+    over the subsets, keeping each that equals its own down-closure, finds
+    the same down-sets."""
+    universe = request.getfixturevalue(name)
+    j_ids, below = universe.j_order
+    expected = set()
+    for bits in range(1, 2 ** len(below)):
+        held = (bits >> np.arange(len(below)) & 1).astype(bool)
+        if np.array_equal(below[:, held].any(axis=1), held):
+            expected.add(tuple(np.flatnonzero(held[j_ids]).tolist()))
+    ideals = enumerate_ideals(universe)
+    assert len(ideals) == len(expected)
+    assert {d.members for d in ideals} == expected
+
+
 def test_every_ideal_is_absorbing_and_generated_sets_are_ideals(or4):
     table = or4.multiplication_table()
     ideals = enumerate_ideals(or4)
@@ -289,6 +307,22 @@ def test_j_order_matches_brute_force_two_sided_ideals(family, n):
             inside = ideal[green.j_ids == a]
             assert inside.all() or not inside.any()
             assert below[a, b] == inside.all()
+
+
+def test_j_order_refuses_a_universe_that_is_not_the_whole_family():
+    """{0, 1, e1 = [1, 0], e2 = [0, 2]} as a submonoid of R_2: neither of
+    e1 and e2 lies in the other's two-sided ideal, so they are two
+    J-classes, but the rank rule of ``j_order`` would make them one.  So
+    ``j_order``, and the Green structure that reads it, refuse it.  The
+    same four images are the whole of OR_2, where the rule holds."""
+    images = np.array([[0, 0], [1, 2], [1, 0], [0, 2]])
+    submonoid = MonoidUniverse("R", 2, images)
+    assert np.flatnonzero(two_sided_ideal(submonoid, 2)).tolist() == [0, 2]
+    assert np.flatnonzero(two_sided_ideal(submonoid, 3)).tolist() == [0, 3]
+    for read in (lambda u: u.j_order, green_partition, enumerate_ideals):
+        with pytest.raises(ValueError, match="R_2, and this universe is not all of it"):
+            read(submonoid)
+    assert green_partition(MonoidUniverse("OR", 2, images)).j_ids.tolist() == [0, 1, 2, 3]
 
 
 def test_h_class_groups_are_symmetric_groups(or4, or6):
