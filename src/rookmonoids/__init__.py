@@ -16,8 +16,6 @@ from .congruences import (
     lattice_to_dot,
     normal_subgroups,
     partition_from_json,
-    perm_inv,
-    perm_mul,
     symmetric_group,
 )
 from .core import (
@@ -45,7 +43,6 @@ from .core import (
     is_admissible,
     is_idempotent,
     is_member,
-    maps_admissible_sets,
     parse_element_text,
     predicted_size,
     theta,
@@ -66,7 +63,6 @@ from .families import (
 from .green import (
     GreenData,
     IdealDescriptor,
-    apply_mu,
     class_count_formulas,
     enumerate_ideals,
     green_partition,

@@ -474,18 +474,6 @@ def lattice_to_dot(partitions):
 
 # -- permutation groups ------------------------------------------------------
 
-def perm_mul(p, q):
-    """p after q, both tuples of 1-based images."""
-    return tuple(p[x - 1] for x in q)
-
-
-def perm_inv(p):
-    out = [0] * len(p)
-    for i, v in enumerate(p, start=1):
-        out[v - 1] = i
-    return tuple(out)
-
-
 class PermGroup:
     """A finite permutation group on {1..degree}: ``perms``, the sorted,
     read-only (order, degree) array of 1-based images (the identity is row

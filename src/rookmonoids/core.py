@@ -293,19 +293,6 @@ def is_member(family, f):
     return True
 
 
-def maps_admissible_sets(f):
-    """Slow full-rank characterization: every admissible subset is carried
-    to an admissible subset.  Equivalent to the mirror-commuting test."""
-    n = f.n
-    if f.rank != n:
-        raise ValueError("only defined for full-rank maps")
-    for k in range(n // 2 + 1):
-        for a in admissible_subsets(n, k):
-            if not is_admissible(n, [f.images[p - 1] for p in a]):
-                return False
-    return True
-
-
 def conjugation_escape_witness(n=8):
     """A full-rank OR member sigma and a permutation s whose conjugate
     s^-1 sigma s falls outside SR.  The pattern needs n >= 6."""

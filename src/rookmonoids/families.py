@@ -7,11 +7,17 @@ into their H-classes and, inside each, into the cosets of a normal subgroup
 of the H-class group, and everything else stays singleton.  A normal
 subgroup is given by its coset labels, the congruence on the group that
 ``normal_subgroups`` computed; each member reads the label of its
-H-coordinate, and a whole H-class is the full group's one coset.  The
+H-coordinate, and a whole H-class is the full group's one coset.  Work
+that depends only on a split stratum, the lookup of its H-coordinates in
+the group and an id base per H-class, is done once per (group, mask) in a
+``strata`` memo that ``predicted_congruences`` shares across its families;
+each family then sets its ids by arithmetic.  The
 public ``build_eq_*`` functions only check their parameters and pick the
 ideal and the splits: a rank stratum at each level of ``_levels``
 (``build_eq_N``), per-type variants at half rank on OR, and, at degree 4
-only, two OR congruences that also pair up the four units.
+only, two OR congruences that also pair up the four units.  Each takes
+an optional ``strata`` dict, to share that memo across calls on one
+universe.
 """
 
 from __future__ import annotations
@@ -64,32 +70,50 @@ _OR4_UNIT_PAIRS = {
 }
 
 
-def _family_partition(universe, zero, splits, unit_pairs=()):
+def _h_split(universe, mask, group):
+    """A split stratum as the builder reads it, for any subgroup of
+    ``group``: the masked members, the positions of their H-coordinates
+    (``h_coords``) among the members of ``group``, and an id base
+    N + h * |group| for each, h the least member of its H-class.  A
+    member's class id is its base plus the coset label at its position: one
+    id per H-class and coset in the whole universe, so the splits of one
+    family never collide, and none below N, where the element indices lie."""
+    members = np.flatnonzero(mask)
+    pos, found = group._indices(universe.h_coords[members, :group.degree])
+    if not found.all():
+        raise InvariantViolation(
+            f"the H-coordinate of element {members[np.argmin(found)]} is not in {group!r}"
+        )
+    codes = universe.dom_masks[members] << universe.n | universe.img_masks[members]
+    _, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
+    h = members[first][inverse.ravel()]  # the least member of each H-class
+    return members, pos, len(universe) + h * len(group)
+
+
+def _family_partition(universe, zero, splits, unit_pairs=(), strata=None):
     """The one shape every predicted family has.
 
     ``zero`` masks the ideal that collapses into the zero class.  Each
     ``(mask, group, labels)`` split cuts the masked elements, of rank k =
     ``group.degree``, into their H-classes and each H-class into the cosets
     of a normal subgroup N of ``group``: members of one H-class are related
-    when their H-coordinates (``h_coords``) lie in one coset of N, read off
-    the coset labels of ``_as_subgroup``.  ``unit_pairs`` lists element
-    pairs merged on top.  Everything else stays singleton.  The result is
-    checked to be a congruence before it is returned.
+    when their H-coordinates lie in one coset of N, read off the coset
+    labels of ``_as_subgroup`` at the positions ``_h_split`` found, so a
+    member's id is plain arithmetic.  ``strata``, a dict that calls on one
+    universe may share, keeps each ``_h_split`` under its (group, mask):
+    ``predicted_congruences`` looks each stratum up once.  ``unit_pairs``
+    lists element pairs merged on top.  Everything else stays singleton.
+    The result is checked to be a congruence before it is returned.
     """
+    strata = {} if strata is None else strata
     ids = np.arange(len(universe), dtype=np.int64)
     ids[zero] = 0  # the zero map, element 0, lies in every ideal
     for mask, group, labels in splits:
-        members = np.flatnonzero(mask)
-        pos, found = group._indices(universe.h_coords[members, :group.degree])
-        if not found.all():
-            raise InvariantViolation(
-                f"the H-coordinate of element {members[np.argmin(found)]} is not in {group!r}"
-            )
-        keys = [universe.dom_masks[members], universe.img_masks[members], labels[pos]]
-        # One void scalar per row of int64 keys: a 1-D unique groups the rows.
-        rows = np.column_stack(keys).view(np.dtype((np.void, 8 * len(keys)))).ravel()
-        _, first, inverse = np.unique(rows, return_index=True, return_inverse=True)
-        ids[members] = members[first][inverse.ravel()]
+        key = (group, mask.tobytes())
+        if key not in strata:
+            strata[key] = _h_split(universe, mask, group)
+        members, pos, base = strata[key]
+        ids[members] = base + labels[pos]
     for a, b in unit_pairs:
         ids[ids == ids[b]] = ids[a]
     part = Partition(universe, ids)
@@ -111,7 +135,7 @@ def _levels(universe):
     return levels
 
 
-def build_eq_N(universe, k, subgroup):
+def build_eq_N(universe, k, subgroup, *, strata=None):
     """Rank-k family, k a level of ``_levels``: one class below rank k,
     the cosets of the normal subgroup inside each rank-k H-class,
     singletons above."""
@@ -122,10 +146,10 @@ def build_eq_N(universe, k, subgroup):
         )
     group, ranks = levels[k], universe.ranks
     split = (ranks == k, group, _as_subgroup(group, subgroup))
-    return _family_partition(universe, ranks < k, [split])
+    return _family_partition(universe, ranks < k, [split], strata=strata)
 
 
-def build_eq_N1N2(universe, sub1, sub2):
+def build_eq_N1N2(universe, sub1, sub2, *, strata=None):
     """Half-rank family on OR: one class below rank m, per-type subgroup
     orbits at rank m, unit singletons."""
     _require_family(universe, "OR")
@@ -135,10 +159,10 @@ def build_eq_N1N2(universe, sub1, sub2):
         (universe.mtypes == TYPE_I, parent, _as_subgroup(parent, sub1)),
         (universe.mtypes == TYPE_II, parent, _as_subgroup(parent, sub2)),
     ]
-    return _family_partition(universe, universe.ranks < m, splits)
+    return _family_partition(universe, universe.ranks < m, splits, strata=strata)
 
 
-def build_eq_type(universe, variant, subgroup):
+def build_eq_type(universe, variant, subgroup, *, strata=None):
     """Typed half-rank family on OR: the zero class swallows everything of
     rank < m plus the whole opposite-type stratum; the named type splits
     into subgroup orbits; units stay singletons."""
@@ -150,10 +174,10 @@ def build_eq_type(universe, variant, subgroup):
     split = (universe.mtypes == variant, parent, _as_subgroup(parent, subgroup))
     other = TYPE_II if variant == TYPE_I else TYPE_I
     zero = (universe.ranks < m) | (universe.mtypes == other)
-    return _family_partition(universe, zero, [split])
+    return _family_partition(universe, zero, [split], strata=strata)
 
 
-def build_eq_special(universe, which):
+def build_eq_special(universe, which, *, strata=None):
     """The two degree-4 specials on OR: units pair up, one half-rank type
     collapses into the zero class, the other splits into full H-classes."""
     _require_family(universe, "OR")
@@ -169,7 +193,7 @@ def build_eq_special(universe, which):
     ]
     s2 = symmetric_group(2)  # one coset: whole H-classes
     split = (universe.mtypes == kept, s2, _as_subgroup(s2, s2))
-    return _family_partition(universe, zero, [split], unit_pairs)
+    return _family_partition(universe, zero, [split], unit_pairs, strata)
 
 
 def _labelled(parent):
@@ -210,14 +234,16 @@ def _is_even(p):
 
 def predicted_congruences(universe):
     """Instantiate every family over every admissible parameter, plus the
-    universal partition; dedupe by partition, keeping all specs."""
+    universal partition; dedupe by partition, keeping all specs.  The
+    families share one ``strata`` memo, so each split stratum's
+    H-coordinates are looked up once per call."""
     m = universe.n // 2
-    pairs = []
+    pairs, strata = [], {}
     for k, parent in _levels(universe).items():
         for label, sub in _labelled(parent):
             pairs.append((
                 FamilySpec(f"{universe.family}_eqN", k=k, n_label=label),
-                build_eq_N(universe, k, sub),
+                build_eq_N(universe, k, sub, strata=strata),
             ))
     if universe.family == "OR":
         sm = _labelled(symmetric_group(m))
@@ -225,17 +251,17 @@ def predicted_congruences(universe):
             for label2, sub2 in sm:
                 pairs.append((
                     FamilySpec("OR_eqN1N2", n1_label=label1, n2_label=label2),
-                    build_eq_N1N2(universe, sub1, sub2),
+                    build_eq_N1N2(universe, sub1, sub2, strata=strata),
                 ))
         for variant, tag in ((TYPE_I, "OR_eqI"), (TYPE_II, "OR_eqII")):
             for label, sub in sm:
                 pairs.append((
                     FamilySpec(tag, k=m, n_label=label),
-                    build_eq_type(universe, variant, sub),
+                    build_eq_type(universe, variant, sub, strata=strata),
                 ))
         if universe.n == 4:
-            pairs.append((FamilySpec("OR_eq1"), build_eq_special(universe, 1)))
-            pairs.append((FamilySpec("OR_eq2"), build_eq_special(universe, 2)))
+            pairs.append((FamilySpec("OR_eq1"), build_eq_special(universe, 1, strata=strata)))
+            pairs.append((FamilySpec("OR_eq2"), build_eq_special(universe, 2, strata=strata)))
     pairs.append((FamilySpec("universal"), Partition.universal(universe)))
 
     by_key = {}

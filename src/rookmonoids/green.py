@@ -266,20 +266,6 @@ def h_class_group(universe, idx):
     return group, bijection
 
 
-def apply_mu(sigma, mu):
-    """Permute the image letters of sigma: with domain a_1 < ... < a_k and
-    b_i = sigma(a_i), the result sends a_i to b_mu(i)."""
-    points = sigma.domain()
-    if len(mu) != len(points):
-        raise ValueError(
-            f"permutation of size {len(mu)} cannot act on rank {len(points)}"
-        )
-    letters = [sigma.images[p - 1] for p in points]
-    return PartialInjection.from_pairs(
-        sigma.n, ((p, letters[mu[i] - 1]) for i, p in enumerate(points))
-    )
-
-
 def j_order_dot(green):
     """DOT digraph of the J-class order (edges are covering relations)."""
     below = green.universe.j_order[1] & ~np.eye(len(green.j_meta), dtype=bool)

@@ -1,8 +1,9 @@
 """Slow, independent oracles that the tests check the engine against.
 
-None of these is used by the library.  Each reads a product table, runs
-the plain closure rounds or lists every candidate of a rank stratum, so
-they stay small: the naive lattice filter refuses over
+None of these is used by the library.  Some act on one permutation or
+one map at a time.  The others read a product table, run the plain closure
+rounds, list every candidate of a rank stratum or build each family on its
+own, so they stay small: the naive lattice filter refuses over
 ``NAIVE_LATTICE_LIMIT`` elements, and the product table itself is gated by
 ``DEFAULT_TABLE_LIMIT``.
 """
@@ -11,11 +12,51 @@ import itertools
 
 import numpy as np
 
-from rookmonoids import Partition, ResourceLimitError, admissible_subsets
+from rookmonoids import (InvariantViolation, PartialInjection, Partition, ResourceLimitError,
+                         admissible_subsets, is_admissible, is_congruence)
 from rookmonoids.congruences import _is_congruence_ids, _merge
 from rookmonoids.core import _canonical_ids, _member_mask
 
 NAIVE_LATTICE_LIMIT = 9
+
+
+def perm_mul(p, q):
+    """p after q, both tuples of 1-based images."""
+    return tuple(p[x - 1] for x in q)
+
+
+def perm_inv(p):
+    out = [0] * len(p)
+    for i, v in enumerate(p, start=1):
+        out[v - 1] = i
+    return tuple(out)
+
+
+def apply_mu(sigma, mu):
+    """Permute the image letters of sigma: with domain a_1 < ... < a_k and
+    b_i = sigma(a_i), the result sends a_i to b_mu(i)."""
+    points = sigma.domain()
+    if len(mu) != len(points):
+        raise ValueError(
+            f"permutation of size {len(mu)} cannot act on rank {len(points)}"
+        )
+    letters = [sigma.images[p - 1] for p in points]
+    return PartialInjection.from_pairs(
+        sigma.n, ((p, letters[mu[i] - 1]) for i, p in enumerate(points))
+    )
+
+
+def maps_admissible_sets(f):
+    """Slow full-rank characterization: every admissible subset is carried
+    to an admissible subset.  Equivalent to the mirror-commuting test."""
+    n = f.n
+    if f.rank != n:
+        raise ValueError("only defined for full-rank maps")
+    for k in range(n // 2 + 1):
+        for a in admissible_subsets(n, k):
+            if not is_admissible(n, [f.images[p - 1] for p in a]):
+                return False
+    return True
 
 
 def filtered_stratum(family, n, k):
@@ -115,3 +156,39 @@ def all_congruences_naive(universe):
     ]
     parts.sort(key=lambda p: (-p.num_classes, p.key))
     return parts
+
+
+def family_partition_reference(universe, zero, splits, unit_pairs=()):
+    """The one shape every predicted family has, built per family: the
+    reference for ``families._family_partition``, which looks each split
+    stratum up once and keys its classes by arithmetic.
+
+    ``zero`` masks the ideal that collapses into the zero class.  Each
+    ``(mask, group, labels)`` split cuts the masked elements, of rank k =
+    ``group.degree``, into their H-classes and each H-class into the cosets
+    of a normal subgroup N of ``group``: members of one H-class are related
+    when their H-coordinates (``h_coords``) lie in one coset of N, read off
+    the coset labels of ``_as_subgroup``.  ``unit_pairs`` lists element
+    pairs merged on top.  Everything else stays singleton.  The result is
+    checked to be a congruence before it is returned.
+    """
+    ids = np.arange(len(universe), dtype=np.int64)
+    ids[zero] = 0  # the zero map, element 0, lies in every ideal
+    for mask, group, labels in splits:
+        members = np.flatnonzero(mask)
+        pos, found = group._indices(universe.h_coords[members, :group.degree])
+        if not found.all():
+            raise InvariantViolation(
+                f"the H-coordinate of element {members[np.argmin(found)]} is not in {group!r}"
+            )
+        keys = [universe.dom_masks[members], universe.img_masks[members], labels[pos]]
+        # One void scalar per row of int64 keys: a 1-D unique groups the rows.
+        rows = np.column_stack(keys).view(np.dtype((np.void, 8 * len(keys)))).ravel()
+        _, first, inverse = np.unique(rows, return_index=True, return_inverse=True)
+        ids[members] = members[first][inverse.ravel()]
+    for a, b in unit_pairs:
+        ids[ids == ids[b]] = ids[a]
+    part = Partition(universe, ids)
+    if not is_congruence(universe, part):
+        raise InvariantViolation("constructed family partition is not a congruence")
+    return part

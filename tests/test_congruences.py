@@ -20,8 +20,6 @@ from rookmonoids import (
     lattice_to_dot,
     normal_subgroups,
     partition_from_json,
-    perm_inv,
-    perm_mul,
     principal_left,
     principal_right,
     principal_twosided,
@@ -38,8 +36,8 @@ from rookmonoids.congruences import (
 from rookmonoids.core import InvariantViolation, MonoidUniverse, invert
 from rookmonoids.families import predicted_congruences
 
-from oracles import (all_congruences_naive, closure_reference, plain_closure, set_partitions,
-                     table_translations)
+from oracles import (all_congruences_naive, closure_reference, perm_inv, perm_mul, plain_closure,
+                     set_partitions, table_translations)
 
 
 def lattice_keys(parts):

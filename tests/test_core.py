@@ -23,7 +23,6 @@ from rookmonoids import (
     is_admissible,
     is_idempotent,
     is_member,
-    maps_admissible_sets,
     predicted_size,
     theta,
     type_of,
@@ -38,7 +37,7 @@ from rookmonoids.core import (
     image_codes,
 )
 
-from oracles import filtered_stratum, table_translations
+from oracles import filtered_stratum, maps_admissible_sets, table_translations
 
 
 def table_by_lookup(universe, rows=None):

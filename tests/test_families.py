@@ -1,3 +1,5 @@
+import hashlib
+import json
 import tracemalloc
 
 import numpy as np
@@ -23,7 +25,8 @@ from rookmonoids import (
     symmetric_group,
     verify_classification,
 )
-from rookmonoids.core import image_codes
+from rookmonoids import families
+from rookmonoids.core import element_limit, image_codes
 from rookmonoids.families import (
     _OR4_UNIT_PAIRS,
     _annotate_unmatched,
@@ -31,6 +34,8 @@ from rookmonoids.families import (
     _family_partition,
     _levels,
 )
+
+from oracles import family_partition_reference
 
 TRIVIAL_1 = frozenset({(1,)})
 TRIVIAL_2 = frozenset({(1, 2)})
@@ -286,6 +291,19 @@ def test_builder_refuses_an_h_coordinate_outside_the_group(or4):
         _family_partition(or4, or4.ranks < 2, [split])
 
 
+def test_a_shared_stratum_memo_keys_by_group_and_mask(or4):
+    """Calls that share ``strata`` look a stratum up again under another
+    group, so a group that does not hold its H-coordinates is still
+    refused after one that does."""
+    strata = {}
+    build_eq_N1N2(or4, FULL_2, TRIVIAL_2, strata=strata)
+    assert len(strata) == 2
+    trivial = PermGroup(2, [(1, 2)])
+    split = (or4.mtypes == "I", trivial, _as_subgroup(trivial, trivial))
+    with pytest.raises(InvariantViolation, match="H-coordinate of element"):
+        _family_partition(or4, or4.ranks < 2, [split], strata=strata)
+
+
 def test_special_congruences_need_degree_four(or6):
     with pytest.raises(ValueError):
         build_eq_special(or6, 1)
@@ -360,6 +378,56 @@ def test_predictions_build_the_unit_group_once(monkeypatch):
     predicted_congruences(sr6)
     assert built == [6]
     assert len(sr6.unit_group) == 48 and built == [6]
+
+
+def test_predictions_look_each_split_stratum_up_once(monkeypatch, or6):
+    """OR_6 has 18 split families over 4 strata: rank 1 with S_1, rank 2
+    with S_2, and the two half-rank types with S_3."""
+    degrees = []
+    indices = PermGroup._indices
+
+    def counting(self, images):
+        degrees.append(self.degree)
+        return indices(self, images)
+
+    monkeypatch.setattr(PermGroup, "_indices", counting)
+    predicted_congruences(or6)
+    assert sorted(degrees) == [1, 2, 3, 3]
+
+
+@pytest.mark.parametrize("family, n", [
+    ("OR", 2), ("OR", 4), ("OR", 6), ("OR", 8), ("SR", 2), ("SR", 4), ("SR", 6), ("SR", 8),
+    ("R", 2), ("R", 4), ("R", 6),
+])
+def test_predictions_match_the_per_family_reference(monkeypatch, family, n):
+    """Every family built from the strata of one call against the same
+    family built on its own, keyed by a void-row unique: the same
+    partitions with the same specs, in the same order."""
+    universe = enumerate_universe(family, n)
+    built = [(part.key, specs) for part, specs in predicted_congruences(universe)]
+    monkeypatch.setattr(
+        families, "_family_partition",
+        lambda universe, zero, splits, unit_pairs=(), strata=None:
+            family_partition_reference(universe, zero, splits, unit_pairs))
+    reference = [(part.key, specs) for part, specs in predicted_congruences(universe)]
+    assert built == reference
+
+
+@pytest.mark.skipif(element_limit() < 1_441_729,
+                    reason="R_8 needs RCL_BUDGET_ELEMENTS of at least 1,441,729, its size")
+def test_r8_predictions_match_liber():
+    """Liber (1953): R_8 has 1 + (1 + 2 + 3 + 4 + 3 + 3 + 3 + 3) = 23
+    congruences, the universal one and one for each normal subgroup of
+    S_k, 1 <= k <= 8.  The predictions are 23 distinct partitions, and the
+    sha256 of their canonical ids and spec JSON is the one recorded when
+    each family was built on its own."""
+    preds = predicted_congruences(enumerate_universe("R", 8))
+    assert len(preds) == 23
+    digest = hashlib.sha256()
+    for part, specs in preds:
+        digest.update(part.ids.astype("<i4").tobytes())
+        digest.update(json.dumps([s.to_json() for s in specs]).encode())
+    assert digest.hexdigest() == "3389d1adc5781ce63aa635d43f4324d7074b7d16ae20a335915800704fae87a7"
 
 
 def test_predicted_congruences_or2(or2):

@@ -9,7 +9,6 @@ from rookmonoids import (
     MonoidUniverse,
     PartialInjection,
     admissible_subsets,
-    apply_mu,
     class_count_formulas,
     enumerate_ideals,
     enumerate_universe,
@@ -19,14 +18,13 @@ from rookmonoids import (
     h_coordinate,
     idempotent_of,
     j_order_dot,
-    perm_mul,
     principal_left,
     principal_right,
     principal_twosided,
 )
 from rookmonoids.green import _is_absorbing
 
-from oracles import table_translations
+from oracles import apply_mu, perm_mul, table_translations
 
 
 def partition_of(keys):
