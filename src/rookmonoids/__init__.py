@@ -70,9 +70,6 @@ from .green import (
     h_class_group,
     h_coordinate,
     j_order_dot,
-    principal_left,
-    principal_right,
-    principal_twosided,
 )
 
 __version__ = "0.1.0"

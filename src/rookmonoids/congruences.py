@@ -31,7 +31,8 @@ rounds per block (``_principal_ids``).  Every congruence of a finite monoid
 is a join of principal ones, so each lattice member is then joined with
 the principal congruences only, in one merge per member over the member
 tiled once per principal congruence, until nothing new appears
-(``_lattice_ids``), each principal one checked to be a congruence first.
+(``_lattice_ids``), each principal one checked to be a congruence first
+by the compatibility test of ``is_congruence`` (``_is_compatible``).
 The same engine lists the normal subgroups of a permutation group, as the
 identity classes of its congruences, from the same orbit step
 (``_orbit_minima``) and generator rows, and keeps each congruence as the
@@ -84,13 +85,10 @@ def _merge(ids, u, v):
     return ids
 
 
-def _is_congruence_ids(moves, ids):
-    """True when the partition ``ids`` is compatible with every translation
-    row of ``moves``: each element moves into the class that the least
-    member of its class moves into."""
-    ids = np.asarray(ids)
-    _, first, inverse = np.unique(ids, return_index=True, return_inverse=True)
-    least = first[inverse.ravel()]
+def _is_compatible(moves, ids, least):
+    """True when the partition with class ids ``ids`` is compatible with
+    every translation row of ``moves``: each element moves into the class
+    that the least member of its class, ``least``, moves into."""
     labels = ids[moves]
     return bool(np.array_equal(labels, labels[:, least]))
 
@@ -266,7 +264,8 @@ def is_congruence(universe, partition):
     """
     if partition.universe is not universe:
         raise ValueError("partition lives on another universe")
-    return _is_congruence_ids(universe.translations(), partition.ids)
+    ids = partition.ids
+    return _is_compatible(universe.translations(), ids, _least_members(ids))
 
 
 def _zero_order(universe):
@@ -403,9 +402,7 @@ def _lattice_ids(moves, seeds, j_order=None):
     size = moves.shape[1]
     principal = _principal_ids(moves, seeds, j_order)
     for ids in principal.values():
-        # Least-member labels: compatible when each element moves as its label does.
-        moved = ids[moves]
-        if not np.array_equal(moved, moved[:, ids]):
+        if not _is_compatible(moves, ids, ids):  # each label is its class's least member
             raise InvariantViolation(
                 f"the closure of a seed pair, with {len(np.unique(ids))} classes, is not a congruence"
             )

@@ -513,8 +513,10 @@ class MonoidUniverse:
     padded with zeros.  Lookups use ``searchsorted`` in the sorted image
     codes; ``elements`` builds ``PartialInjection`` objects on first use.
     ``generators``, ``translations``, ``multiplication_table``, ``j_order``
-    and ``unit_group`` are computed on first use and cached.
-    The constructor checks the matrix; instances are immutable after it."""
+    and ``unit_group`` are computed on first use and cached, as is each
+    split stratum the family builder reads (``_splits``, filled by
+    ``families._h_split``).  The constructor checks the matrix; instances
+    are immutable after it."""
 
     def __init__(self, family, n, image_matrix):
         self.family, self.n = _family(family), _check_degree(n)
@@ -557,6 +559,7 @@ class MonoidUniverse:
         self._table = None
         self._generators = None
         self._translations = None
+        self._splits = {}
         self._units = np.flatnonzero(self.ranks == n).tolist()
 
     @functools.cached_property

@@ -9,15 +9,13 @@ subgroup is given by its coset labels, the congruence on the group that
 ``normal_subgroups`` computed; each member reads the label of its
 H-coordinate, and a whole H-class is the full group's one coset.  Work
 that depends only on a split stratum, the lookup of its H-coordinates in
-the group and an id base per H-class, is done once per (group, mask) in a
-``strata`` memo that ``predicted_congruences`` shares across its families;
-each family then sets its ids by arithmetic.  The
-public ``build_eq_*`` functions only check their parameters and pick the
-ideal and the splits: a rank stratum at each level of ``_levels``
-(``build_eq_N``), per-type variants at half rank on OR, and, at degree 4
-only, two OR congruences that also pair up the four units.  Each takes
-an optional ``strata`` dict, to share that memo across calls on one
-universe.
+the group and an id base per H-class, is done once per (group, mask) and
+universe, and cached on it (``MonoidUniverse._splits``); each family then
+sets its ids by arithmetic.  The public ``build_eq_*`` functions only
+check their parameters and pick the ideal and the splits: a rank stratum
+at each level of ``_levels`` (``build_eq_N``), per-type variants at half
+rank on OR, and, at degree 4 only, two OR congruences that also pair up
+the four units.
 """
 
 from __future__ import annotations
@@ -90,7 +88,7 @@ def _h_split(universe, mask, group):
     return members, pos, len(universe) + h * len(group)
 
 
-def _family_partition(universe, zero, splits, unit_pairs=(), strata=None):
+def _family_partition(universe, zero, splits, unit_pairs=()):
     """The one shape every predicted family has.
 
     ``zero`` masks the ideal that collapses into the zero class.  Each
@@ -99,13 +97,13 @@ def _family_partition(universe, zero, splits, unit_pairs=(), strata=None):
     of a normal subgroup N of ``group``: members of one H-class are related
     when their H-coordinates lie in one coset of N, read off the coset
     labels of ``_as_subgroup`` at the positions ``_h_split`` found, so a
-    member's id is plain arithmetic.  ``strata``, a dict that calls on one
-    universe may share, keeps each ``_h_split`` under its (group, mask):
-    ``predicted_congruences`` looks each stratum up once.  ``unit_pairs``
-    lists element pairs merged on top.  Everything else stays singleton.
-    The result is checked to be a congruence before it is returned.
+    member's id is plain arithmetic.  Each ``_h_split`` is cached on the
+    universe under its (group, mask), so a stratum is looked up once per
+    universe, across families and calls.  ``unit_pairs`` lists element
+    pairs merged on top.  Everything else stays singleton.  The result is
+    checked to be a congruence before it is returned.
     """
-    strata = {} if strata is None else strata
+    strata = universe._splits
     ids = np.arange(len(universe), dtype=np.int64)
     ids[zero] = 0  # the zero map, element 0, lies in every ideal
     for mask, group, labels in splits:
@@ -135,7 +133,7 @@ def _levels(universe):
     return levels
 
 
-def build_eq_N(universe, k, subgroup, *, strata=None):
+def build_eq_N(universe, k, subgroup):
     """Rank-k family, k a level of ``_levels``: one class below rank k,
     the cosets of the normal subgroup inside each rank-k H-class,
     singletons above."""
@@ -146,10 +144,10 @@ def build_eq_N(universe, k, subgroup, *, strata=None):
         )
     group, ranks = levels[k], universe.ranks
     split = (ranks == k, group, _as_subgroup(group, subgroup))
-    return _family_partition(universe, ranks < k, [split], strata=strata)
+    return _family_partition(universe, ranks < k, [split])
 
 
-def build_eq_N1N2(universe, sub1, sub2, *, strata=None):
+def build_eq_N1N2(universe, sub1, sub2):
     """Half-rank family on OR: one class below rank m, per-type subgroup
     orbits at rank m, unit singletons."""
     _require_family(universe, "OR")
@@ -159,10 +157,10 @@ def build_eq_N1N2(universe, sub1, sub2, *, strata=None):
         (universe.mtypes == TYPE_I, parent, _as_subgroup(parent, sub1)),
         (universe.mtypes == TYPE_II, parent, _as_subgroup(parent, sub2)),
     ]
-    return _family_partition(universe, universe.ranks < m, splits, strata=strata)
+    return _family_partition(universe, universe.ranks < m, splits)
 
 
-def build_eq_type(universe, variant, subgroup, *, strata=None):
+def build_eq_type(universe, variant, subgroup):
     """Typed half-rank family on OR: the zero class swallows everything of
     rank < m plus the whole opposite-type stratum; the named type splits
     into subgroup orbits; units stay singletons."""
@@ -174,10 +172,10 @@ def build_eq_type(universe, variant, subgroup, *, strata=None):
     split = (universe.mtypes == variant, parent, _as_subgroup(parent, subgroup))
     other = TYPE_II if variant == TYPE_I else TYPE_I
     zero = (universe.ranks < m) | (universe.mtypes == other)
-    return _family_partition(universe, zero, [split], strata=strata)
+    return _family_partition(universe, zero, [split])
 
 
-def build_eq_special(universe, which, *, strata=None):
+def build_eq_special(universe, which):
     """The two degree-4 specials on OR: units pair up, one half-rank type
     collapses into the zero class, the other splits into full H-classes."""
     _require_family(universe, "OR")
@@ -193,7 +191,7 @@ def build_eq_special(universe, which, *, strata=None):
     ]
     s2 = symmetric_group(2)  # one coset: whole H-classes
     split = (universe.mtypes == kept, s2, _as_subgroup(s2, s2))
-    return _family_partition(universe, zero, [split], unit_pairs, strata)
+    return _family_partition(universe, zero, [split], unit_pairs)
 
 
 def _labelled(parent):
@@ -201,7 +199,9 @@ def _labelled(parent):
     deterministic short labels: 1, full, alt (even permutations), or
     order<d> with a #i disambiguator when several share an order."""
     subgroups = normal_subgroups(parent)
-    even = frozenset(p for p in parent if _is_even(p))
+    perms = parent.perms
+    inversions = np.triu(perms[:, :, None] > perms[:, None, :]).sum(axis=(1, 2))
+    even = frozenset(map(tuple, perms[inversions % 2 == 0].tolist()))
     generic = [
         sub for sub in subgroups
         if 1 < len(sub) < len(parent) and sub != even
@@ -225,25 +225,18 @@ def _labelled(parent):
     return out
 
 
-def _is_even(p):
-    inversions = sum(
-        1 for i in range(len(p)) for j in range(i + 1, len(p)) if p[i] > p[j]
-    )
-    return inversions % 2 == 0
-
-
 def predicted_congruences(universe):
     """Instantiate every family over every admissible parameter, plus the
-    universal partition; dedupe by partition, keeping all specs.  The
-    families share one ``strata`` memo, so each split stratum's
-    H-coordinates are looked up once per call."""
+    universal partition; dedupe by partition, keeping all specs.  Each
+    split stratum's H-coordinates are looked up once per universe
+    (``_family_partition``)."""
     m = universe.n // 2
-    pairs, strata = [], {}
+    pairs = []
     for k, parent in _levels(universe).items():
         for label, sub in _labelled(parent):
             pairs.append((
                 FamilySpec(f"{universe.family}_eqN", k=k, n_label=label),
-                build_eq_N(universe, k, sub, strata=strata),
+                build_eq_N(universe, k, sub),
             ))
     if universe.family == "OR":
         sm = _labelled(symmetric_group(m))
@@ -251,17 +244,17 @@ def predicted_congruences(universe):
             for label2, sub2 in sm:
                 pairs.append((
                     FamilySpec("OR_eqN1N2", n1_label=label1, n2_label=label2),
-                    build_eq_N1N2(universe, sub1, sub2, strata=strata),
+                    build_eq_N1N2(universe, sub1, sub2),
                 ))
         for variant, tag in ((TYPE_I, "OR_eqI"), (TYPE_II, "OR_eqII")):
             for label, sub in sm:
                 pairs.append((
                     FamilySpec(tag, k=m, n_label=label),
-                    build_eq_type(universe, variant, sub, strata=strata),
+                    build_eq_type(universe, variant, sub),
                 ))
         if universe.n == 4:
-            pairs.append((FamilySpec("OR_eq1"), build_eq_special(universe, 1, strata=strata)))
-            pairs.append((FamilySpec("OR_eq2"), build_eq_special(universe, 2, strata=strata)))
+            pairs.append((FamilySpec("OR_eq1"), build_eq_special(universe, 1)))
+            pairs.append((FamilySpec("OR_eq2"), build_eq_special(universe, 2)))
     pairs.append((FamilySpec("universal"), Partition.universal(universe)))
 
     by_key = {}

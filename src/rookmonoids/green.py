@@ -2,16 +2,12 @@
 
 Classes are computed from the structural characterizations over the
 universe's arrays (equal domain mask for L, equal image mask for R, both
-for H, rank plus half-rank type for J) with the principal-ideal
-computations kept as cross-checks: the ``principal_*`` functions compute
-their answer by brute force and assert the characterization before
-returning it.  They look up one row or column of products, and a
-two-sided ideal closes it under the generator rows of
-``MonoidUniverse.translations``, so no product table is built.  The
-J-classes and the J-order come from ``MonoidUniverse.j_order``, which the
-closure engine reads too: the ideals are its down-sets
-(``enumerate_ideals``), each named by ``_ideal_name``, and the two-sided
-check and the DOT drawing read it as well.
+for H, rank plus half-rank type for J); the tests cross-check them
+against principal ideals computed by brute force (the ``principal_*``
+oracles).  The J-classes and the J-order come from
+``MonoidUniverse.j_order``, which the closure engine reads too: the
+ideals are its down-sets (``enumerate_ideals``), each named by
+``_ideal_name``, and the DOT drawing reads it as well.
 ``MonoidUniverse.h_coords`` holds each ``h_coordinate``.
 """
 
@@ -74,59 +70,6 @@ def green_partition(universe):
         j_ids=j_ids,
         j_meta=[(int(ranks[i]), str(universe.mtypes[i])) for i in firsts.tolist()],
     )
-
-
-def principal_right(universe, idx):
-    """sigma*S by brute force, asserted equal to image containment."""
-    universe._check_index(idx)
-    brute = frozenset(universe._products([idx], np.arange(len(universe))).ravel().tolist())
-    masks = universe.img_masks
-    characterized = frozenset(np.flatnonzero((masks & ~masks[idx]) == 0).tolist())
-    if brute != characterized:
-        raise InvariantViolation(
-            f"right ideal of element {idx} disagrees with image containment"
-        )
-    return brute
-
-
-def principal_left(universe, idx):
-    """S*sigma by brute force, asserted equal to domain containment."""
-    universe._check_index(idx)
-    brute = frozenset(universe._products(np.arange(len(universe)), [idx]).ravel().tolist())
-    masks = universe.dom_masks
-    characterized = frozenset(np.flatnonzero((masks & ~masks[idx]) == 0).tolist())
-    if brute != characterized:
-        raise InvariantViolation(
-            f"left ideal of element {idx} disagrees with domain containment"
-        )
-    return brute
-
-
-def principal_twosided(universe, idx):
-    """S*sigma*S by brute force, asserted equal to the ideal of sigma's
-    J-class in ``MonoidUniverse.j_order``.
-
-    S*sigma is closed under the rows x -> x·g of ``translations``: every
-    element of S is a product of generators.
-    """
-    universe._check_index(idx)
-    moves = universe.translations()
-    right = moves[len(moves) // 2:]
-    reached = np.zeros(len(universe), dtype=bool)
-    frontier = universe._products(np.arange(len(universe)), [idx]).ravel()
-    while frontier.size:
-        reached[frontier] = True
-        new = np.zeros_like(reached)
-        new[right[:, frontier]] = True
-        frontier = np.flatnonzero(new & ~reached)
-    brute = frozenset(np.flatnonzero(reached).tolist())
-    j, below = universe.j_order
-    characterized = frozenset(np.flatnonzero(below[j, j[idx]]).tolist())
-    if brute != characterized:
-        raise InvariantViolation(
-            f"two-sided ideal of element {idx} disagrees with the J-order"
-        )
-    return brute
 
 
 def class_count_formulas(m):

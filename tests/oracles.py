@@ -1,7 +1,8 @@
 """Slow, independent oracles that the tests check the engine against.
 
 None of these is used by the library.  Some act on one permutation or
-one map at a time.  The others read a product table, run the plain closure
+one map at a time, and the principal ideals look up one row or column of
+products.  The others read a product table, run the plain closure
 rounds, list every candidate of a rank stratum or build each family on its
 own, so they stay small: the naive lattice filter refuses over
 ``NAIVE_LATTICE_LIMIT`` elements, and the product table itself is gated by
@@ -14,7 +15,7 @@ import numpy as np
 
 from rookmonoids import (InvariantViolation, PartialInjection, Partition, ResourceLimitError,
                          admissible_subsets, is_admissible, is_congruence)
-from rookmonoids.congruences import _is_congruence_ids, _merge
+from rookmonoids.congruences import _is_compatible, _least_members, _merge
 from rookmonoids.core import _canonical_ids, _member_mask
 
 NAIVE_LATTICE_LIMIT = 9
@@ -23,6 +24,14 @@ NAIVE_LATTICE_LIMIT = 9
 def perm_mul(p, q):
     """p after q, both tuples of 1-based images."""
     return tuple(p[x - 1] for x in q)
+
+
+def is_even(p):
+    """True when the permutation p has an even number of inversions."""
+    inversions = sum(
+        1 for i in range(len(p)) for j in range(i + 1, len(p)) if p[i] > p[j]
+    )
+    return inversions % 2 == 0
 
 
 def perm_inv(p):
@@ -57,6 +66,59 @@ def maps_admissible_sets(f):
             if not is_admissible(n, [f.images[p - 1] for p in a]):
                 return False
     return True
+
+
+def principal_right(universe, idx):
+    """sigma*S by brute force, asserted equal to image containment."""
+    universe._check_index(idx)
+    brute = frozenset(universe._products([idx], np.arange(len(universe))).ravel().tolist())
+    masks = universe.img_masks
+    characterized = frozenset(np.flatnonzero((masks & ~masks[idx]) == 0).tolist())
+    if brute != characterized:
+        raise InvariantViolation(
+            f"right ideal of element {idx} disagrees with image containment"
+        )
+    return brute
+
+
+def principal_left(universe, idx):
+    """S*sigma by brute force, asserted equal to domain containment."""
+    universe._check_index(idx)
+    brute = frozenset(universe._products(np.arange(len(universe)), [idx]).ravel().tolist())
+    masks = universe.dom_masks
+    characterized = frozenset(np.flatnonzero((masks & ~masks[idx]) == 0).tolist())
+    if brute != characterized:
+        raise InvariantViolation(
+            f"left ideal of element {idx} disagrees with domain containment"
+        )
+    return brute
+
+
+def principal_twosided(universe, idx):
+    """S*sigma*S by brute force, asserted equal to the ideal of sigma's
+    J-class in ``MonoidUniverse.j_order``.
+
+    S*sigma is closed under the rows x -> x·g of ``translations``: every
+    element of S is a product of generators.
+    """
+    universe._check_index(idx)
+    moves = universe.translations()
+    right = moves[len(moves) // 2:]
+    reached = np.zeros(len(universe), dtype=bool)
+    frontier = universe._products(np.arange(len(universe)), [idx]).ravel()
+    while frontier.size:
+        reached[frontier] = True
+        new = np.zeros_like(reached)
+        new[right[:, frontier]] = True
+        frontier = np.flatnonzero(new & ~reached)
+    brute = frozenset(np.flatnonzero(reached).tolist())
+    j, below = universe.j_order
+    characterized = frozenset(np.flatnonzero(below[j, j[idx]]).tolist())
+    if brute != characterized:
+        raise InvariantViolation(
+            f"two-sided ideal of element {idx} disagrees with the J-order"
+        )
+    return brute
 
 
 def filtered_stratum(family, n, k):
@@ -152,7 +214,7 @@ def all_congruences_naive(universe):
     parts = [
         Partition(universe, ids)
         for ids in set_partitions(size)
-        if _is_congruence_ids(moves, ids)
+        if _is_compatible(moves, ids, _least_members(ids))
     ]
     parts.sort(key=lambda p: (-p.num_classes, p.key))
     return parts

@@ -27,14 +27,11 @@ from rookmonoids import (
     is_congruence,
     is_member,
     predicted_size,
-    principal_left,
-    principal_right,
-    principal_twosided,
     theta,
     verify_classification,
 )
 
-from oracles import all_congruences_naive
+from oracles import all_congruences_naive, principal_left, principal_right, principal_twosided
 
 
 def report(number, name):

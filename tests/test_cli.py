@@ -326,7 +326,8 @@ def test_verify_and_principal_ideals_leave_numpy_ma_unloaded(tmp_path):
     """A bare np.unique imports numpy.ma on first use (numpy 2.4)."""
     script = f"""
 import sys
-from rookmonoids import enumerate_universe, principal_left, principal_right, principal_twosided
+from oracles import principal_left, principal_right, principal_twosided
+from rookmonoids import enumerate_universe
 from rookmonoids.cli import main
 assert main(["congruences", "verify", "--family", "or", "--n", "4",
              "--out", {str(tmp_path / "verify.txt")!r}]) == 0
@@ -335,8 +336,9 @@ for principal in (principal_right, principal_left, principal_twosided):
     principal(or4, 19)
 print("numpy.ma" in sys.modules)
 """
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    here = Path(__file__).resolve().parent
+    paths = [str(here.parent / "src"), str(here), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
     out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                          text=True, check=True, timeout=120)
     assert out.stdout == "False\n"

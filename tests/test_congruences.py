@@ -20,16 +20,14 @@ from rookmonoids import (
     lattice_to_dot,
     normal_subgroups,
     partition_from_json,
-    principal_left,
-    principal_right,
-    principal_twosided,
     symmetric_group,
 )
 from rookmonoids import congruences
 from rookmonoids.congruences import (
     _closure_ids,
-    _is_congruence_ids,
+    _is_compatible,
     _kernel_trace_seeds,
+    _least_members,
     _lattice_ids,
     _principal_ids,
 )
@@ -37,7 +35,8 @@ from rookmonoids.core import InvariantViolation, MonoidUniverse, invert
 from rookmonoids.families import predicted_congruences
 
 from oracles import (all_congruences_naive, closure_reference, perm_inv, perm_mul, plain_closure,
-                     set_partitions, table_translations)
+                     principal_left, principal_right, principal_twosided, set_partitions,
+                     table_translations)
 
 
 def lattice_keys(parts):
@@ -474,7 +473,7 @@ def test_lattice_of_toy_two_element_monoid():
     found = {
         ids.tobytes()
         for ids in set_partitions(2)
-        if _is_congruence_ids(moves, ids)
+        if _is_compatible(moves, ids, _least_members(ids))
     }
     assert len(found) == 2
 

@@ -32,10 +32,11 @@ from rookmonoids.families import (
     _annotate_unmatched,
     _as_subgroup,
     _family_partition,
+    _labelled,
     _levels,
 )
 
-from oracles import family_partition_reference
+from oracles import family_partition_reference, is_even
 
 TRIVIAL_1 = frozenset({(1,)})
 TRIVIAL_2 = frozenset({(1, 2)})
@@ -140,6 +141,26 @@ def test_typed_families_differ_for_every_subgroup(or4, or6):
             two = build_eq_type(universe, "II", sub)
             assert one != two
             assert set(one.class_of(0)) != set(two.class_of(0))
+
+
+@pytest.mark.parametrize("family, n", [
+    *(("S", k) for k in range(1, 8)), ("SR", 6), ("SR", 8), ("R", 6),
+])
+def test_labelled_alt_is_the_even_permutations(family, n):
+    """``_labelled`` finds the even permutations as one array operation;
+    against the inversion count of each permutation on its own, on S_1 to
+    S_7 and the unit groups of SR_6, SR_8 and R_6.  "alt" names them
+    whenever they are a proper nontrivial subgroup."""
+    if family == "S":
+        parent = symmetric_group(n)
+    else:
+        parent = enumerate_universe(family, n).unit_group
+    even = frozenset(p for p in parent if is_even(p))
+    labelled = dict(_labelled(parent))
+    if 1 < len(even) < len(parent):
+        assert labelled["alt"] == even
+    else:
+        assert "alt" not in labelled
 
 
 def _labelled_subgroups(k):
@@ -291,17 +312,43 @@ def test_builder_refuses_an_h_coordinate_outside_the_group(or4):
         _family_partition(or4, or4.ranks < 2, [split])
 
 
-def test_a_shared_stratum_memo_keys_by_group_and_mask(or4):
-    """Calls that share ``strata`` look a stratum up again under another
+def test_a_shared_stratum_memo_keys_by_group_and_mask():
+    """The universe's stratum memo looks a stratum up again under another
     group, so a group that does not hold its H-coordinates is still
-    refused after one that does."""
-    strata = {}
-    build_eq_N1N2(or4, FULL_2, TRIVIAL_2, strata=strata)
-    assert len(strata) == 2
+    refused after one that does.  A fresh universe, since a shared
+    fixture's memo may already be full."""
+    or4 = enumerate_universe("OR", 4)
+    build_eq_N1N2(or4, FULL_2, TRIVIAL_2)
+    assert len(or4._splits) == 2
     trivial = PermGroup(2, [(1, 2)])
     split = (or4.mtypes == "I", trivial, _as_subgroup(trivial, trivial))
     with pytest.raises(InvariantViolation, match="H-coordinate of element"):
-        _family_partition(or4, or4.ranks < 2, [split], strata=strata)
+        _family_partition(or4, or4.ranks < 2, [split])
+
+
+def counting_indices(monkeypatch):
+    """The degrees of the groups whose ``PermGroup._indices`` runs, in call order."""
+    degrees = []
+    indices = PermGroup._indices
+
+    def counting(self, images):
+        degrees.append(self.degree)
+        return indices(self, images)
+
+    monkeypatch.setattr(PermGroup, "_indices", counting)
+    return degrees
+
+
+def test_separate_builder_calls_look_each_stratum_up_once(monkeypatch):
+    """Two public ``build_eq_N1N2`` calls on one universe share its memo:
+    each half-rank type is looked up by the first call only."""
+    or4 = enumerate_universe("OR", 4)
+    degrees = counting_indices(monkeypatch)
+    first = build_eq_N1N2(or4, FULL_2, TRIVIAL_2)
+    assert degrees == [2, 2]
+    second = build_eq_N1N2(or4, TRIVIAL_2, FULL_2)
+    assert degrees == [2, 2]
+    assert first != second
 
 
 def test_special_congruences_need_degree_four(or6):
@@ -380,17 +427,12 @@ def test_predictions_build_the_unit_group_once(monkeypatch):
     assert len(sr6.unit_group) == 48 and built == [6]
 
 
-def test_predictions_look_each_split_stratum_up_once(monkeypatch, or6):
+def test_predictions_look_each_split_stratum_up_once(monkeypatch):
     """OR_6 has 18 split families over 4 strata: rank 1 with S_1, rank 2
-    with S_2, and the two half-rank types with S_3."""
-    degrees = []
-    indices = PermGroup._indices
-
-    def counting(self, images):
-        degrees.append(self.degree)
-        return indices(self, images)
-
-    monkeypatch.setattr(PermGroup, "_indices", counting)
+    with S_2, and the two half-rank types with S_3.  A fresh universe,
+    since a shared fixture's memo may already be full."""
+    or6 = enumerate_universe("OR", 6)
+    degrees = counting_indices(monkeypatch)
     predicted_congruences(or6)
     assert sorted(degrees) == [1, 2, 3, 3]
 
@@ -400,14 +442,14 @@ def test_predictions_look_each_split_stratum_up_once(monkeypatch, or6):
     ("R", 2), ("R", 4), ("R", 6),
 ])
 def test_predictions_match_the_per_family_reference(monkeypatch, family, n):
-    """Every family built from the strata of one call against the same
-    family built on its own, keyed by a void-row unique: the same
-    partitions with the same specs, in the same order."""
+    """Every family built from the strata shared on the universe against
+    the same family built on its own, keyed by a void-row unique: the
+    same partitions with the same specs, in the same order."""
     universe = enumerate_universe(family, n)
     built = [(part.key, specs) for part, specs in predicted_congruences(universe)]
     monkeypatch.setattr(
         families, "_family_partition",
-        lambda universe, zero, splits, unit_pairs=(), strata=None:
+        lambda universe, zero, splits, unit_pairs=():
             family_partition_reference(universe, zero, splits, unit_pairs))
     reference = [(part.key, specs) for part, specs in predicted_congruences(universe)]
     assert built == reference

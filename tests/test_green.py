@@ -18,13 +18,11 @@ from rookmonoids import (
     h_coordinate,
     idempotent_of,
     j_order_dot,
-    principal_left,
-    principal_right,
-    principal_twosided,
 )
 from rookmonoids.green import _is_absorbing
 
-from oracles import apply_mu, perm_mul, table_translations
+from oracles import (apply_mu, perm_mul, principal_left, principal_right, principal_twosided,
+                     table_translations)
 
 
 def partition_of(keys):
