@@ -36,7 +36,8 @@ by the compatibility test of ``is_congruence`` (``_is_compatible``).
 The same engine lists the normal subgroups of a permutation group, as the
 identity classes of its congruences, from the same orbit step
 (``_orbit_minima``) and generator rows, and keeps each congruence as the
-subgroup's coset labels; a group stores no Cayley table.
+subgroup's coset labels.  A ``PermGroup`` is the same ``core._ElementStore``
+as a universe, so it stores no Cayley table either.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ import operator
 import numpy as np
 
 from .core import (TABLE_BLOCK_BYTES, InvariantViolation, ResourceLimitError, _canonical_ids,
-                   _generator_rows, _locate, _product_codes, image_codes)
+                   _ElementStore, _locate, image_codes)
 
 DEFAULT_GROUP_LIMIT = 10**4
 
@@ -105,9 +106,10 @@ def _closure_ids(moves, pairs, j_order=None):
     compatible with each generator, hence a congruence.
     """
     size = moves.shape[1]
-    pairs = np.asarray(pairs).reshape(-1, 2)
-    if pairs.size and pairs.dtype.kind not in "iu":
-        raise ValueError("element index pairs must be integers")
+    pairs = np.asarray(pairs)
+    if pairs.size and (pairs.ndim != 2 or pairs.shape[1] != 2 or pairs.dtype.kind not in "iu"):
+        raise ValueError(f"element index pairs must form an (M, 2) integer array, got {pairs.shape}")
+    pairs = pairs.reshape(-1, 2)
     bad = np.flatnonzero(((pairs < 0) | (pairs >= size)).any(axis=1))
     if bad.size:
         a, b = pairs[bad[0]].tolist()
@@ -193,8 +195,7 @@ class Partition:
         ids = np.full(size, -1, dtype=np.int64)
         for label, block in enumerate(classes):
             for i in block:
-                if isinstance(i, bool) or not isinstance(i, (int, np.integer)) or not 0 <= i < size:
-                    raise ValueError(f"element {i!r} is not an index in 0..{size - 1}")
+                universe._check_index(i)
                 if ids[i] != -1:
                     raise ValueError(f"element {i} listed in two classes")
                 ids[i] = label
@@ -224,6 +225,8 @@ class Partition:
 
     def refines(self, other):
         """True when every class of self sits inside a class of other."""
+        if self.universe is not other.universe:
+            raise ValueError("partitions live on different universes")
         firsts = np.unique(self.ids, return_index=True)[1]
         return bool(np.array_equal(other.ids, other.ids[firsts][self.ids]))
 
@@ -471,65 +474,45 @@ def lattice_to_dot(partitions):
 
 # -- permutation groups ------------------------------------------------------
 
-class PermGroup:
+class PermGroup(_ElementStore):
     """A finite permutation group on {1..degree}: ``perms``, the sorted,
-    read-only (order, degree) array of 1-based images (the identity is row
-    0), with the generators and translation rows of ``_generator_rows``
-    over them, as for a ``MonoidUniverse``.  Their products are looked up
-    among the image codes, so building them checks closure.
+    read-only (order, degree) array of 1-based images, the identity first,
+    in an ``_ElementStore`` as a universe's image matrix is.  Its generator
+    rows are built here, not on first use, so building a group checks closure.
     """
+
+    _identity = 0  # the least image code
 
     def __init__(self, degree, elements):
         self.degree = int(degree)
         self.identity = tuple(range(1, self.degree + 1))
-        perms = np.array([tuple(p) for p in elements], dtype=np.intp)
-        if perms.shape[1:] != (self.degree,) or (np.sort(perms, axis=1) != self.identity).any():
+        perms = self._image_rows([tuple(p) for p in elements], self.degree).astype(np.intp)
+        if (np.sort(perms, axis=1) != self.identity).any():
             raise ValueError(f"elements must be permutations of 1..{self.degree}")
-        self._codes, first = np.unique(image_codes(perms), return_index=True)
-        self.perms = perms[first]  # sorted like the codes; the identity first
+        self.perms = perms[np.unique(image_codes(perms), return_index=True)[1]]
         if not np.array_equal(self.perms[0], self.identity):
             raise ValueError("group must contain the identity")
-        self.perms.setflags(write=False)
-        self._generators, self._translations = _generator_rows(self._products, range(len(self)), 0)
+        self._keep(self.perms)
+        self.generators()
         self._normal = self._cosets = None
 
-    def _products(self, left, right):
-        """Indices of perms[i] after perms[j], i in ``left`` and j in ``right``,
-        as one block; a product that is not a member raises ``ValueError``."""
-        pos, found = _locate(self._codes, _product_codes(self.perms[left], self.perms[right].T))
-        if not found.all():
-            i, j = np.unravel_index(np.argmin(found), found.shape)
-            a, b = self.perms[left[i]].tolist(), self.perms[right[j]].tolist()
-            raise ValueError(f"not closed: {tuple(a)} * {tuple(b)} escapes the set")
-        return pos
-
-    def generators(self):
-        return list(self._generators)
-
-    def translations(self):
-        """The 2k x order rows x -> g·x, then x -> x·g, for the k generators."""
-        return self._translations
-
-    def _indices(self, images):
-        """Positions of the rows of an (M, degree) array of images 1..degree
-        among the members, and whether each row is one."""
-        return _locate(self._codes, image_codes(images))
+    def _escaped(self, i, j):
+        a, b = self.perms[i].tolist(), self.perms[j].tolist()
+        return ValueError(f"not closed: {tuple(a)} * {tuple(b)} escapes the set")
 
     @property
     def elements(self):
         return frozenset(self)
 
-    def __len__(self):
-        return len(self.perms)
-
     def __iter__(self):
         return iter(map(tuple, self.perms.tolist()))
 
     def __contains__(self, p):
-        row = np.array([tuple(p)], dtype=np.intp)
-        if row.shape[1:] != (self.degree,) or ((row < 1) | (row > self.degree)).any():
+        try:
+            row = self._image_rows([tuple(p)], self.degree)
+        except ValueError:
             return False
-        return bool(self._indices(row)[1][0])
+        return bool(((row >= 1) & (row <= self.degree)).all() and self._indices(row)[1][0])
 
     def cosets(self, subset):
         """The coset labels of ``subset``, a set of image tuples, when it is
@@ -545,11 +528,15 @@ class PermGroup:
         return f"<PermGroup of degree {self.degree}, order {len(self)}>"
 
 
-@functools.cache
 def symmetric_group(k):
-    """S_k, built once per degree."""
-    if k < 0:
-        raise ValueError(f"degree must be >= 0, got {k}")
+    """S_k, built once per degree k, checked before the cache keys on it."""
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 0:
+        raise ValueError(f"degree must be a non-negative integer, got {k!r}")
+    return _symmetric_group(int(k))
+
+
+@functools.cache
+def _symmetric_group(k):
     factorials = itertools.accumulate(range(1, k + 1), operator.mul)
     if any(f > DEFAULT_GROUP_LIMIT for f in factorials):
         raise ResourceLimitError(f"S_{k} exceeds the group bound {DEFAULT_GROUP_LIMIT}")

@@ -12,13 +12,14 @@ monoid families live on top of that combinatorics:
   domain and image of the same parity type and full-rank members must move
   an even number of {1..m} across the middle.
 
-A universe (``MonoidUniverse``) is stored once, as an (N, n) image matrix
-that ``enumerate_universe`` builds in numpy, one rank stratum at a time.
-Below full rank a member is a bijection between two admissible sets, and a
-unit of SR or OR a permutation commuting with the mirror map, so each
-stratum is built from those sets and signed permutations, and every row is
-a member by construction; the tests check each stratum against listing
-every arrangement and filtering it with ``_member_mask``.
+A universe (``MonoidUniverse``) is one (N, n) image matrix in the
+``_ElementStore`` it shares with ``congruences.PermGroup``, built by
+``enumerate_universe`` one rank stratum at a time.  Below full rank a
+member is a bijection between two admissible sets, and a unit of SR or OR
+a permutation commuting with the mirror map, so each stratum is built from
+those sets and signed permutations, and every row is a member by
+construction; the tests check each stratum against listing every
+arrangement and filtering it with ``_member_mask``.
 ``PartialInjection`` is the single-element type and the tests' oracle.
 """
 
@@ -349,36 +350,84 @@ def _canonical_ids(ids):
     return rank[inverse.ravel()].astype(np.int32)
 
 
-def _generator_rows(products, scan, identity):
-    """Generators picked greedily from the element indices ``scan``, and
-    their 2k x N rows x -> g·x, then x -> x·g, as read-only intp indices.
-    ``products(left, right)`` is the (len(left), len(right)) block of
-    product indices, each looked up and checked to be a member.
+class _ElementStore:
+    """Maps as the rows of one image matrix, indexed by their sorted image
+    codes: the store of ``MonoidUniverse`` and ``congruences.PermGroup``.
+    A subclass names the index of its identity (``_identity``) and the
+    error for a product that is not a member (``_escaped``)."""
 
-    Each element not yet in the submonoid generated so far is kept, and
-    gets its row x -> x·g; the submonoid grows from ``identity`` along these
-    rows, with no product table.  So every element is a product of
-    generators, and every generator translate of every element is a member:
-    the set is the submonoid they generate, hence closed under products.
-    """
-    everything = np.arange(len(scan))
-    reached = everything == identity
-    gens, right = [], []
-    for x in scan:
-        if reached[x]:
-            continue
-        gens.append(x)
-        right.append(products(everything, everything[x:x + 1]).ravel())
-        rows, frontier = np.array(right), np.flatnonzero(reached)
-        while frontier.size:
-            new = np.zeros_like(reached)
-            new[rows[:, frontier]] = True
-            frontier = np.flatnonzero(new & ~reached)
-            reached[frontier] = True
-    left = products(np.array(gens, dtype=np.intp), everything)
-    moves = np.concatenate([left, np.reshape(right, left.shape)]).astype(np.intp)
-    moves.setflags(write=False)
-    return gens, moves
+    _generators = _translations = None
+
+    def _image_rows(self, rows, width):
+        """``rows`` as an (M, width) integer array: a float or bool, even a bool
+        entry numpy would read as 0 or 1, raises ``ValueError``; ``[()]`` passes."""
+        images = np.asarray(rows)
+        if images.ndim != 2 or images.shape[1] != width or images.size and (
+                images.dtype.kind not in "iu" or not isinstance(rows, np.ndarray)
+                and not {bool, np.bool_}.isdisjoint(map(type, itertools.chain.from_iterable(rows)))):
+            raise ValueError(f"need an (N, {width}) integer matrix, got {images.dtype} {images.shape}")
+        return images
+
+    def _keep(self, images):
+        """Store the element rows ``images``, read-only; returns their sorted codes."""
+        images.setflags(write=False)
+        codes = image_codes(images)
+        self._images, self._order = images, np.argsort(codes, kind="stable")
+        self._sorted_codes = codes[self._order]
+        return self._sorted_codes
+
+    def __len__(self):
+        return len(self._images)
+
+    def _indices(self, images):
+        """Indices of the rows of an image matrix, and whether each is a member."""
+        pos, found = _locate(self._sorted_codes, image_codes(images))
+        return self._order[pos], found
+
+    def _products(self, left, right):
+        """Indices of e_i·e_j, i in ``left`` and j in ``right``, as one block of
+        codes (``_product_codes``) looked up at once; a non-member raises ``_escaped``."""
+        left, right = np.asarray(left, dtype=np.intp), np.asarray(right, dtype=np.intp)
+        codes = _product_codes(self._images[left], self._images[right].T.astype(np.intp))
+        pos, found = _locate(self._sorted_codes, codes)
+        if not found.all():
+            i, j = np.unravel_index(np.argmin(found), found.shape)
+            raise self._escaped(left[i], right[j])
+        return self._order[pos]
+
+    def generators(self):
+        """Generators picked greedily by descending rank, ties by index (a
+        universe's units first), cached with ``translations``.  An element not
+        yet in the submonoid generated so far is kept, with its row x -> x·g,
+        and the submonoid grows from the identity along these rows.  So every
+        element is a product of generators, and every generator translate of
+        every element is a member: the set is closed under products."""
+        if self._generators is None:
+            everything = np.arange(len(self))
+            reached = everything == self._identity
+            gens, right = [], []
+            for x in np.argsort(-np.count_nonzero(self._images, axis=1), kind="stable").tolist():
+                if reached[x]:
+                    continue
+                gens.append(x)
+                right.append(self._products(everything, everything[x:x + 1]).ravel())
+                rows, frontier = np.array(right), np.flatnonzero(reached)
+                while frontier.size:
+                    new = np.zeros_like(reached)
+                    new[rows[:, frontier]] = True
+                    frontier = np.flatnonzero(new & ~reached)
+                    reached[frontier] = True
+            left = self._products(np.array(gens, dtype=np.intp), everything)
+            moves = np.concatenate([left, np.reshape(right, left.shape)]).astype(np.intp)
+            moves.setflags(write=False)
+            self._generators, self._translations = gens, moves
+        return list(self._generators)
+
+    def translations(self):
+        """The read-only 2k x N rows x -> g·x, then x -> x·g, of the k generators;
+        cached.  Closures and congruence and ideal checks read them, not a table."""
+        self.generators()
+        return self._translations
 
 
 def _cayley_tree(left):
@@ -502,7 +551,7 @@ def predicted_size(family, n):
     return lower + 2 * per_type + 2 ** (m - 1) * math.factorial(m)
 
 
-class MonoidUniverse:
+class MonoidUniverse(_ElementStore):
     """An enumerated finite monoid, stored as its (N, n) uint8 image matrix.
 
     Row i of ``image_matrix`` holds the images of element i, 0 marking an
@@ -510,19 +559,19 @@ class MonoidUniverse:
     Per-element facts are arrays derived from it: ``ranks``, the bit masks
     ``dom_masks`` and ``img_masks``, the half-rank types ``mtypes`` ("I" or
     "II" at rank n/2 of OR, else "") and ``h_coords``, each ``h_coordinate``
-    padded with zeros.  Lookups use ``searchsorted`` in the sorted image
-    codes; ``elements`` builds ``PartialInjection`` objects on first use.
+    padded with zeros.  Lookups and products are the ``_ElementStore``'s;
+    ``elements`` builds ``PartialInjection`` objects on first use.
     ``generators``, ``translations``, ``multiplication_table``, ``j_order``
     and ``unit_group`` are computed on first use and cached, as is each
     split stratum the family builder reads (``_splits``, filled by
     ``families._h_split``).  The constructor checks the matrix; instances
     are immutable after it."""
 
+    _identity = 1
+
     def __init__(self, family, n, image_matrix):
         self.family, self.n = _family(family), _check_degree(n)
-        images = np.asarray(image_matrix)
-        if images.ndim != 2 or images.shape[1] != n or images.dtype.kind not in "iu":
-            raise ValueError(f"need an (N, {n}) integer matrix, got {images.dtype} {images.shape}")
+        images = self._image_rows(image_matrix, n)
         bad = (images < 0) | (images > n)
         if bad.any():
             raise ValueError(f"row {np.argwhere(bad)[0, 0]}: targets must lie in 0..{n}")
@@ -538,12 +587,9 @@ class MonoidUniverse:
             raise ValueError(f"row {repeated[0]}: a target is repeated; map is not injective")
         if size < 2 or images[0].any() or not np.array_equal(images[1], np.arange(1, n + 1)):
             raise InvariantViolation("zero and identity must sit at indices 0 and 1")
-        codes = image_codes(images)
-        self._order = np.argsort(codes, kind="stable")
-        self._sorted_codes = codes[self._order]
-        if (self._sorted_codes[1:] == self._sorted_codes[:-1]).any():
+        codes = self._keep(images)
+        if (codes[1:] == codes[:-1]).any():
             raise InvariantViolation("duplicate elements in universe")
-        images.setflags(write=False)
         self.image_matrix = images
         # A letter's H-coordinate counts the image letters <= it.  The p-th mapped
         # slot writes it to column p; an unmapped one writes 0 where the next will.
@@ -557,8 +603,6 @@ class MonoidUniverse:
         typed = np.where(ones[self.dom_masks >> m] % 2, TYPE_II, TYPE_I)
         self.mtypes = np.where((self.ranks == m) & (self.family == "OR"), typed, "")
         self._table = None
-        self._generators = None
-        self._translations = None
         self._splits = {}
         self._units = np.flatnonzero(self.ranks == n).tolist()
 
@@ -567,17 +611,14 @@ class MonoidUniverse:
         """The elements as ``PartialInjection`` objects, built on first use."""
         return tuple(PartialInjection(self.n, row) for row in self.image_matrix.tolist())
 
-    def __len__(self):
-        return len(self.image_matrix)
-
     def __iter__(self):
         return iter(self.elements)
 
     def element_index(self, e):
         if isinstance(e, PartialInjection) and e.n == self.n:
-            pos, found = _locate(self._sorted_codes, image_codes([e.images]))
+            index, found = self._indices([e.images])
             if found[0]:
-                return int(self._order[pos[0]])
+                return int(index[0])
         raise ValueError(f"{e!r} is not a member of {self.family}_{self.n}")
 
     def _check_index(self, i):
@@ -588,28 +629,15 @@ class MonoidUniverse:
         """Indices of the rows of an (M, n) image matrix, each a member; the
         first row that is not raises ``InvariantViolation``, as ``what`` of
         the element with that row's index."""
-        pos, found = _locate(self._sorted_codes, image_codes(images))
+        index, found = self._indices(images)
         if not found.all():
             raise InvariantViolation(
                 f"{what} of element {np.argmin(found)} is not a member of {self.family}_{self.n}"
             )
-        return self._order[pos]
+        return index
 
-    def _products(self, left, right):
-        """Indices of the products e_i·e_j, i in ``left`` and j in ``right``,
-        as one (len(left), len(right)) block: the image codes of the products
-        (``_product_codes``) looked up in the sorted codes.  A code not found
-        raises ``InvariantViolation`` naming the pair."""
-        left = np.asarray(left, dtype=np.intp)
-        right = np.asarray(right, dtype=np.intp)
-        codes = _product_codes(self.image_matrix[left], self.image_matrix[right].T.astype(np.intp))
-        pos, found = _locate(self._sorted_codes, codes)
-        if not found.all():
-            i, j = np.unravel_index(np.argmin(found), found.shape)
-            raise InvariantViolation(
-                f"product of members {left[i]}, {right[j]} escaped {self.family}_{self.n}"
-            )
-        return self._order[pos]
+    def _escaped(self, i, j):
+        return InvariantViolation(f"product of members {i}, {j} escaped {self.family}_{self.n}")
 
     def product(self, i, j):
         self._check_index(i)
@@ -657,22 +685,6 @@ class MonoidUniverse:
                     table[children[block]] = left.take(index)
             self._table = table
         return self._table
-
-    def generators(self):
-        """A generating set of the monoid as element indices, found by
-        ``_generator_rows`` scanning the elements by descending rank, ties
-        by index; cached with the translation rows."""
-        if self._generators is None:
-            scan = np.argsort(-self.ranks, kind="stable").tolist()
-            self._generators, self._translations = _generator_rows(self._products, scan, 1)
-        return list(self._generators)
-
-    def translations(self):
-        """The 2k x N rows x -> g·x, then x -> x·g, for the k generators
-        (``_generator_rows``); cached.  Closures, congruence checks and ideal
-        checks read these rows, not the table."""
-        self.generators()
-        return self._translations
 
     def units(self):
         return list(self._units)

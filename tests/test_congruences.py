@@ -155,6 +155,12 @@ def test_congruence_closure_rejects_bad_pairs(or4, pair):
         congruence_closure(or4, [pair])
 
 
+@pytest.mark.parametrize("pairs", [[0, 1, 2], [0, 1], [(0, 1, 2)], [[(0, 1)]]])
+def test_congruence_closure_rejects_pairs_of_the_wrong_shape(or4, pairs):
+    with pytest.raises(ValueError, match=r"element index pairs must form an \(M, 2\) integer array"):
+        congruence_closure(or4, pairs)
+
+
 def stratified_pairs(universe, seed, per_stratum=8):
     """Element pairs i < j drawn from the seed, the same number per rank
     stratum, a pair's stratum being the larger rank of its two elements:
@@ -576,6 +582,15 @@ def test_join_refinement(or4):
             assert p.refines(j) and q.refines(j)
 
 
+def test_refines_refuses_a_partition_of_another_universe(or4, sr4):
+    """``refines``, and so ``lattice_to_dot``, compares class ids, which
+    mean nothing across universes of one size."""
+    with pytest.raises(ValueError, match="different universes"):
+        Partition.identity(or4).refines(Partition.universal(sr4))
+    with pytest.raises(ValueError, match="different universes"):
+        lattice_to_dot([Partition.identity(or4), Partition.universal(sr4)])
+
+
 def test_lattice_dot_renders_covers(or2):
     lattice = congruence_lattice(or2)
     dot = lattice_to_dot(lattice)
@@ -635,6 +650,31 @@ def test_perm_arithmetic():
 def test_symmetric_group_sizes():
     for k, size in [(0, 1), (1, 1), (2, 2), (3, 6), (4, 24)]:
         assert len(symmetric_group(k)) == size
+    assert symmetric_group(np.int64(3)) is symmetric_group(3)
+    assert len(PermGroup(0, [()])) == 1
+
+
+@pytest.mark.parametrize("k", [True, False, 2.0, -1, "2", None])
+def test_symmetric_group_refuses_a_degree_that_is_not_a_non_negative_integer(k):
+    with pytest.raises(ValueError, match="degree must be a non-negative integer"):
+        symmetric_group(k)
+
+
+def test_perm_group_refuses_float_and_bool_images():
+    """The element store takes integer image rows only, as a universe does:
+    numpy would cast 1.0 or True to 1, and 1.5 to 1."""
+    for rows in ([(1.0, 2.0), (2.0, 1.0)], [(1.5, 2), (2, 1)], [(True, 2), (2, 1)],
+                 np.array([[1, 2], [2, 1]], dtype=float)):
+        with pytest.raises(ValueError, match=r"need an \(N, 2\) integer matrix"):
+            PermGroup(2, rows)
+    with pytest.raises(ValueError, match="integer matrix"):
+        PermGroup(1, [(True,)])
+    s2 = symmetric_group(2)
+    assert (1, 2) in s2 and (2, 1) in s2 and np.array([2, 1]) in s2
+    for row in [(1.5, 2), (1.0, 2.0), (True, 2), (2, True), (1, 2, 3), (1,), (0, 1), ("1", "2")]:
+        assert row not in s2, row
+    assert (True,) not in symmetric_group(1)
+    assert () in symmetric_group(0)
 
 
 def test_normal_subgroups_of_small_symmetric_groups():
