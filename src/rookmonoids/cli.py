@@ -276,9 +276,6 @@ def cmd_erratum(args):
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.n % 2 or args.n < 2:
-        sys.stderr.write(f"degree must be even and >= 2, got {args.n}\n")
-        return EXIT_BUDGET
     try:
         return args.handler(args)
     except ResourceLimitError as exc:

@@ -489,7 +489,10 @@ class PermGroup(_ElementStore):
         perms = self._image_rows([tuple(p) for p in elements], self.degree).astype(np.intp)
         if (np.sort(perms, axis=1) != self.identity).any():
             raise ValueError(f"elements must be permutations of 1..{self.degree}")
-        self.perms = perms[np.unique(image_codes(perms), return_index=True)[1]]
+        _, first, counts = np.unique(image_codes(perms), return_index=True, return_counts=True)
+        if (counts > 1).any():
+            raise ValueError(f"permutation {tuple(perms[first[counts > 1][0]].tolist())} is listed twice")
+        self.perms = perms[first]
         if not np.array_equal(self.perms[0], self.identity):
             raise ValueError("group must contain the identity")
         self._keep(self.perms)

@@ -564,7 +564,7 @@ class MonoidUniverse(_ElementStore):
     ``generators``, ``translations``, ``multiplication_table``, ``j_order``
     and ``unit_group`` are computed on first use and cached, as is each
     split stratum the family builder reads (``_splits``, filled by
-    ``families._h_split``).  The constructor checks the matrix; instances
+    ``green._h_split``).  The constructor checks the matrix; instances
     are immutable after it."""
 
     _identity = 1

@@ -4,18 +4,18 @@ that diffs them against the brute-force congruence lattice.
 Every family has one shape, built by a single private builder: an ideal
 collapses into the zero class, the elements of one or two J-classes split
 into their H-classes and, inside each, into the cosets of a normal subgroup
-of the H-class group, and everything else stays singleton.  A normal
-subgroup is given by its coset labels, the congruence on the group that
-``normal_subgroups`` computed; each member reads the label of its
-H-coordinate, and a whole H-class is the full group's one coset.  Work
-that depends only on a split stratum, the lookup of its H-coordinates in
-the group and an id base per H-class, is done once per (group, mask) and
-universe, and cached on it (``MonoidUniverse._splits``); each family then
-sets its ids by arithmetic.  The public ``build_eq_*`` functions only
-check their parameters and pick the ideal and the splits: a rank stratum
-at each level of ``_levels`` (``build_eq_N``), per-type variants at half
-rank on OR, and, at degree 4 only, two OR congruences that also pair up
-the four units.
+of the H-class group, ``green.maximal_subgroup``, and everything else stays
+singleton.  A normal subgroup is given by its coset labels, the congruence
+on the group that ``normal_subgroups`` computed; each member reads the
+label of its H-coordinate, and a whole H-class is the full group's one
+coset.  Work that depends only on a split stratum, ``green._h_split``'s
+lookup of its H-coordinates in the group and an id base per H-class, is
+done once per (group, mask) and universe, and cached on it
+(``MonoidUniverse._splits``); each family then sets its ids by arithmetic.
+The public ``build_eq_*`` functions only check their parameters and pick
+the ideal and the splits: a rank stratum at each level of ``_levels``
+(``build_eq_N``), per-type variants at half rank on OR, and, at degree 4
+only, two OR congruences that also pair up the four units.
 """
 
 from __future__ import annotations
@@ -29,10 +29,9 @@ from .congruences import (
     congruence_lattice,
     is_congruence,
     normal_subgroups,
-    symmetric_group,
 )
 from .core import InvariantViolation, PartialInjection, TYPE_I, TYPE_II
-from .green import _ideal_name, green_partition
+from .green import _h_split, _ideal_name, green_partition, maximal_subgroup
 
 @dataclass(frozen=True)
 class FamilySpec:
@@ -50,7 +49,7 @@ class FamilySpec:
 
 def _require_family(universe, family):
     if universe.family != family:
-        raise ValueError(f"expected a {family} universe, got {universe.family}")
+        raise ValueError(f"expected an {family} universe, got {universe.family}")
 
 
 def _as_subgroup(parent, subgroup):
@@ -66,26 +65,6 @@ _OR4_UNIT_PAIRS = {
     1: (((1, 2, 3, 4), (2, 1, 4, 3)), ((3, 4, 1, 2), (4, 3, 2, 1))),
     2: (((1, 2, 3, 4), (3, 4, 1, 2)), ((2, 1, 4, 3), (4, 3, 2, 1))),
 }
-
-
-def _h_split(universe, mask, group):
-    """A split stratum as the builder reads it, for any subgroup of
-    ``group``: the masked members, the positions of their H-coordinates
-    (``h_coords``) among the members of ``group``, and an id base
-    N + h * |group| for each, h the least member of its H-class.  A
-    member's class id is its base plus the coset label at its position: one
-    id per H-class and coset in the whole universe, so the splits of one
-    family never collide, and none below N, where the element indices lie."""
-    members = np.flatnonzero(mask)
-    pos, found = group._indices(universe.h_coords[members, :group.degree])
-    if not found.all():
-        raise InvariantViolation(
-            f"the H-coordinate of element {members[np.argmin(found)]} is not in {group!r}"
-        )
-    codes = universe.dom_masks[members] << universe.n | universe.img_masks[members]
-    _, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
-    h = members[first][inverse.ravel()]  # the least member of each H-class
-    return members, pos, len(universe) + h * len(group)
 
 
 def _family_partition(universe, zero, splits, unit_pairs=()):
@@ -121,16 +100,14 @@ def _family_partition(universe, zero, splits, unit_pairs=()):
 
 
 def _levels(universe):
-    """The ranks k of the rank-k family, each with the group whose normal
-    subgroups parametrise it: S_k for 1 <= k <= top, where top is m-1 on
-    OR, m on SR and n-1 on R, and the unit group at k = n on SR and R.  On
-    R these are Liber's congruences of the symmetric inverse monoid."""
+    """The ranks k of the rank-k family, each with the ``maximal_subgroup``
+    whose normal subgroups parametrise it: S_k for 1 <= k <= top, where top
+    is m-1 on OR, m on SR and n-1 on R, and the unit group at k = n on SR
+    and R.  On R these are Liber's congruences of the symmetric inverse monoid."""
     n = universe.n
     top = {"OR": n // 2 - 1, "SR": n // 2, "R": n - 1}[universe.family]
-    levels = {k: symmetric_group(k) for k in range(1, top + 1)}
-    if universe.family != "OR":
-        levels[n] = universe.unit_group
-    return levels
+    ranks = list(range(1, top + 1)) + ([] if universe.family == "OR" else [n])
+    return {k: maximal_subgroup(universe, k) for k in ranks}
 
 
 def build_eq_N(universe, k, subgroup):
@@ -152,7 +129,7 @@ def build_eq_N1N2(universe, sub1, sub2):
     orbits at rank m, unit singletons."""
     _require_family(universe, "OR")
     m = universe.n // 2
-    parent = symmetric_group(m)
+    parent = maximal_subgroup(universe, m)
     splits = [
         (universe.mtypes == TYPE_I, parent, _as_subgroup(parent, sub1)),
         (universe.mtypes == TYPE_II, parent, _as_subgroup(parent, sub2)),
@@ -168,7 +145,7 @@ def build_eq_type(universe, variant, subgroup):
     if variant not in (TYPE_I, TYPE_II):
         raise ValueError(f"variant must be {TYPE_I!r} or {TYPE_II!r}, got {variant!r}")
     m = universe.n // 2
-    parent = symmetric_group(m)
+    parent = maximal_subgroup(universe, m)
     split = (universe.mtypes == variant, parent, _as_subgroup(parent, subgroup))
     other = TYPE_II if variant == TYPE_I else TYPE_I
     zero = (universe.ranks < m) | (universe.mtypes == other)
@@ -189,7 +166,7 @@ def build_eq_special(universe, which):
         tuple(universe.element_index(PartialInjection(4, images)) for images in pair)
         for pair in _OR4_UNIT_PAIRS[which]
     ]
-    s2 = symmetric_group(2)  # one coset: whole H-classes
+    s2 = maximal_subgroup(universe, 2)  # one coset: whole H-classes
     split = (universe.mtypes == kept, s2, _as_subgroup(s2, s2))
     return _family_partition(universe, zero, [split], unit_pairs)
 
@@ -239,7 +216,7 @@ def predicted_congruences(universe):
                 build_eq_N(universe, k, sub),
             ))
     if universe.family == "OR":
-        sm = _labelled(symmetric_group(m))
+        sm = _labelled(maximal_subgroup(universe, m))
         for label1, sub1 in sm:
             for label2, sub2 in sm:
                 pairs.append((

@@ -8,7 +8,10 @@ oracles).  The J-classes and the J-order come from
 ``MonoidUniverse.j_order``, which the closure engine reads too: the
 ideals are its down-sets (``enumerate_ideals``), each named by
 ``_ideal_name``, and the DOT drawing reads it as well.
-``MonoidUniverse.h_coords`` holds each ``h_coordinate``.
+``MonoidUniverse.h_coords`` holds each ``h_coordinate``.  The maximal
+subgroup at rank k is the cached S_k, or the unit group at k = n
+(``maximal_subgroup``); ``_h_split`` maps H-coordinates onto it, for the
+family builder and ``h_class_group`` alike, so no group is built here.
 """
 
 from __future__ import annotations
@@ -18,8 +21,8 @@ from math import comb, factorial
 
 import numpy as np
 
-from .congruences import PermGroup, _hasse_dot
-from .core import InvariantViolation, PartialInjection, _canonical_ids, is_idempotent
+from .congruences import _hasse_dot, symmetric_group
+from .core import InvariantViolation, _canonical_ids
 
 
 @dataclass
@@ -186,27 +189,47 @@ def h_coordinate(elem):
     return tuple(letters.index(v) + 1 for v in img)
 
 
-def h_class_group(universe, idx):
-    """The H-class of an idempotent as a permutation group.
+def maximal_subgroup(universe, k):
+    """The maximal subgroup at rank k: the unit group at k = n, else S_k."""
+    return universe.unit_group if k == universe.n else symmetric_group(k)
 
-    For rank k between 1 and n/2 the group acts on the positions of the
-    idempotent's domain; for rank n it is the whole unit group.  Returns
-    the group together with the element-to-permutation bijection, which
-    maps each member to its ``h_coordinate``.
-    """
+
+def _h_split(universe, mask, group):
+    """A split stratum as the builder reads it, for any subgroup of
+    ``group``: the masked members, the positions of their H-coordinates
+    (``h_coords``) among the members of ``group``, and an id base
+    N + h * |group| for each, h the least member of its H-class.  A
+    member's class id is its base plus the coset label at its position: one
+    id per H-class and coset in the whole universe, so the splits of one
+    family never collide, and none below N, where the element indices lie."""
+    members = np.flatnonzero(mask)
+    pos, found = group._indices(universe.h_coords[members, :group.degree])
+    if not found.all():
+        raise InvariantViolation(
+            f"the H-coordinate of element {members[np.argmin(found)]} is not in {group!r}"
+        )
+    codes = universe.dom_masks[members] << universe.n | universe.img_masks[members]
+    _, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
+    h = members[first][inverse.ravel()]  # the least member of each H-class
+    return members, pos, len(universe) + h * len(group)
+
+
+def h_class_group(universe, idx):
+    """The H-class of an idempotent as a permutation group: the cached
+    ``maximal_subgroup`` at its rank, acting on the positions of its
+    domain, with the bijection read through ``_h_split`` that maps each
+    member to its ``h_coordinate``.  Only a whole family has these groups,
+    so on any other universe ``MonoidUniverse.j_order`` raises ``ValueError``."""
     universe._check_index(idx)
-    elem = PartialInjection(universe.n, universe.image_matrix[idx])
-    if not is_idempotent(elem):
-        raise ValueError(f"element {idx} ({elem!r}) is not idempotent")
-    points = elem.domain()
-    dom = universe.dom_masks[idx]
-    members = np.flatnonzero((universe.dom_masks == dom) & (universe.img_masks == dom))
-    coords = universe.h_coords[members, :len(points)].tolist()
-    bijection = dict(zip(members.tolist(), map(tuple, coords)))
-    group = PermGroup(len(points), bijection.values())
-    if len(group) != len(bijection):
+    universe.j_order  # raises ValueError on a universe that is not a whole family
+    row, dom = universe.image_matrix[idx], universe.dom_masks[idx]
+    if ((row != 0) & (row != np.arange(1, universe.n + 1))).any():
+        raise ValueError(f"element {idx} (images {tuple(row.tolist())}) is not idempotent")
+    group = maximal_subgroup(universe, universe.ranks[idx])
+    members, pos, _ = _h_split(universe, (universe.dom_masks == dom) & (universe.img_masks == dom), group)
+    if not np.array_equal(np.sort(pos), np.arange(len(group))):
         raise InvariantViolation("H-class does not map bijectively onto its group")
-    return group, bijection
+    return group, dict(zip(members.tolist(), map(tuple, group.perms[pos].tolist())))
 
 
 def j_order_dot(green):

@@ -40,9 +40,11 @@ def test_elements_budget_refusal(capsys):
 
 
 def test_elements_rejects_odd_degree(capsys):
-    code, _, err = run_cli(capsys, "elements", "--n", "3")
-    assert code == EXIT_BUDGET
-    assert "even" in err
+    for command in ("elements", "counterexample", "erratum"):
+        code, out, err = run_cli(capsys, command, "--n", "3")
+        assert code == EXIT_BUDGET
+        assert out == ""
+        assert err == "error: degree must be an even integer >= 2, got 3\n"
 
 
 def test_green_counts(capsys):

@@ -607,6 +607,14 @@ def test_partition_json_round_trip(or4):
         partition_from_json(or4, {"universe": {"family": "SR", "n": 4}, "classes": []})
 
 
+def test_partition_from_json_rejects_overlapping_and_missing_classes(or4):
+    classes = [[i] for i in range(len(or4))]
+    with pytest.raises(ValueError, match="element 1 listed in two classes"):
+        partition_from_json(or4, {"classes": classes + [[1]]})
+    with pytest.raises(ValueError, match="classes do not cover the universe"):
+        partition_from_json(or4, {"classes": classes[:-1]})
+
+
 @pytest.mark.parametrize("stray", [-1, 37, True])
 def test_partition_from_json_rejects_out_of_range_indices(or4, stray):
     classes = [[i] for i in range(len(or4) - 1)] + [[stray]]
@@ -624,6 +632,11 @@ def test_perm_group_validation():
     with pytest.raises(ValueError):
         PermGroup(3, [(1, 2, 3), (2, 3, 1)])  # not closed
     assert len(PermGroup(3, [(1, 2, 3), (2, 3, 1), (3, 1, 2)])) == 3
+    # As a universe refuses a repeated element, a group does not drop one.
+    with pytest.raises(ValueError, match=r"permutation \(1, 2\) is listed twice"):
+        PermGroup(2, [(1, 2), (1, 2), (2, 1)])
+    with pytest.raises(ValueError, match=r"permutation \(2, 3, 1\) is listed twice"):
+        PermGroup(3, [(2, 3, 1), (1, 2, 3), (3, 1, 2), (2, 3, 1)])
 
 
 def test_perm_group_checks_every_product_of_a_large_set():

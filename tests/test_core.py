@@ -214,6 +214,10 @@ def test_unit_group_membership():
     assert in_unit_group("SR", identity_map(4))
     assert in_unit_group("OR", identity_map(4))
     assert not in_unit_group("OR", idempotent_of(4, (1, 2)))
+    # Every full-rank map is a unit of R, mirror-compatible or not.
+    assert in_unit_group("R", swap12)
+    assert in_unit_group("R", PartialInjection(4, (3, 1, 4, 2)))
+    assert not in_unit_group("R", PartialInjection(4, (3, 1, 0, 2)))
 
 
 def test_full_rank_characterizations_agree():
@@ -434,6 +438,13 @@ def test_universe_budget():
     with pytest.raises(ResourceLimitError):
         enumerate_universe("OR", 8, limit=100)
     assert len(enumerate_universe("R", 8, limit=10**7)) == 1441729
+
+
+def test_product_table_is_refused_before_it_is_built():
+    or8 = enumerate_universe("OR", 8)
+    with pytest.raises(ResourceLimitError, match="product table for 10625 elements"):
+        or8.multiplication_table()
+    assert or8._table is None
 
 
 @pytest.mark.parametrize("limit", [-5, "abc", True, 2.7])

@@ -91,6 +91,13 @@ def test_rank_family_rejects_bad_parameters(or4, or6, sr4, r4):
                 build_eq_N(universe, k, frozenset({tuple(range(1, k + 1))}))
 
 
+def test_or_families_refuse_bad_parameters(or4, sr4):
+    with pytest.raises(ValueError, match="which must be 1 or 2, got 3"):
+        build_eq_special(or4, 3)
+    with pytest.raises(ValueError, match="expected an OR universe, got SR"):
+        build_eq_N1N2(sr4, TRIVIAL_2, TRIVIAL_2)
+
+
 def test_two_subgroup_family(or2, or4):
     assert build_eq_N1N2(or2, TRIVIAL_1, TRIVIAL_1) == Partition.identity(or2)
     rees = build_eq_N1N2(or4, TRIVIAL_2, TRIVIAL_2)

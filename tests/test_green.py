@@ -18,8 +18,9 @@ from rookmonoids import (
     h_coordinate,
     idempotent_of,
     j_order_dot,
+    symmetric_group,
 )
-from rookmonoids.green import _is_absorbing
+from rookmonoids.green import _is_absorbing, maximal_subgroup
 
 from oracles import (apply_mu, perm_mul, principal_left, principal_right, principal_twosided,
                      table_translations)
@@ -310,12 +311,15 @@ def test_j_order_refuses_a_universe_that_is_not_the_whole_family():
     e1 and e2 lies in the other's two-sided ideal, so they are two
     J-classes, but the rank rule of ``j_order`` would make them one.  So
     ``j_order``, and the Green structure that reads it, refuse it.  The
-    same four images are the whole of OR_2, where the rule holds."""
+    same four images are the whole of OR_2, where the rule holds.  The
+    maximal subgroups of ``h_class_group`` are those of the whole family,
+    so it refuses the submonoid too."""
     images = np.array([[0, 0], [1, 2], [1, 0], [0, 2]])
     submonoid = MonoidUniverse("R", 2, images)
     assert np.flatnonzero(two_sided_ideal(submonoid, 2)).tolist() == [0, 2]
     assert np.flatnonzero(two_sided_ideal(submonoid, 3)).tolist() == [0, 3]
-    for read in (lambda u: u.j_order, green_partition, enumerate_ideals):
+    for read in (lambda u: u.j_order, green_partition, enumerate_ideals,
+                 lambda u: h_class_group(u, 2)):
         with pytest.raises(ValueError, match="R_2, and this universe is not all of it"):
             read(submonoid)
     assert green_partition(MonoidUniverse("OR", 2, images)).j_ids.tolist() == [0, 1, 2, 3]
@@ -375,6 +379,38 @@ def test_h_class_group_at_full_rank_on_sr_is_the_signed_group(sr4):
     assert len(group) == 8
     assert sorted(bijection) == sorted(sr4.units())
     assert all(len(p) == 4 for p in group.elements)
+
+
+def idempotents(universe):
+    rows = universe.image_matrix
+    return np.flatnonzero(((rows == 0) | (rows == np.arange(1, universe.n + 1))).all(axis=1))
+
+
+def test_h_class_group_is_the_cached_maximal_subgroup(or4, sr4, r4):
+    """No group is built per H-class: below full rank it is the cached S_k,
+    at rank n the universe's unit group."""
+    for universe in (or4, sr4, r4):
+        for idx in idempotents(universe).tolist():
+            k = int(universe.ranks[idx])
+            group, _ = h_class_group(universe, idx)
+            assert group is maximal_subgroup(universe, k)
+            if k < universe.n:
+                assert group is symmetric_group(k)
+            else:
+                assert group is universe.unit_group
+
+
+@pytest.mark.parametrize("family", ["OR", "SR"])
+def test_h_class_group_bijection_matches_h_coordinate_at_degree_8(family):
+    universe = enumerate_universe(family, 8)
+    found = idempotents(universe)
+    assert len(found) == 82
+    for idx in found.tolist():
+        group, bijection = h_class_group(universe, idx)
+        assert len(bijection) == len(group)
+        assert bijection == {
+            i: h_coordinate(PartialInjection(8, universe.image_matrix[i])) for i in bijection
+        }
 
 
 def test_green_partition_of_plain_rook_monoid(r4):
