@@ -15,6 +15,7 @@ invariant violation (a constructed congruence failing its own checks).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -40,7 +41,9 @@ EXIT_BUDGET = 2
 EXIT_INVARIANT = 3
 
 
+@functools.cache
 def build_parser():
+    """The parser, built once per process: ``parse_args`` leaves it as it was."""
     parser = argparse.ArgumentParser(
         prog="rookmonoids",
         description="orthogonal and symplectic rook monoid toolkit",

@@ -49,7 +49,7 @@ import operator
 import numpy as np
 
 from .core import (TABLE_BLOCK_BYTES, InvariantViolation, ResourceLimitError, _canonical_ids,
-                   _ElementStore, _locate, image_codes)
+                   _ElementStore, _is_integer, _locate, image_codes)
 
 DEFAULT_GROUP_LIMIT = 10**4
 
@@ -503,10 +503,6 @@ class PermGroup(_ElementStore):
         a, b = self.perms[i].tolist(), self.perms[j].tolist()
         return ValueError(f"not closed: {tuple(a)} * {tuple(b)} escapes the set")
 
-    @property
-    def elements(self):
-        return frozenset(self)
-
     def __iter__(self):
         return iter(map(tuple, self.perms.tolist()))
 
@@ -533,7 +529,7 @@ class PermGroup(_ElementStore):
 
 def symmetric_group(k):
     """S_k, built once per degree k, checked before the cache keys on it."""
-    if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 0:
+    if not _is_integer(k) or k < 0:
         raise ValueError(f"degree must be a non-negative integer, got {k!r}")
     return _symmetric_group(int(k))
 

@@ -50,11 +50,16 @@ class InvariantViolation(RuntimeError):
     """A structural fact the code relies on failed to hold."""
 
 
+def _is_integer(x):
+    """The one integer rule, for degrees, indices and budgets: no bool, no float."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
 def element_limit(override=None):
     """Active element budget: explicit override, else env var, else default.
-    Either must be a non-negative integer; a bool or a float is not one."""
+    Either must be a non-negative integer (``_is_integer``)."""
     if override is not None:
-        if isinstance(override, bool) or not isinstance(override, (int, np.integer)) or override < 0:
+        if not _is_integer(override) or override < 0:
             raise ValueError(f"limit= must be a non-negative integer, got {override!r}")
         return int(override)
     env = os.environ.get(ELEMENT_LIMIT_ENV)
@@ -70,9 +75,10 @@ def element_limit(override=None):
 
 
 def _check_degree(n):
-    if not isinstance(n, int) or n < 2 or n % 2:
+    """The degree as an ``int``, refused unless an even integer >= 2."""
+    if not _is_integer(n) or n < 2 or n % 2:
         raise ValueError(f"degree must be an even integer >= 2, got {n!r}")
-    return n
+    return int(n)
 
 
 def _family(family):
@@ -84,7 +90,7 @@ def _family(family):
 
 def theta(n, i):
     """Mirror involution i -> n+1-i on {1..n}."""
-    _check_degree(n)
+    n = _check_degree(n)
     if not 1 <= i <= n:
         raise ValueError(f"point {i} out of range 1..{n}")
     return n + 1 - i
@@ -100,7 +106,7 @@ def _point_set(n, points):
 
 def is_admissible(n, points) -> bool:
     """True when the set avoids its own mirror image, or is {} or {1..n}."""
-    _check_degree(n)
+    n = _check_degree(n)
     s = _point_set(n, points)
     if not s or len(s) == n:
         return True
@@ -113,7 +119,7 @@ def admissible_subsets(n, k):
     Nonempty proper admissible sets pick at most one point from each mirror
     pair, so there are C(m,k)*2^k of them for k <= m and none for m < k < n.
     """
-    _check_degree(n)
+    n = _check_degree(n)
     m = n // 2
     if not 0 <= k <= n:
         raise ValueError(f"cardinality {k} out of range 0..{n}")
@@ -131,7 +137,7 @@ def admissible_subsets(n, k):
 
 def type_of(n, points):
     """Parity type of a proper admissible set: "I" iff evenly many points exceed n/2."""
-    _check_degree(n)
+    n = _check_degree(n)
     s = _point_set(n, points)
     if len(s) == n:
         raise ValueError("type is only defined for proper admissible subsets")
@@ -152,7 +158,7 @@ class PartialInjection:
     __slots__ = ("n", "images")
 
     def __init__(self, n, images):
-        _check_degree(n)
+        n = _check_degree(n)
         images = tuple(int(v) for v in images)
         if len(images) != n:
             raise ValueError(f"expected {n} image slots, got {len(images)}")
@@ -297,7 +303,7 @@ def is_member(family, f):
 def conjugation_escape_witness(n=8):
     """A full-rank OR member sigma and a permutation s whose conjugate
     s^-1 sigma s falls outside SR.  The pattern needs n >= 6."""
-    _check_degree(n)
+    n = _check_degree(n)
     if n < 6:
         raise ValueError("witness pattern needs degree >= 6")
     sigma = list(range(1, n + 1))
@@ -539,7 +545,7 @@ def _stratum(family, n, k):
 def predicted_size(family, n):
     """Closed-form universe size, summed over rank strata."""
     fam = _family(family)
-    _check_degree(n)
+    n = _check_degree(n)
     m = n // 2
     if fam == "R":
         return sum(math.comb(n, k) ** 2 * math.factorial(k) for k in range(n + 1))
@@ -570,7 +576,8 @@ class MonoidUniverse(_ElementStore):
     _identity = 1
 
     def __init__(self, family, n, image_matrix):
-        self.family, self.n = _family(family), _check_degree(n)
+        n = _check_degree(n)
+        self.family, self.n = _family(family), n
         images = self._image_rows(image_matrix, n)
         bad = (images < 0) | (images > n)
         if bad.any():
@@ -622,7 +629,7 @@ class MonoidUniverse(_ElementStore):
         raise ValueError(f"{e!r} is not a member of {self.family}_{self.n}")
 
     def _check_index(self, i):
-        if isinstance(i, bool) or not isinstance(i, (int, np.integer)) or not 0 <= i < len(self):
+        if not _is_integer(i) or not 0 <= i < len(self):
             raise ValueError(f"element {i!r} is not an index in 0..{len(self) - 1}")
 
     def _rows(self, images, what):
@@ -742,7 +749,7 @@ def enumerate_universe(family, n, *, limit=None):
     ``multiplication_table`` makes).  Members only, as many as the family
     has: so the universe records that it is the whole family."""
     fam = _family(family)
-    _check_degree(n)
+    n = _check_degree(n)
     size = predicted_size(fam, n)
     lim = element_limit(limit)
     if size > lim:

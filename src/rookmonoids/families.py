@@ -2,7 +2,7 @@
 that diffs them against the brute-force congruence lattice.
 
 Every family has one shape, built by a single private builder: an ideal
-collapses into the zero class, the elements of one or two J-classes split
+collapses into the zero class, the elements of one or more J-classes split
 into their H-classes and, inside each, into the cosets of a normal subgroup
 of the H-class group, ``green.maximal_subgroup``, and everything else stays
 singleton.  A normal subgroup is given by its coset labels, the congruence
@@ -10,12 +10,12 @@ on the group that ``normal_subgroups`` computed; each member reads the
 label of its H-coordinate, and a whole H-class is the full group's one
 coset.  Work that depends only on a split stratum, ``green._h_split``'s
 lookup of its H-coordinates in the group and an id base per H-class, is
-done once per (group, mask) and universe, and cached on it
-(``MonoidUniverse._splits``); each family then sets its ids by arithmetic.
-The public ``build_eq_*`` functions only check their parameters and pick
-the ideal and the splits: a rank stratum at each level of ``_levels``
-(``build_eq_N``), per-type variants at half rank on OR, and, at degree 4
-only, two OR congruences that also pair up the four units.
+done once per (group, mask) and universe; each family then sets its ids by
+arithmetic.  The public ``build_eq_*`` functions only check their
+parameters and pick the ideal and the splits: a rank stratum at each level
+of ``_levels`` (``build_eq_N``), per-type variants at half rank on OR
+(``_typed``), and, at degree 4 only, two OR congruences that also split
+the units by an order-2 subgroup of the Klein unit group W′.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from .congruences import (
     is_congruence,
     normal_subgroups,
 )
-from .core import InvariantViolation, PartialInjection, TYPE_I, TYPE_II
+from .core import InvariantViolation, TYPE_I, TYPE_II
 from .green import _h_split, _ideal_name, green_partition, maximal_subgroup
 
 @dataclass(frozen=True)
@@ -60,14 +60,7 @@ def _as_subgroup(parent, subgroup):
     return labels
 
 
-# Unit pairings of the two degree-4 specials, as full-rank image tuples.
-_OR4_UNIT_PAIRS = {
-    1: (((1, 2, 3, 4), (2, 1, 4, 3)), ((3, 4, 1, 2), (4, 3, 2, 1))),
-    2: (((1, 2, 3, 4), (3, 4, 1, 2)), ((2, 1, 4, 3), (4, 3, 2, 1))),
-}
-
-
-def _family_partition(universe, zero, splits, unit_pairs=()):
+def _family_partition(universe, zero, splits):
     """The one shape every predicted family has.
 
     ``zero`` masks the ideal that collapses into the zero class.  Each
@@ -76,23 +69,16 @@ def _family_partition(universe, zero, splits, unit_pairs=()):
     of a normal subgroup N of ``group``: members of one H-class are related
     when their H-coordinates lie in one coset of N, read off the coset
     labels of ``_as_subgroup`` at the positions ``_h_split`` found, so a
-    member's id is plain arithmetic.  Each ``_h_split`` is cached on the
-    universe under its (group, mask), so a stratum is looked up once per
-    universe, across families and calls.  ``unit_pairs`` lists element
-    pairs merged on top.  Everything else stays singleton.  The result is
-    checked to be a congruence before it is returned.
+    member's id is plain arithmetic.  ``_h_split`` looks a stratum up once
+    per universe, across families and calls.  Everything else stays
+    singleton.  The result is checked to be a congruence before it is
+    returned.
     """
-    strata = universe._splits
     ids = np.arange(len(universe), dtype=np.int64)
     ids[zero] = 0  # the zero map, element 0, lies in every ideal
     for mask, group, labels in splits:
-        key = (group, mask.tobytes())
-        if key not in strata:
-            strata[key] = _h_split(universe, mask, group)
-        members, pos, base = strata[key]
+        members, pos, base = _h_split(universe, mask, group)
         ids[members] = base + labels[pos]
-    for a, b in unit_pairs:
-        ids[ids == ids[b]] = ids[a]
     part = Partition(universe, ids)
     if not is_congruence(universe, part):
         raise InvariantViolation("constructed family partition is not a congruence")
@@ -137,38 +123,40 @@ def build_eq_N1N2(universe, sub1, sub2):
     return _family_partition(universe, universe.ranks < m, splits)
 
 
+def _typed(universe, variant, subgroup):
+    """The typed rule on OR, as a zero mask and one split: the zero class
+    swallows everything of rank < m plus the whole opposite-type stratum,
+    and the ``variant`` stratum splits by the cosets of ``subgroup``."""
+    m = universe.n // 2
+    parent = maximal_subgroup(universe, m)
+    other = TYPE_II if variant == TYPE_I else TYPE_I
+    zero = (universe.ranks < m) | (universe.mtypes == other)
+    return zero, (universe.mtypes == variant, parent, _as_subgroup(parent, subgroup))
+
+
 def build_eq_type(universe, variant, subgroup):
-    """Typed half-rank family on OR: the zero class swallows everything of
-    rank < m plus the whole opposite-type stratum; the named type splits
-    into subgroup orbits; units stay singletons."""
+    """Typed half-rank family on OR (``_typed``); units stay singletons."""
     _require_family(universe, "OR")
     if variant not in (TYPE_I, TYPE_II):
         raise ValueError(f"variant must be {TYPE_I!r} or {TYPE_II!r}, got {variant!r}")
-    m = universe.n // 2
-    parent = maximal_subgroup(universe, m)
-    split = (universe.mtypes == variant, parent, _as_subgroup(parent, subgroup))
-    other = TYPE_II if variant == TYPE_I else TYPE_I
-    zero = (universe.ranks < m) | (universe.mtypes == other)
+    zero, split = _typed(universe, variant, subgroup)
     return _family_partition(universe, zero, [split])
 
 
 def build_eq_special(universe, which):
-    """The two degree-4 specials on OR: units pair up, one half-rank type
-    collapses into the zero class, the other splits into full H-classes."""
+    """The two degree-4 specials on OR: the typed family of type I (special
+    1) or II (special 2) with whole H-classes, the full ``S_2``, and the
+    units split by the cosets of an order-2 subgroup of W′."""
     _require_family(universe, "OR")
     if universe.n != 4:
         raise ValueError(f"special congruences exist only at degree 4, got {universe.n}")
     if which not in (1, 2):
         raise ValueError(f"which must be 1 or 2, got {which}")
-    swallowed, kept = (TYPE_II, TYPE_I) if which == 1 else (TYPE_I, TYPE_II)
-    zero = (universe.ranks < 2) | (universe.mtypes == swallowed)
-    unit_pairs = [
-        tuple(universe.element_index(PartialInjection(4, images)) for images in pair)
-        for pair in _OR4_UNIT_PAIRS[which]
-    ]
-    s2 = maximal_subgroup(universe, 2)  # one coset: whole H-classes
-    split = (universe.mtypes == kept, s2, _as_subgroup(s2, s2))
-    return _family_partition(universe, zero, [split], unit_pairs)
+    zero, split = _typed(universe, TYPE_I if which == 1 else TYPE_II, maximal_subgroup(universe, 2))
+    units = maximal_subgroup(universe, 4)
+    pairing = {1: (2, 1, 4, 3), 2: (3, 4, 1, 2)}[which]  # with 1234, a subgroup of W′
+    unit_split = (universe.ranks == 4, units, _as_subgroup(units, {(1, 2, 3, 4), pairing}))
+    return _family_partition(universe, zero, [split, unit_split])
 
 
 def _labelled(parent):
@@ -206,7 +194,7 @@ def predicted_congruences(universe):
     """Instantiate every family over every admissible parameter, plus the
     universal partition; dedupe by partition, keeping all specs.  Each
     split stratum's H-coordinates are looked up once per universe
-    (``_family_partition``)."""
+    (``green._h_split``)."""
     m = universe.n // 2
     pairs = []
     for k, parent in _levels(universe).items():

@@ -10,8 +10,8 @@ ideals are its down-sets (``enumerate_ideals``), each named by
 ``_ideal_name``, and the DOT drawing reads it as well.
 ``MonoidUniverse.h_coords`` holds each ``h_coordinate``.  The maximal
 subgroup at rank k is the cached S_k, or the unit group at k = n
-(``maximal_subgroup``); ``_h_split`` maps H-coordinates onto it, for the
-family builder and ``h_class_group`` alike, so no group is built here.
+(``maximal_subgroup``); ``_h_split`` maps H-coordinates onto it once per
+stratum, for the builder and ``h_class_group`` alike: no group is built here.
 """
 
 from __future__ import annotations
@@ -201,17 +201,22 @@ def _h_split(universe, mask, group):
     N + h * |group| for each, h the least member of its H-class.  A
     member's class id is its base plus the coset label at its position: one
     id per H-class and coset in the whole universe, so the splits of one
-    family never collide, and none below N, where the element indices lie."""
-    members = np.flatnonzero(mask)
-    pos, found = group._indices(universe.h_coords[members, :group.degree])
-    if not found.all():
-        raise InvariantViolation(
-            f"the H-coordinate of element {members[np.argmin(found)]} is not in {group!r}"
-        )
-    codes = universe.dom_masks[members] << universe.n | universe.img_masks[members]
-    _, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
-    h = members[first][inverse.ravel()]  # the least member of each H-class
-    return members, pos, len(universe) + h * len(group)
+    family never collide, and none below N, where the element indices lie.
+    Computed once per (group, mask) and universe, and kept on it
+    (``MonoidUniverse._splits``) for every family and ``h_class_group``."""
+    key = (group, mask.tobytes())
+    if key not in universe._splits:
+        members = np.flatnonzero(mask)
+        pos, found = group._indices(universe.h_coords[members, :group.degree])
+        if not found.all():
+            raise InvariantViolation(
+                f"the H-coordinate of element {members[np.argmin(found)]} is not in {group!r}"
+            )
+        codes = universe.dom_masks[members] << universe.n | universe.img_masks[members]
+        _, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
+        h = members[first][inverse.ravel()]  # the least member of each H-class
+        universe._splits[key] = members, pos, len(universe) + h * len(group)
+    return universe._splits[key]
 
 
 def h_class_group(universe, idx):

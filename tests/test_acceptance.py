@@ -144,7 +144,7 @@ def test_criterion_5_h_class_groups():
             for points in admissible_subsets(n, k):
                 idx = universe.idempotent_index(points)
                 group, bijection = h_class_group(universe, idx)
-                assert set(group.elements) == set(
+                assert set(group) == set(
                     itertools.permutations(range(1, k + 1))
                 )
                 values = list(bijection.values())
@@ -156,7 +156,7 @@ def test_criterion_5_h_class_groups():
                         )
         group, bijection = h_class_group(universe, 1)
         units = {universe.elements[i].images for i in universe.units()}
-        assert set(group.elements) == units
+        assert set(group) == units
         assert len(group) == 2 ** (m - 1) * math.factorial(m)
     report(5, "idempotent H-class groups")
 

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from rookmonoids.cli import EXIT_BUDGET, EXIT_OK, main
+from rookmonoids.cli import EXIT_BUDGET, EXIT_OK, build_parser, main
 from rookmonoids.core import element_limit
 
 
@@ -275,6 +275,54 @@ def test_output_is_deterministic(capsys, argv):
     _, first, _ = run_cli(capsys, *argv)
     _, second, _ = run_cli(capsys, *argv)
     assert first == second
+
+
+def outcome(capsys, *argv):
+    """Exit code, stdout and stderr of one ``main`` call, argparse's exits too."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_the_cached_parser_answers_as_a_fresh_one(capsys):
+    """``main`` builds its parser once per process: after an argparse exit,
+    and after another subcommand, each call answers as a first call does."""
+    calls = [
+        ("congruences", "verify", "--n", "4", "--format", "json"),
+        ("congruences", "verify", "--n", "4", "--format", "dot"),
+        ("elements", "--family", "sr", "--n", "2"),
+        ("--help",),
+        ("congruences", "predict", "--n", "3"),
+    ]
+    firsts = []
+    for argv in calls:
+        build_parser.cache_clear()
+        firsts.append(outcome(capsys, *argv))
+    assert [code for code, _, _ in firsts] == [EXIT_OK, EXIT_BUDGET, EXIT_OK, EXIT_OK, EXIT_BUDGET]
+    for order in (calls, calls[::-1]):
+        assert [outcome(capsys, *argv) for argv in order] == [
+            firsts[calls.index(argv)] for argv in order]
+    assert build_parser() is build_parser()
+
+
+@pytest.mark.parametrize("family, verb, digest", [
+    ("or", "verify", "1ddd34a376ba9900853044e8e20c82d60d37a04c1cb7e9741e661caa9a04fce5"),
+    ("or", "predict", "aa524bb2f08cb6b30a26ba8511b998b1297ad26b346ab3ccdcfab5cb1afd6392"),
+    ("sr", "verify", "341aafe57ed8af19a99ec7bcc6c486eef324246e7769663b2496814c19557360"),
+    ("sr", "predict", "4dad4bc65952067f80d7cbcd889d2ff331ab1b56276b4db250ebca672602f197"),
+    ("r", "verify", "babfff24111da5bf132da6359accb4e0b15e3b76fabc64abc05838cb3f3699f8"),
+    ("r", "predict", "85fa3aa2db9f8a5192bd4fc1a24f11a587876c0f8324b37f7410b24a7b4c8964"),
+])
+def test_degree_4_json_is_pinned(capsys, family, verb, digest):
+    """The sha256 of the degree-4 classification reports and predictions,
+    as recorded while the OR_4 specials still merged their units in pairs."""
+    code, out, _ = run_cli(capsys, "congruences", verb, "--family", family,
+                           "--n", "4", "--format", "json")
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_element_budget_env_override(capsys, monkeypatch):

@@ -742,10 +742,10 @@ def oracle_conjugacy_classes(group):
     """Conjugacy classes, sorted by (size, least member)."""
     seen = set()
     classes = []
-    for g in sorted(group.elements):
+    for g in sorted(group):
         if g in seen:
             continue
-        orbit = frozenset(perm_mul(perm_mul(h, g), perm_inv(h)) for h in group.elements)
+        orbit = frozenset(perm_mul(perm_mul(h, g), perm_inv(h)) for h in group)
         seen |= orbit
         classes.append(orbit)
     classes.sort(key=lambda c: (len(c), min(c)))
@@ -754,11 +754,11 @@ def oracle_conjugacy_classes(group):
 
 def oracle_is_normal(group, subset):
     subset = frozenset(tuple(p) for p in subset)
-    if group.identity not in subset or not subset <= group.elements:
+    if group.identity not in subset or not subset <= frozenset(group):
         return False
     return all(perm_mul(a, b) in subset for a in subset for b in subset) and all(
         perm_mul(perm_mul(h, g), perm_inv(h)) in subset
-        for h in group.elements
+        for h in group
         for g in subset
     )
 
@@ -838,7 +838,7 @@ def test_perm_group_rows_are_the_generator_translations():
         assert moves.dtype == np.intp and not moves.flags.writeable
         assert moves.shape == (2 * len(gens), len(group)), group
         assert moves.tolist() == expected, group
-        assert generated_subgroup(gens, group.degree) == group.elements, group
+        assert generated_subgroup(gens, group.degree) == frozenset(group), group
 
 
 def test_normal_subgroup_seeds_are_one_pair_per_conjugacy_class(monkeypatch):
@@ -876,12 +876,12 @@ def test_is_normal_agrees_with_the_oracle(which, sr4):
     ]
     subsets += {
         generated_subgroup(pair, 4)
-        for pair in itertools.combinations(sorted(group.elements), 2)
+        for pair in itertools.combinations(sorted(group), 2)
     }
     verdicts = [group.is_normal(s) for s in subsets]
     assert verdicts == [oracle_is_normal(group, s) for s in subsets]
     assert any(verdicts) and not all(verdicts)
-    outsiders = set(itertools.permutations(range(1, 5))) - group.elements
+    outsiders = set(itertools.permutations(range(1, 5))) - frozenset(group)
     # (1, 1, 8, 4) has the base-5 image code of the identity.
     strangers = [(1, 2, 3, 5), (2, 2, 3, 4), (1, 1, 8, 4)] + sorted(outsiders)[:1]
     for subset in [ident | {p} for p in strangers] + [[(1, 2, 3)], []]:
@@ -892,7 +892,7 @@ def test_conjugacy_classes_partition_the_group():
     g = symmetric_group(4)
     classes = oracle_conjugacy_classes(g)
     assert sorted(len(c) for c in classes) == [1, 3, 6, 6, 8]
-    assert set().union(*classes) == set(g.elements)
+    assert set().union(*classes) == set(g)
 
 
 # -- the forcing properties behind the classification ------------------------

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import random
 import re
@@ -34,6 +35,7 @@ from rookmonoids.core import (
     _member_mask,
     _product_codes,
     _stratum,
+    element_to_json,
     image_codes,
 )
 
@@ -461,6 +463,28 @@ def test_universe_budget_accepts_integer_limits():
         enumerate_universe("OR", 2, limit=0)
     assert predicted_size("OR", 4) <= 40
     assert len(enumerate_universe("OR", 4, limit=np.int64(40))) == predicted_size("OR", 4)
+
+
+def test_a_numpy_integer_degree_is_read_as_an_int():
+    """A degree obeys the one integer rule that budgets, element indices
+    and ``symmetric_group`` obey: a numpy integer is kept as an ``int``."""
+    or4 = enumerate_universe("OR", np.int64(4))
+    assert type(or4.n) is int
+    assert np.array_equal(or4.image_matrix, enumerate_universe("OR", 4).image_matrix)
+    f = PartialInjection(np.int64(4), (2, 1, 0, 0))
+    assert type(f.n) is int and f == PartialInjection(4, (2, 1, 0, 0))
+    assert json.dumps(element_to_json(f)) == '{"n": 4, "map": [[1, 2], [2, 1]]}'
+    assert predicted_size("SR", np.int64(4)) == 57
+    assert theta(np.int64(4), 1) == 4 and type_of(np.int64(4), (1, 2)) == "I"
+
+
+@pytest.mark.parametrize("n", [4.0, True, np.float64(4), "4"])
+def test_a_degree_that_is_not_an_integer_is_refused(n):
+    message = f"degree must be an even integer >= 2, got {n!r}"
+    for call in (lambda: enumerate_universe("OR", n), lambda: PartialInjection(n, (1, 2, 3, 4)),
+                 lambda: predicted_size("OR", n), lambda: theta(n, 1)):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            call()
 
 
 def test_universe_closure_exhaustive_small():

@@ -19,6 +19,7 @@ from rookmonoids import (
     enumerate_ideals,
     enumerate_universe,
     green_partition,
+    h_class_group,
     is_congruence,
     normal_subgroups,
     predicted_congruences,
@@ -28,7 +29,6 @@ from rookmonoids import (
 from rookmonoids import families
 from rookmonoids.core import element_limit, image_codes
 from rookmonoids.families import (
-    _OR4_UNIT_PAIRS,
     _annotate_unmatched,
     _as_subgroup,
     _family_partition,
@@ -41,6 +41,13 @@ from oracles import family_partition_reference, is_even
 TRIVIAL_1 = frozenset({(1,)})
 TRIVIAL_2 = frozenset({(1, 2)})
 FULL_2 = frozenset({(1, 2), (2, 1)})
+
+# The unit pairings of the two degree-4 specials, as full-rank image tuples:
+# the old pair form, kept as the oracle of the W′ split that builds them.
+_OR4_UNIT_PAIRS = {
+    1: (((1, 2, 3, 4), (2, 1, 4, 3)), ((3, 4, 1, 2), (4, 3, 2, 1))),
+    2: (((1, 2, 3, 4), (3, 4, 1, 2)), ((2, 1, 4, 3), (4, 3, 2, 1))),
+}
 
 
 def units_of(universe):
@@ -227,9 +234,12 @@ def test_special_congruence_is_generated_by_its_unit_pair(or4):
 
 
 def test_builder_refuses_a_partition_that_is_not_a_congruence(or4):
-    d1 = or4.element_index(PartialInjection(4, (2, 1, 4, 3)))
-    with pytest.raises(InvariantViolation):
-        _family_partition(or4, or4.ranks < 1, [], [(1, d1)])
+    """Special 1's unit split with no zero ideal: pairing the units alone
+    relates rank-2 elements that no class holds together."""
+    units = or4.unit_group
+    labels = _as_subgroup(units, {(1, 2, 3, 4), (2, 1, 4, 3)})
+    with pytest.raises(InvariantViolation, match="not a congruence"):
+        _family_partition(or4, or4.ranks < 1, [(or4.ranks == 4, units, labels)])
 
 
 def min_code_partition(universe, zero, splits, unit_pairs=()):
@@ -281,17 +291,21 @@ def test_coset_label_splits_match_the_min_image_code_oracle(name, request):
 
 
 def test_specials_split_by_the_one_coset_of_s2(or4):
-    """The full S_2 split of the degree-4 specials is the old whole-H-class
-    (``None``) split."""
+    """Each degree-4 special, built with the full S_2 split and the W′ split
+    of the units, is the old build: the typed zero class, whole H-classes
+    (a ``None`` subgroup, or S_2's one coset) and the units merged in pairs."""
+    s2 = symmetric_group(2)
     for which, (swallowed, kept) in ((1, ("II", "I")), (2, ("I", "II"))):
         zero = (or4.ranks < 2) | (or4.mtypes == swallowed)
         pairs = [
             tuple(or4.element_index(PartialInjection(4, images)) for images in pair)
             for pair in _OR4_UNIT_PAIRS[which]
         ]
-        assert build_eq_special(or4, which) == min_code_partition(
+        special = build_eq_special(or4, which)
+        assert special == min_code_partition(
             or4, zero, [(or4.mtypes == kept, None)], pairs)
-    s2 = symmetric_group(2)
+        assert special == family_partition_reference(
+            or4, zero, [(or4.mtypes == kept, s2, _as_subgroup(s2, s2))], pairs)
     assert not _as_subgroup(s2, s2).any()
 
 
@@ -358,6 +372,19 @@ def test_separate_builder_calls_look_each_stratum_up_once(monkeypatch):
     assert first != second
 
 
+def test_h_class_group_shares_the_stratum_memo(monkeypatch):
+    """``h_class_group`` reads its H-class through the memo of ``_h_split``:
+    a second call looks nothing up, nor does the W′ split of a special,
+    whose stratum is the identity's H-class under the same group."""
+    or4 = enumerate_universe("OR", 4)
+    degrees = counting_indices(monkeypatch)
+    first = h_class_group(or4, 1)
+    assert degrees == [4]
+    assert h_class_group(or4, 1) == first and degrees == [4]
+    build_eq_special(or4, 1)
+    assert degrees == [4, 2]
+
+
 def test_special_congruences_need_degree_four(or6):
     with pytest.raises(ValueError):
         build_eq_special(or6, 1)
@@ -368,7 +395,7 @@ def test_symplectic_family(sr2, sr4):
     assert build_eq_N(sr2, 1, TRIVIAL_1) == Partition.identity(sr2)
 
     w = sr4.unit_group
-    full = frozenset(w.elements)
+    full = frozenset(w)
     top = build_eq_N(sr4, 4, full)
     assert set(top.class_of(0)) == {i for i in range(len(sr4)) if sr4.ranks[i] < 4}
     assert set(top.class_of(1)) == set(units_of(sr4))
@@ -454,10 +481,7 @@ def test_predictions_match_the_per_family_reference(monkeypatch, family, n):
     same partitions with the same specs, in the same order."""
     universe = enumerate_universe(family, n)
     built = [(part.key, specs) for part, specs in predicted_congruences(universe)]
-    monkeypatch.setattr(
-        families, "_family_partition",
-        lambda universe, zero, splits, unit_pairs=():
-            family_partition_reference(universe, zero, splits, unit_pairs))
+    monkeypatch.setattr(families, "_family_partition", family_partition_reference)
     reference = [(part.key, specs) for part, specs in predicted_congruences(universe)]
     assert built == reference
 

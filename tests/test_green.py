@@ -334,7 +334,7 @@ def test_h_class_groups_are_symmetric_groups(or4, or6):
                 group, bijection = h_class_group(universe, idx)
                 assert group.degree == k
                 assert len(group) == math.factorial(k)
-                assert set(group.elements) == set(itertools.permutations(range(1, k + 1)))
+                assert set(group) == set(itertools.permutations(range(1, k + 1)))
                 # the position map is an isomorphism onto S_k
                 members = list(bijection)
                 for a in members:
@@ -369,7 +369,7 @@ def test_h_class_group_at_full_rank_is_the_unit_group(or4):
     group, bijection = h_class_group(or4, 1)
     assert len(group) == 4
     assert sorted(bijection) == sorted(or4.units())
-    assert set(group.elements) == {
+    assert set(group) == {
         (1, 2, 3, 4), (2, 1, 4, 3), (3, 4, 1, 2), (4, 3, 2, 1),
     }
 
@@ -378,7 +378,7 @@ def test_h_class_group_at_full_rank_on_sr_is_the_signed_group(sr4):
     group, bijection = h_class_group(sr4, 1)
     assert len(group) == 8
     assert sorted(bijection) == sorted(sr4.units())
-    assert all(len(p) == 4 for p in group.elements)
+    assert all(len(p) == 4 for p in group)
 
 
 def idempotents(universe):
