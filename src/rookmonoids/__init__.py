@@ -70,6 +70,7 @@ from .green import (
     h_class_group,
     h_coordinate,
     j_order_dot,
+    maximal_subgroup,
 )
 
 __version__ = "0.1.0"

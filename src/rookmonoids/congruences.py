@@ -212,9 +212,12 @@ class Partition:
         return int(self.ids.max()) + 1 if self.ids.size else 0
 
     def relates(self, i, j):
+        self.universe._check_index(i)
+        self.universe._check_index(j)
         return bool(self.ids[i] == self.ids[j])
 
     def class_of(self, i):
+        self.universe._check_index(i)
         return [int(x) for x in np.flatnonzero(self.ids == self.ids[i])]
 
     def classes(self):
@@ -484,7 +487,7 @@ class PermGroup(_ElementStore):
     _identity = 0  # the least image code
 
     def __init__(self, degree, elements):
-        self.degree = int(degree)
+        self.degree = _group_degree(degree)
         self.identity = tuple(range(1, self.degree + 1))
         perms = self._image_rows([tuple(p) for p in elements], self.degree).astype(np.intp)
         if (np.sort(perms, axis=1) != self.identity).any():
@@ -527,11 +530,16 @@ class PermGroup(_ElementStore):
         return f"<PermGroup of degree {self.degree}, order {len(self)}>"
 
 
-def symmetric_group(k):
-    """S_k, built once per degree k, checked before the cache keys on it."""
+def _group_degree(k):
+    """A group's degree as an ``int``, refused unless a non-negative integer (``_is_integer``)."""
     if not _is_integer(k) or k < 0:
         raise ValueError(f"degree must be a non-negative integer, got {k!r}")
-    return _symmetric_group(int(k))
+    return int(k)
+
+
+def symmetric_group(k):
+    """S_k, built once per degree k, checked before the cache keys on it."""
+    return _symmetric_group(_group_degree(k))
 
 
 @functools.cache

@@ -88,20 +88,23 @@ def _family(family):
     return fam
 
 
+def _check_point(n, p, what="point"):
+    """A point of {1..n} as an ``int``, refused unless an integer (``_is_integer``)."""
+    if not _is_integer(p):
+        raise ValueError(f"{what} {p!r} is not an integer")
+    if not 1 <= p <= n:
+        raise ValueError(f"{what} {p} out of range 1..{n}")
+    return int(p)
+
+
 def theta(n, i):
     """Mirror involution i -> n+1-i on {1..n}."""
     n = _check_degree(n)
-    if not 1 <= i <= n:
-        raise ValueError(f"point {i} out of range 1..{n}")
-    return n + 1 - i
+    return n + 1 - _check_point(n, i)
 
 
 def _point_set(n, points):
-    s = set(int(p) for p in points)
-    for p in s:
-        if not 1 <= p <= n:
-            raise ValueError(f"point {p} out of range 1..{n}")
-    return s
+    return {_check_point(n, p) for p in points}
 
 
 def is_admissible(n, points) -> bool:
@@ -159,15 +162,13 @@ class PartialInjection:
 
     def __init__(self, n, images):
         n = _check_degree(n)
-        images = tuple(int(v) for v in images)
+        images = tuple(0 if _is_integer(v) and v == 0 else _check_point(n, v, "target") for v in images)
         if len(images) != n:
             raise ValueError(f"expected {n} image slots, got {len(images)}")
         seen = set()
         for v in images:
             if v == 0:
                 continue
-            if not 1 <= v <= n:
-                raise ValueError(f"target {v} out of range 1..{n}")
             if v in seen:
                 raise ValueError(f"target {v} repeated; map is not injective")
             seen.add(v)
@@ -176,11 +177,10 @@ class PartialInjection:
 
     @classmethod
     def from_pairs(cls, n, pairs):
+        n = _check_degree(n)
         images = [0] * n
         for s, t in pairs:
-            s, t = int(s), int(t)
-            if not 1 <= s <= n:
-                raise ValueError(f"source {s} out of range 1..{n}")
+            s = _check_point(n, s, "source")
             if images[s - 1]:
                 raise ValueError(f"source {s} repeated")
             images[s - 1] = t
@@ -203,9 +203,7 @@ class PartialInjection:
         return tuple(v for v in self.images if v)
 
     def __call__(self, i):
-        if not 1 <= i <= self.n:
-            raise ValueError(f"point {i} out of range 1..{self.n}")
-        return self.images[i - 1] or None
+        return self.images[_check_point(self.n, i) - 1] or None
 
     def __mul__(self, other):
         return compose(self, other)
@@ -255,7 +253,7 @@ def idempotent_of(n, points):
     """Identity restricted to an admissible set."""
     if not is_admissible(n, points):
         raise ValueError(f"{sorted(set(points))} is not admissible for degree {n}")
-    s = set(int(p) for p in points)
+    s = _point_set(n, points)
     return PartialInjection(n, tuple(i if i in s else 0 for i in range(1, n + 1)))
 
 
@@ -567,8 +565,8 @@ class MonoidUniverse(_ElementStore):
     "II" at rank n/2 of OR, else "") and ``h_coords``, each ``h_coordinate``
     padded with zeros.  Lookups and products are the ``_ElementStore``'s;
     ``elements`` builds ``PartialInjection`` objects on first use.
-    ``generators``, ``translations``, ``multiplication_table``, ``j_order``
-    and ``unit_group`` are computed on first use and cached, as is each
+    ``generators``, ``translations``, ``multiplication_table`` and
+    ``j_order`` are computed on first use and cached, as is each
     split stratum the family builder reads (``_splits``, filled by
     ``green._h_split``).  The constructor checks the matrix; instances
     are immutable after it."""
@@ -611,7 +609,6 @@ class MonoidUniverse(_ElementStore):
         self.mtypes = np.where((self.ranks == m) & (self.family == "OR"), typed, "")
         self._table = None
         self._splits = {}
-        self._units = np.flatnonzero(self.ranks == n).tolist()
 
     @functools.cached_property
     def elements(self):
@@ -694,7 +691,7 @@ class MonoidUniverse(_ElementStore):
         return self._table
 
     def units(self):
-        return list(self._units)
+        return np.flatnonzero(self.ranks == self.n).tolist()
 
     @functools.cached_property
     def j_order(self):
@@ -725,13 +722,6 @@ class MonoidUniverse(_ElementStore):
         ``enumerate_universe`` records it without this check."""
         return (len(self) == predicted_size(self.family, self.n)
                 and bool(_member_mask(self.family, self.image_matrix).all()))
-
-    @functools.cached_property
-    def unit_group(self):
-        """The units' images as a ``PermGroup``, built on first use."""
-        from .congruences import PermGroup  # congruences imports this module
-
-        return PermGroup(self.n, self.image_matrix[self._units])
 
     def idempotent_index(self, points):
         return self.element_index(idempotent_of(self.n, points))
@@ -776,7 +766,7 @@ def element_to_json(f):
 
 
 def element_from_json(obj):
-    return PartialInjection.from_pairs(int(obj["n"]), obj["map"])
+    return PartialInjection.from_pairs(obj["n"], obj["map"])
 
 
 def format_element_text(f):

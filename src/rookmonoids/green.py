@@ -9,20 +9,21 @@ oracles).  The J-classes and the J-order come from
 ideals are its down-sets (``enumerate_ideals``), each named by
 ``_ideal_name``, and the DOT drawing reads it as well.
 ``MonoidUniverse.h_coords`` holds each ``h_coordinate``.  The maximal
-subgroup at rank k is the cached S_k, or the unit group at k = n
-(``maximal_subgroup``); ``_h_split`` maps H-coordinates onto it once per
-stratum, for the builder and ``h_class_group`` alike: no group is built here.
+subgroup at rank k, S_k or the unit group at k = n, is built once per
+family and degree (``maximal_subgroup``); ``_h_split`` maps H-coordinates
+onto it once per stratum, for the builder and ``h_class_group`` alike.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from math import comb, factorial
 
 import numpy as np
 
-from .congruences import _hasse_dot, symmetric_group
-from .core import InvariantViolation, _canonical_ids
+from .congruences import PermGroup, _hasse_dot, symmetric_group
+from .core import InvariantViolation, _canonical_ids, _stratum
 
 
 @dataclass
@@ -190,8 +191,15 @@ def h_coordinate(elem):
 
 
 def maximal_subgroup(universe, k):
-    """The maximal subgroup at rank k: the unit group at k = n, else S_k."""
-    return universe.unit_group if k == universe.n else symmetric_group(k)
+    """The maximal subgroup at rank k of a whole family, built once per
+    family and degree: S_k below n, the unit stratum's group at k = n."""
+    universe.j_order  # raises ValueError on a universe that is not a whole family
+    return _unit_group(universe.family, universe.n) if k == universe.n else symmetric_group(k)
+
+
+@functools.cache
+def _unit_group(family, n):
+    return PermGroup(n, _stratum(family, n, n))
 
 
 def _h_split(universe, mask, group):
@@ -224,9 +232,8 @@ def h_class_group(universe, idx):
     ``maximal_subgroup`` at its rank, acting on the positions of its
     domain, with the bijection read through ``_h_split`` that maps each
     member to its ``h_coordinate``.  Only a whole family has these groups,
-    so on any other universe ``MonoidUniverse.j_order`` raises ``ValueError``."""
+    so on any other universe ``maximal_subgroup`` raises ``ValueError``."""
     universe._check_index(idx)
-    universe.j_order  # raises ValueError on a universe that is not a whole family
     row, dom = universe.image_matrix[idx], universe.dom_masks[idx]
     if ((row != 0) & (row != np.arange(1, universe.n + 1))).any():
         raise ValueError(f"element {idx} (images {tuple(row.tolist())}) is not idempotent")

@@ -18,6 +18,7 @@ from rookmonoids import (
     is_congruence,
     join,
     lattice_to_dot,
+    maximal_subgroup,
     normal_subgroups,
     partition_from_json,
     symmetric_group,
@@ -622,6 +623,17 @@ def test_partition_from_json_rejects_out_of_range_indices(or4, stray):
         partition_from_json(or4, {"classes": classes})
 
 
+@pytest.mark.parametrize("bad", [-37, -1, 37, 1.0, True])
+def test_partition_lookups_refuse_bad_indices(or4, bad):
+    """``relates`` and ``class_of`` check an index as ``product`` does: -37
+    does not wrap to element 0, nor -1 to element 36."""
+    part = Partition.identity(or4)
+    for call in (lambda: part.relates(bad, 0), lambda: part.relates(0, bad), lambda: part.class_of(bad)):
+        with pytest.raises(ValueError, match=f"element {bad!r} is not an index in 0..36"):
+            call()
+    assert part.relates(np.int64(36), 36) and part.class_of(np.int64(36)) == [36]
+
+
 # -- permutation groups ------------------------------------------------------
 
 def test_perm_group_validation():
@@ -673,6 +685,13 @@ def test_symmetric_group_refuses_a_degree_that_is_not_a_non_negative_integer(k):
         symmetric_group(k)
 
 
+@pytest.mark.parametrize("degree", [2.9, 2.0, True, "2", -1])
+def test_perm_group_refuses_a_degree_that_is_not_a_non_negative_integer(degree):
+    with pytest.raises(ValueError, match=f"degree must be a non-negative integer, got {degree!r}"):
+        PermGroup(degree, [(1, 2)])
+    assert PermGroup(np.int64(2), [(1, 2)]).degree == 2
+
+
 def test_perm_group_refuses_float_and_bool_images():
     """The element store takes integer image rows only, as a universe does:
     numpy would cast 1.0 or True to 1, and 1.5 to 1."""
@@ -701,13 +720,13 @@ def test_normal_subgroups_of_small_symmetric_groups():
 
 
 def test_normal_subgroups_of_the_klein_unit_group(or4):
-    group = or4.unit_group
+    group = maximal_subgroup(or4, 4)
     subs = normal_subgroups(group)
     assert [len(s) for s in subs] == [1, 2, 2, 2, 4]
 
 
 def test_normal_subgroups_are_normal(sr4):
-    w = sr4.unit_group
+    w = maximal_subgroup(sr4, 4)
     assert len(w) == 8
     subs = normal_subgroups(w)
     assert [len(s) for s in subs] == [1, 2, 4, 4, 4, 8]
@@ -780,16 +799,15 @@ def oracle_normal_subgroups(group):
     return found
 
 
-def unit_groups():
-    for family, n in itertools.product(("OR", "SR"), (2, 4, 6)):
-        yield enumerate_universe(family, n).unit_group
-    yield enumerate_universe("SR", 8).unit_group
+def family_unit_groups():
+    for family, n in [*itertools.product(("OR", "SR"), (2, 4, 6)), ("SR", 8)]:
+        yield maximal_subgroup(enumerate_universe(family, n), n)
 
 
 def test_normal_subgroups_match_the_class_union_oracle():
     """Same subgroups in the same order on S_0..S_5 and on the unit groups
     of OR/SR 2, 4, 6 and of SR_8 (order 384, 20 conjugacy classes)."""
-    groups = [symmetric_group(k) for k in range(6)] + list(unit_groups())
+    groups = [symmetric_group(k) for k in range(6)] + list(family_unit_groups())
     assert len(groups[-1]) == 384
     for group in groups:
         assert list(normal_subgroups(group)) == oracle_normal_subgroups(group), group
@@ -800,7 +818,7 @@ def test_coset_labels_are_the_cosets_of_each_normal_subgroup():
     """On S_0..S_5 and the unit groups, ``cosets`` labels each member of
     each coset g·N by the least index in it; the labels are read-only and
     cached, and a subgroup that is not normal has none."""
-    for group in [symmetric_group(k) for k in range(6)] + list(unit_groups()):
+    for group in [symmetric_group(k) for k in range(6)] + list(family_unit_groups()):
         perms = list(group)
         for sub in normal_subgroups(group):
             labels = group.cosets(sub)
@@ -828,7 +846,7 @@ def test_perm_group_rows_are_the_generator_translations():
     """On S_0..S_5 and the unit groups, the translation rows are x -> g·x,
     then x -> x·g, for the generators g, by ``perm_mul``; and the
     generators generate the group."""
-    for group in [symmetric_group(k) for k in range(6)] + list(unit_groups()):
+    for group in [symmetric_group(k) for k in range(6)] + list(family_unit_groups()):
         perms = list(group)
         index = {p: i for i, p in enumerate(perms)}
         gens = [perms[g] for g in group.generators()]
@@ -850,7 +868,8 @@ def test_normal_subgroup_seeds_are_one_pair_per_conjugacy_class(monkeypatch):
     monkeypatch.setattr(congruences, "_lattice_ids",
                         lambda moves, seeds: passed.append(seeds) or lattice_ids(moves, seeds))
     fresh = [PermGroup(k, itertools.permutations(range(1, k + 1))) for k in range(6)]
-    for group in fresh + list(unit_groups()):
+    fresh += [PermGroup(group.degree, group.perms) for group in family_unit_groups()]
+    for group in fresh:
         passed.clear()
         normal_subgroups(group)
         index = {p: i for i, p in enumerate(group)}
@@ -867,7 +886,7 @@ def test_is_normal_agrees_with_the_oracle(which, sr4):
     not closed under products), every subgroup generated by two elements
     (conjugation-closed or not), sets with a non-member or a non-permutation,
     a set of the wrong degree and the empty set."""
-    group = symmetric_group(4) if which == "s4" else sr4.unit_group
+    group = symmetric_group(4) if which == "s4" else maximal_subgroup(sr4, 4)
     ident = frozenset({group.identity})
     rest = [c for c in oracle_conjugacy_classes(group) if c != ident]
     subsets = [

@@ -35,6 +35,7 @@ from rookmonoids.core import (
     _member_mask,
     _product_codes,
     _stratum,
+    element_from_json,
     element_to_json,
     image_codes,
 )
@@ -482,9 +483,44 @@ def test_a_numpy_integer_degree_is_read_as_an_int():
 def test_a_degree_that_is_not_an_integer_is_refused(n):
     message = f"degree must be an even integer >= 2, got {n!r}"
     for call in (lambda: enumerate_universe("OR", n), lambda: PartialInjection(n, (1, 2, 3, 4)),
-                 lambda: predicted_size("OR", n), lambda: theta(n, 1)):
+                 lambda: predicted_size("OR", n), lambda: theta(n, 1),
+                 lambda: PartialInjection.from_pairs(n, [(1, 2)]),
+                 lambda: element_from_json({"n": n, "map": [[1, 2]]})):
         with pytest.raises(ValueError, match=re.escape(message)):
             call()
+    with pytest.raises(ValueError, match=re.escape("got 4.5")):
+        element_from_json({"n": 4.5, "map": [[1, 2]]})
+
+
+@pytest.mark.parametrize("bad", [2.7, 2.0, 0.0, True, False, np.float64(2), "2"])
+def test_a_point_that_is_not_an_integer_is_refused(or4, bad):
+    """Images, sources and points obey the one integer rule of degrees and
+    indices (``core._is_integer``): refused, not rounded to a point, and
+    a float or bool 0 is not read as an unmapped slot."""
+    calls = (
+        lambda: PartialInjection(4, (bad, 1, 0, 0)),
+        lambda: PartialInjection.from_pairs(4, [(bad, 2)]),
+        lambda: PartialInjection.from_pairs(4, [(1, bad)]),
+        lambda: theta(4, bad),
+        lambda: is_admissible(4, [bad]),
+        lambda: type_of(4, [1, bad]),
+        lambda: idempotent_of(4, [bad]),
+        lambda: or4.idempotent_index((1, bad)),
+        lambda: identity_map(4)(bad),
+    )
+    for call in calls:
+        with pytest.raises(ValueError, match=re.escape(f"{bad!r} is not an integer")):
+            call()
+
+
+def test_numpy_integer_points_are_read_as_ints(or4):
+    f = PartialInjection(4, np.array([2, 1, 0, 0], dtype=np.uint8))
+    assert all(type(v) is int for v in f.images)
+    assert f == PartialInjection.from_pairs(4, [(np.int64(1), np.int32(2)), (np.int16(2), np.uint8(1))])
+    assert f(np.int64(1)) == 2 and type(theta(4, np.int64(1))) is int
+    assert is_admissible(4, [np.int8(1), np.int64(2)])
+    assert or4.idempotent_index((1, np.int64(2))) == or4.idempotent_index((1, 2))
+    assert element_from_json({"n": np.int64(4), "map": [[np.int64(1), 2]]}) == PartialInjection(4, (2, 0, 0, 0))
 
 
 def test_universe_closure_exhaustive_small():

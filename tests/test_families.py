@@ -21,12 +21,13 @@ from rookmonoids import (
     green_partition,
     h_class_group,
     is_congruence,
+    maximal_subgroup,
     normal_subgroups,
     predicted_congruences,
     symmetric_group,
     verify_classification,
 )
-from rookmonoids import families
+from rookmonoids import congruences, families
 from rookmonoids.core import element_limit, image_codes
 from rookmonoids.families import (
     _annotate_unmatched,
@@ -168,7 +169,7 @@ def test_labelled_alt_is_the_even_permutations(family, n):
     if family == "S":
         parent = symmetric_group(n)
     else:
-        parent = enumerate_universe(family, n).unit_group
+        parent = maximal_subgroup(enumerate_universe(family, n), n)
     even = frozenset(p for p in parent if is_even(p))
     labelled = dict(_labelled(parent))
     if 1 < len(even) < len(parent):
@@ -236,7 +237,7 @@ def test_special_congruence_is_generated_by_its_unit_pair(or4):
 def test_builder_refuses_a_partition_that_is_not_a_congruence(or4):
     """Special 1's unit split with no zero ideal: pairing the units alone
     relates rank-2 elements that no class holds together."""
-    units = or4.unit_group
+    units = maximal_subgroup(or4, 4)
     labels = _as_subgroup(units, {(1, 2, 3, 4), (2, 1, 4, 3)})
     with pytest.raises(InvariantViolation, match="not a congruence"):
         _family_partition(or4, or4.ranks < 1, [(or4.ranks == 4, units, labels)])
@@ -313,7 +314,7 @@ def test_unit_level_split_gathers_no_coset_images(sr8):
     """The SR_8 unit level with the full unit group W, order 384: each
     member is keyed by one coset label, so the build peaks far below the
     384 × 384 × 8 intp gather of the min-image-code key (9.4 MB)."""
-    w = sr8.unit_group
+    w = maximal_subgroup(sr8, 8)
     sr8.translations()
     normal_subgroups(w)
     tracemalloc.start()
@@ -394,7 +395,7 @@ def test_symplectic_family(sr2, sr4):
     assert build_eq_N(sr4, 1, TRIVIAL_1) == Partition.identity(sr4)
     assert build_eq_N(sr2, 1, TRIVIAL_1) == Partition.identity(sr2)
 
-    w = sr4.unit_group
+    w = maximal_subgroup(sr4, 4)
     full = frozenset(w)
     top = build_eq_N(sr4, 4, full)
     assert set(top.class_of(0)) == {i for i in range(len(sr4)) if sr4.ranks[i] < 4}
@@ -420,7 +421,7 @@ def test_family_monotonicity(or4, or6, sr4):
     assert build_eq_N1N2(or4, small, small).refines(build_eq_N1N2(or4, big, small))
     assert build_eq_type(or4, "I", small).refines(build_eq_type(or4, "I", big))
     assert build_eq_N(sr4, 2, small).refines(build_eq_N(sr4, 2, big))
-    w = sr4.unit_group
+    w = maximal_subgroup(sr4, 4)
     subs = sorted(normal_subgroups(w), key=len)
     for sub in subs:
         assert build_eq_N(sr4, 4, subs[0]).refines(build_eq_N(sr4, 4, sub))
@@ -444,21 +445,52 @@ def test_every_family_partition_is_a_congruence_and_not_universal():
             assert part.num_classes > 1
 
 
-def test_predictions_build_the_unit_group_once(monkeypatch):
-    for k in (1, 2, 3):
-        symmetric_group(k)
-    built = []
-    init = PermGroup.__init__
+def test_fresh_universes_share_one_unit_group(monkeypatch):
+    """The unit group depends only on the family and the degree: two fresh
+    SR_6 universes read the same group, and predictions on the second build
+    no group and recompute no normal subgroups."""
+    first, second = enumerate_universe("SR", 6), enumerate_universe("SR", 6)
+    predicted_congruences(first)
+    built, lattices = [], []
+    init, lattice_ids = PermGroup.__init__, congruences._lattice_ids
 
     def counting(self, degree, elements):
         built.append(degree)
         init(self, degree, elements)
 
     monkeypatch.setattr(PermGroup, "__init__", counting)
-    sr6 = enumerate_universe("SR", 6)
-    predicted_congruences(sr6)
-    assert built == [6]
-    assert len(sr6.unit_group) == 48 and built == [6]
+    monkeypatch.setattr(congruences, "_lattice_ids",
+                        lambda *args: lattices.append(args) or lattice_ids(*args))
+    assert maximal_subgroup(second, 6) is maximal_subgroup(first, 6)
+    assert len(maximal_subgroup(second, 6)) == 48
+    predicted_congruences(second)
+    assert built == [] and lattices == []
+
+
+def test_unit_groups_are_cached_per_family_and_degree(or4, sr4):
+    """OR_4 and SR_4 share the degree but not the unit group: W′ of order 4
+    and the signed group of order 8."""
+    w_or, w_sr = maximal_subgroup(or4, 4), maximal_subgroup(sr4, 4)
+    assert w_or is not w_sr
+    assert (len(w_or), len(w_sr)) == (4, 8)
+
+
+@pytest.mark.parametrize("n, extras", [(4, 5), (6, 4), (8, 8)])
+def test_or_extras_are_the_rees_quotients_with_units_split_by_w_prime(n, extras):
+    """On OR the congruences no family predicts are, as a set, one per
+    normal subgroup N of W′: every non-unit in the zero class, and the
+    units split by the cosets of N.  Only tested here: no family builds
+    them."""
+    u = enumerate_universe("OR", n)
+    w = maximal_subgroup(u, n)
+    expected = {
+        _family_partition(u, u.ranks < n, [(u.ranks == n, w, _as_subgroup(w, sub))]).key
+        for sub in normal_subgroups(w)
+    }
+    found = [Partition.from_classes(u, entry["classes"]).key
+             for entry in verify_classification(u).found_not_predicted]
+    assert len(found) == len(set(found)) == len(expected) == extras
+    assert set(found) == expected
 
 
 def test_predictions_look_each_split_stratum_up_once(monkeypatch):
@@ -524,7 +556,7 @@ def test_predicted_congruences_or4_include_the_specials(or4):
 def test_predicted_congruence_parameter_count_sr4(sr4):
     preds = predicted_congruences(sr4)
     total_specs = sum(len(specs) for _, specs in preds)
-    w = sr4.unit_group
+    w = maximal_subgroup(sr4, 4)
     expected = (
         len(normal_subgroups(symmetric_group(1)))
         + len(normal_subgroups(symmetric_group(2)))

@@ -325,6 +325,15 @@ def test_j_order_refuses_a_universe_that_is_not_the_whole_family():
     assert green_partition(MonoidUniverse("OR", 2, images)).j_ids.tolist() == [0, 1, 2, 3]
 
 
+def test_maximal_subgroup_refuses_a_universe_that_is_not_the_whole_family():
+    """The R_2 submonoid {0, 1, e1 = [1, 0], e2 = [0, 2]} has no maximal
+    subgroups of the rank rule, at any rank: ``j_order``'s refusal."""
+    submonoid = MonoidUniverse("R", 2, np.array([[0, 0], [1, 2], [1, 0], [0, 2]]))
+    for k in range(3):
+        with pytest.raises(ValueError, match="R_2, and this universe is not all of it"):
+            maximal_subgroup(submonoid, k)
+
+
 def test_h_class_groups_are_symmetric_groups(or4, or6):
     for universe in (or4, or6):
         m = universe.n // 2
@@ -388,7 +397,7 @@ def idempotents(universe):
 
 def test_h_class_group_is_the_cached_maximal_subgroup(or4, sr4, r4):
     """No group is built per H-class: below full rank it is the cached S_k,
-    at rank n the universe's unit group."""
+    at rank n the unit group that every universe of the family and degree shares."""
     for universe in (or4, sr4, r4):
         for idx in idempotents(universe).tolist():
             k = int(universe.ranks[idx])
@@ -397,7 +406,7 @@ def test_h_class_group_is_the_cached_maximal_subgroup(or4, sr4, r4):
             if k < universe.n:
                 assert group is symmetric_group(k)
             else:
-                assert group is universe.unit_group
+                assert group is maximal_subgroup(enumerate_universe(universe.family, universe.n), k)
 
 
 @pytest.mark.parametrize("family", ["OR", "SR"])
