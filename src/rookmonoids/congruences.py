@@ -5,7 +5,9 @@ by their smallest member), so equality of partitions is equality of
 vectors.  Inside the closure engine a partition is held as least-member
 labels instead: every element is labelled by the least member of its
 class, which is just as canonical and lets classes be merged by hooking
-labels (``_merge``).
+labels (``_merge``).  Labels become canonical ids with no sort, a block of
+label rows at a time: the roots, the elements labelled by themselves,
+counted by one ``cumsum``, number the classes (``_canonical_rows``).
 
 An equivalence compatible with multiplication by each generator of the
 monoid, on both sides, is a congruence, since every element is a product
@@ -32,7 +34,9 @@ is a join of principal ones, so each lattice member is then joined with
 the principal congruences only, in one merge per member over the member
 tiled once per principal congruence, until nothing new appears
 (``_lattice_ids``), each principal one checked to be a congruence first
-by the compatibility test of ``is_congruence`` (``_is_compatible``).
+by the compatibility test of ``is_congruence`` (``_is_compatible``), which
+checks a block of rows per call.  The members are canonicalized in
+blocks of rows too.
 The same engine lists the normal subgroups of a permutation group, as the
 identity classes of its congruences, from the same orbit step
 (``_orbit_minima``) and generator rows, and keeps each congruence as the
@@ -49,14 +53,22 @@ import operator
 import numpy as np
 
 from .core import (TABLE_BLOCK_BYTES, InvariantViolation, ResourceLimitError, _canonical_ids,
-                   _ElementStore, _is_integer, _locate, image_codes)
+                   _canonical_rows, _ElementStore, _is_integer, _locate, image_codes)
 
 DEFAULT_GROUP_LIMIT = 10**4
 
 
 def _least_members(ids):
-    """Least-member labels of a canonical class-id vector."""
-    return np.unique(ids, return_index=True)[1][ids]
+    """Least-member labels of a canonical class-id vector: class c begins
+    where the running maximum of the ids first reaches c.  No sort."""
+    return np.flatnonzero(np.diff(np.maximum.accumulate(ids), prepend=-1))[ids]
+
+
+def _block_rows(moves):
+    """How many label rows over the N elements of ``moves`` one block
+    takes: ``moves.nbytes + 8·N`` bytes a row, the offset generator rows
+    and one label row each, within ``TABLE_BLOCK_BYTES``, and at least one."""
+    return max(1, TABLE_BLOCK_BYTES // (moves.nbytes + 8 * moves.shape[1]))
 
 
 def _merge(ids, u, v):
@@ -87,11 +99,14 @@ def _merge(ids, u, v):
 
 
 def _is_compatible(moves, ids, least):
-    """True when the partition with class ids ``ids`` is compatible with
-    every translation row of ``moves``: each element moves into the class
-    that the least member of its class, ``least``, moves into."""
-    labels = ids[moves]
-    return bool(np.array_equal(labels, labels[:, least]))
+    """One bool per row of an (R, N) block of partitions, given as class
+    ids ``ids`` and least-member labels ``least``: True when that row is
+    compatible with every translation row of ``moves``, each element moving
+    into the class that the least member of its class moves into.  With
+    int32 ids the gathers take 8 bytes per generator row and element, which
+    ``_block_rows`` budgets for."""
+    labels = ids[:, moves]
+    return (labels == np.take_along_axis(labels, least[:, None], axis=2)).all(axis=(1, 2))
 
 
 def _closure_ids(moves, pairs, j_order=None):
@@ -166,7 +181,11 @@ def _closure_rows(moves, ids, u, v, j_order=None):
 
 
 class Partition:
-    """A partition of a universe as a canonical class-id vector."""
+    """A partition of a universe as a canonical class-id vector: read-only
+    int32 ids numbering the classes by first occurrence.  The constructor
+    takes any class ids and canonicalizes them (``_canonical_ids``); the
+    engine, which holds least-member labels, builds through ``_canonical``
+    from ``_canonical_rows`` instead, with no sort."""
 
     __slots__ = ("universe", "ids", "_key")
 
@@ -176,18 +195,29 @@ class Partition:
             raise ValueError(
                 f"expected {len(universe)} class ids, got shape {ids.shape}"
             )
+        self._set(universe, _canonical_ids(ids))
+
+    def _set(self, universe, ids):
         self.universe = universe
-        self.ids = _canonical_ids(ids)
-        self.ids.setflags(write=False)
-        self._key = self.ids.tobytes()
+        self.ids = ids
+        ids.setflags(write=False)
+        self._key = ids.tobytes()
+
+    @classmethod
+    def _canonical(cls, universe, ids):
+        """The partition whose ids, an int32 row of N entries, are already
+        canonical: taken as they are, unchecked and uncopied."""
+        part = cls.__new__(cls)
+        part._set(universe, ids)
+        return part
 
     @classmethod
     def identity(cls, universe):
-        return cls(universe, np.arange(len(universe)))
+        return cls._canonical(universe, np.arange(len(universe), dtype=np.int32))
 
     @classmethod
     def universal(cls, universe):
-        return cls(universe, np.zeros(len(universe), dtype=np.int32))
+        return cls._canonical(universe, np.zeros(len(universe), dtype=np.int32))
 
     @classmethod
     def from_classes(cls, universe, classes):
@@ -230,8 +260,7 @@ class Partition:
         """True when every class of self sits inside a class of other."""
         if self.universe is not other.universe:
             raise ValueError("partitions live on different universes")
-        firsts = np.unique(self.ids, return_index=True)[1]
-        return bool(np.array_equal(other.ids, other.ids[firsts][self.ids]))
+        return bool(np.array_equal(other.ids, other.ids[_least_members(self.ids)]))
 
     def to_json(self):
         return {
@@ -271,7 +300,7 @@ def is_congruence(universe, partition):
     if partition.universe is not universe:
         raise ValueError("partition lives on another universe")
     ids = partition.ids
-    return _is_compatible(universe.translations(), ids, _least_members(ids))
+    return bool(_is_compatible(universe.translations(), ids[None], _least_members(ids)[None])[0])
 
 
 def _zero_order(universe):
@@ -285,7 +314,8 @@ def congruence_closure(universe, pairs):
     closed over ``MonoidUniverse.translations`` with the zero class grown
     along ``_zero_order``; no product table is built."""
     moves = universe.translations()
-    return Partition(universe, _closure_ids(moves, list(pairs), _zero_order(universe)))
+    least = _closure_ids(moves, list(pairs), _zero_order(universe))
+    return Partition._canonical(universe, _canonical_rows(least))
 
 
 def join(p, q):
@@ -293,7 +323,8 @@ def join(p, q):
     if p.universe is not q.universe:
         raise ValueError("partitions live on different universes")
     other = _least_members(q.ids)
-    return Partition(p.universe, _merge(_least_members(p.ids), np.arange(other.size), other))
+    least = _merge(_least_members(p.ids), np.arange(other.size), other)
+    return Partition._canonical(p.universe, _canonical_rows(least))
 
 
 def _orbit_minima(codes, size, left, right):
@@ -375,7 +406,7 @@ def _principal_ids(moves, seeds, j_order=None):
     """
     count, size = moves.shape
     seeds = np.asarray(seeds, dtype=np.intp).reshape(-1, 2)
-    rows = max(1, min(len(seeds), TABLE_BLOCK_BYTES // (moves.nbytes + 8 * size)))
+    rows = max(1, min(len(seeds), _block_rows(moves)))
     offsets = np.arange(rows, dtype=np.intp) * size
     # Named R·N, not -1: a group of order 1 has no generator rows.
     tiled = (moves[:, None, :] + offsets[:, None]).reshape(count, rows * size)
@@ -388,6 +419,21 @@ def _principal_ids(moves, seeds, j_order=None):
         for row in ids.reshape(len(block), size) - shift[:, None]:
             found.setdefault(row.tobytes(), row)
     return found
+
+
+def _check_closures(moves, labels):
+    """Raise ``InvariantViolation`` unless every row of ``labels``, the
+    least-member labels of a seed pair's closure, is a congruence: one
+    ``_is_compatible`` call per block of ``_block_rows`` rows."""
+    rows = _block_rows(moves)
+    for start in range(0, len(labels), rows):
+        block = labels[start:start + rows]
+        ids = _canonical_rows(block)
+        bad = np.flatnonzero(~_is_compatible(moves, ids, block))
+        if bad.size:
+            raise InvariantViolation(
+                f"the closure of a seed pair, with {ids[bad[0]].max() + 1} classes, is not a congruence"
+            )
 
 
 def _lattice_ids(moves, seeds, j_order=None):
@@ -403,15 +449,12 @@ def _lattice_ids(moves, seeds, j_order=None):
     is checked to be a congruence first: joins of congruences stay in the
     finite lattice, but joins of closures that are not can be exponentially
     many, so a broken closure raises ``InvariantViolation`` here instead of
-    filling memory.
+    filling memory (``_check_closures``).
     """
     size = moves.shape[1]
     principal = _principal_ids(moves, seeds, j_order)
-    for ids in principal.values():
-        if not _is_compatible(moves, ids, ids):  # each label is its class's least member
-            raise InvariantViolation(
-                f"the closure of a seed pair, with {len(np.unique(ids))} classes, is not a congruence"
-            )
+    labels = np.array(list(principal.values()), dtype=np.intp).reshape(-1, size)
+    _check_closures(moves, labels)
     distinct = dict(principal)
     for ids in (np.arange(size, dtype=np.intp), np.zeros(size, dtype=np.intp)):
         distinct.setdefault(ids.tobytes(), ids)
@@ -420,7 +463,6 @@ def _lattice_ids(moves, seeds, j_order=None):
     # is tiled P times, row p offset by p·N, and row p takes the pairs
     # (element, its label) of principal p.
     offsets = np.arange(len(principal), dtype=np.intp)[:, None] * size
-    labels = np.array(list(principal.values()), dtype=np.intp).reshape(-1, size)
     labels = (labels + offsets).ravel()
     u = np.flatnonzero(labels != np.arange(labels.size))
     v = labels[u]
@@ -442,12 +484,19 @@ def congruence_lattice(universe):
     orbit (``_kernel_trace_seeds``) over the generator rows, growing zero
     classes along ``_zero_order``, and joins the principal
     congruences; no product table is built.  Output is
-    deterministic.  There is no budget here: the universe is already
-    within the element budget that ``enumerate_universe`` checked.
+    deterministic.  The members' least-member labels are canonicalized
+    in blocks of ``_block_rows`` rows, with no sort (``_canonical_rows``):
+    all at once on OR_4, one row at a time from OR_8 up.  There is no budget
+    here: the universe is already within the element budget that
+    ``enumerate_universe`` checked.
     """
     seeds = _kernel_trace_seeds(universe)
     moves = universe.translations()
-    parts = [Partition(universe, ids) for ids in _lattice_ids(moves, seeds, _zero_order(universe))]
+    members = _lattice_ids(moves, seeds, _zero_order(universe))
+    rows = _block_rows(moves)
+    parts = [Partition._canonical(universe, ids)
+             for start in range(0, len(members), rows)
+             for ids in _canonical_rows(np.array(members[start:start + rows]))]
     parts.sort(key=lambda p: (-p.num_classes, p.key))
     return parts
 

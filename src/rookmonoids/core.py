@@ -124,8 +124,8 @@ def admissible_subsets(n, k):
     """
     n = _check_degree(n)
     m = n // 2
-    if not 0 <= k <= n:
-        raise ValueError(f"cardinality {k} out of range 0..{n}")
+    if not _is_integer(k) or not 0 <= k <= n:
+        raise ValueError(f"cardinality must be an integer in 0..{n}, got {k!r}")
     if k == n:
         return [tuple(range(1, n + 1))]
     if k > m:
@@ -344,14 +344,23 @@ def _locate(sorted_codes, codes):
     return pos, sorted_codes[pos] == codes
 
 
+def _canonical_rows(least):
+    """Canonical class ids, as int32, of least-member labels: each row of an
+    (R, N) block, or one row, labels every element by the least member of
+    its class.  A class is numbered by the count of roots, the elements
+    labelled by themselves, before its least member, so classes count up by
+    first occurrence.  One ``cumsum`` and one gather; no sort."""
+    roots = least == np.arange(least.shape[-1])
+    rank = np.cumsum(roots, axis=-1, dtype=np.int32)
+    rank -= 1
+    return np.take_along_axis(rank, least, axis=-1)
+
+
 def _canonical_ids(ids):
-    """Renumber class labels by first occurrence, as int32."""
-    ids = np.asarray(ids)
-    _, first, inverse = np.unique(ids, return_index=True, return_inverse=True)
-    order = np.argsort(first, kind="stable")
-    rank = np.empty_like(order)
-    rank[order] = np.arange(order.size)
-    return rank[inverse.ravel()].astype(np.int32)
+    """Renumber class labels by first occurrence, as int32: ``np.unique``
+    finds each element's least member, and ``_canonical_rows`` numbers them."""
+    _, first, inverse = np.unique(np.asarray(ids), return_index=True, return_inverse=True)
+    return _canonical_rows(first[inverse.ravel()])
 
 
 class _ElementStore:

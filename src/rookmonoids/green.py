@@ -23,7 +23,7 @@ from math import comb, factorial
 import numpy as np
 
 from .congruences import PermGroup, _hasse_dot, symmetric_group
-from .core import InvariantViolation, _canonical_ids, _stratum
+from .core import InvariantViolation, _canonical_ids, _is_integer, _stratum
 
 
 @dataclass
@@ -192,9 +192,15 @@ def h_coordinate(elem):
 
 def maximal_subgroup(universe, k):
     """The maximal subgroup at rank k of a whole family, built once per
-    family and degree: S_k below n, the unit stratum's group at k = n."""
+    family and degree: S_k below n, the unit stratum's group at k = n.  A
+    rank with no element, one above m and below n on OR and SR, whose
+    elements have admissible domains, or one outside 0..n, raises
+    ``ValueError``."""
     universe.j_order  # raises ValueError on a universe that is not a whole family
-    return _unit_group(universe.family, universe.n) if k == universe.n else symmetric_group(k)
+    n = universe.n
+    if not _is_integer(k) or not 0 <= k <= n or (universe.family != "R" and n // 2 < k < n):
+        raise ValueError(f"{universe.family}_{n} has no element of rank {k!r}")
+    return _unit_group(universe.family, n) if k == n else symmetric_group(k)
 
 
 @functools.cache

@@ -211,19 +211,18 @@ def all_congruences_naive(universe):
         )
     # Translation by every element, so the filter does not rely on generators().
     moves = table_translations(universe.multiplication_table(), np.arange(size))
-    parts = [
-        Partition(universe, ids)
-        for ids in set_partitions(size)
-        if _is_compatible(moves, ids, _least_members(ids))
-    ]
+    block = np.array(list(set_partitions(size)))
+    least = np.array([_least_members(ids) for ids in block])
+    parts = [Partition(universe, ids) for ids in block[_is_compatible(moves, block, least)]]
     parts.sort(key=lambda p: (-p.num_classes, p.key))
     return parts
 
 
 def family_partition_reference(universe, zero, splits, unit_pairs=()):
     """The one shape every predicted family has, built per family: the
-    reference for ``families._family_partition``, which looks each split
-    stratum up once and keys its classes by arithmetic.
+    reference for ``families._family_partitions``, which looks each split
+    stratum up once, keys its classes by arithmetic and builds every family
+    in blocks of rows.
 
     ``zero`` masks the ideal that collapses into the zero class.  Each
     ``(mask, group, labels)`` split cuts the masked elements, of rank k =

@@ -25,14 +25,16 @@ from rookmonoids import (
 )
 from rookmonoids import congruences
 from rookmonoids.congruences import (
+    _canonical_rows,
     _closure_ids,
     _is_compatible,
     _kernel_trace_seeds,
     _least_members,
     _lattice_ids,
+    _merge,
     _principal_ids,
 )
-from rookmonoids.core import InvariantViolation, MonoidUniverse, invert
+from rookmonoids.core import InvariantViolation, MonoidUniverse, _canonical_ids, invert
 from rookmonoids.families import predicted_congruences
 
 from oracles import (all_congruences_naive, closure_reference, perm_inv, perm_mul, plain_closure,
@@ -289,6 +291,50 @@ def test_block_closures_match_one_seed_at_a_time(name, rows, request, monkeypatc
             assert ids.dtype == np.intp and ids.tobytes() == key
 
 
+def first_occurrence_ids(row):
+    """Class ids numbered by first occurrence, one element at a time."""
+    ids = {}
+    return [ids.setdefault(label, len(ids)) for label in row.tolist()]
+
+
+def assert_canonical_rows(block):
+    """``_canonical_rows`` on a block of least-member label rows, and on each
+    row alone, against ``_canonical_ids`` and the first-occurrence count;
+    ``_least_members`` gives each row back from its canonical ids."""
+    found = _canonical_rows(block)
+    assert found.dtype == np.int32 and found.shape == block.shape
+    for row, ids in zip(block, found):
+        expected = first_occurrence_ids(row)
+        assert ids.tolist() == expected
+        assert _canonical_rows(row).tolist() == expected
+        assert _canonical_ids(row).tolist() == expected
+        assert np.array_equal(_least_members(ids), row)
+
+
+@pytest.mark.parametrize("family", ["OR", "SR", "R"])
+@pytest.mark.parametrize("n", [2, 4, 6])
+def test_canonical_rows_match_canonical_ids_on_the_engine_rows(family, n):
+    """Every principal closure and every lattice member, each as one block."""
+    universe = enumerate_universe(family, n)
+    moves, j_order = universe.translations(), universe.j_order
+    seeds = _kernel_trace_seeds(universe)
+    assert_canonical_rows(np.array(list(_principal_ids(moves, seeds, j_order).values())))
+    assert_canonical_rows(np.array(_lattice_ids(moves, seeds, j_order)))
+
+
+def test_canonical_rows_match_canonical_ids_on_random_merges():
+    """Rows of ``_merge`` over random pairs, from no pair to enough to make
+    one class, in blocks of one to five rows over one to 60 elements."""
+    rng = np.random.default_rng(7)
+    for size in (1, 2, 3, 10, 60):
+        for count in (1, 2, 5):
+            rows = []
+            for pairs in rng.integers(0, 3 * size, count):
+                u, v = rng.integers(0, size, (2, pairs))
+                rows.append(_merge(np.arange(size), u, v))
+            assert_canonical_rows(np.array(rows))
+
+
 @pytest.mark.parametrize("family, n", [
     ("OR", 2), ("SR", 2), ("R", 2), ("OR", 4), ("SR", 4), ("R", 4), ("OR", 6), ("SR", 6),
 ])
@@ -480,7 +526,7 @@ def test_lattice_of_toy_two_element_monoid():
     found = {
         ids.tobytes()
         for ids in set_partitions(2)
-        if _is_compatible(moves, ids, _least_members(ids))
+        if _is_compatible(moves, ids[None], _least_members(ids)[None])[0]
     }
     assert len(found) == 2
 

@@ -107,6 +107,15 @@ def test_admissible_subsets_small():
     assert admissible_subsets(4, 0) == [()]
 
 
+def test_admissible_subsets_refuse_a_cardinality_that_is_not_an_integer():
+    """A bool or a float is no cardinality, even one equal to an integer;
+    a numpy integer is one."""
+    for k in (True, False, 1.5, 1.0, -1, 5):
+        with pytest.raises(ValueError, match="cardinality must be an integer in 0..4"):
+            admissible_subsets(4, k)
+    assert admissible_subsets(4, np.int64(1)) == [(1,), (2,), (3,), (4,)]
+
+
 def test_admissible_subset_counts_match_exhaustive_filter():
     for n in (2, 4, 6, 8):
         m = n // 2

@@ -32,7 +32,7 @@ from rookmonoids.core import element_limit, image_codes
 from rookmonoids.families import (
     _annotate_unmatched,
     _as_subgroup,
-    _family_partition,
+    _family_partitions,
     _labelled,
     _levels,
 )
@@ -240,11 +240,11 @@ def test_builder_refuses_a_partition_that_is_not_a_congruence(or4):
     units = maximal_subgroup(or4, 4)
     labels = _as_subgroup(units, {(1, 2, 3, 4), (2, 1, 4, 3)})
     with pytest.raises(InvariantViolation, match="not a congruence"):
-        _family_partition(or4, or4.ranks < 1, [(or4.ranks == 4, units, labels)])
+        _family_partitions(or4, [(or4.ranks < 1, [(or4.ranks == 4, units, labels)])])
 
 
 def min_code_partition(universe, zero, splits, unit_pairs=()):
-    """Oracle for ``_family_partition``, keyed as before coset labels: a
+    """Oracle for ``_family_partitions``, keyed as before coset labels: a
     ``(mask, subgroup)`` split keys each member mu by its H-class and by the
     least image code of mu·x over x in the subgroup, from its H-coordinate
     mu; a ``None`` subgroup keeps whole H-classes.  Rows group in a dict."""
@@ -331,7 +331,7 @@ def test_builder_refuses_an_h_coordinate_outside_the_group(or4):
     trivial = PermGroup(2, [(1, 2)])
     split = (or4.ranks == 2, trivial, _as_subgroup(trivial, trivial))
     with pytest.raises(InvariantViolation, match="H-coordinate of element"):
-        _family_partition(or4, or4.ranks < 2, [split])
+        _family_partitions(or4, [(or4.ranks < 2, [split])])
 
 
 def test_a_shared_stratum_memo_keys_by_group_and_mask():
@@ -345,7 +345,7 @@ def test_a_shared_stratum_memo_keys_by_group_and_mask():
     trivial = PermGroup(2, [(1, 2)])
     split = (or4.mtypes == "I", trivial, _as_subgroup(trivial, trivial))
     with pytest.raises(InvariantViolation, match="H-coordinate of element"):
-        _family_partition(or4, or4.ranks < 2, [split])
+        _family_partitions(or4, [(or4.ranks < 2, [split])])
 
 
 def counting_indices(monkeypatch):
@@ -484,8 +484,8 @@ def test_or_extras_are_the_rees_quotients_with_units_split_by_w_prime(n, extras)
     u = enumerate_universe("OR", n)
     w = maximal_subgroup(u, n)
     expected = {
-        _family_partition(u, u.ranks < n, [(u.ranks == n, w, _as_subgroup(w, sub))]).key
-        for sub in normal_subgroups(w)
+        part.key for part in _family_partitions(
+            u, [(u.ranks < n, [(u.ranks == n, w, _as_subgroup(w, sub))]) for sub in normal_subgroups(w)])
     }
     found = [Partition.from_classes(u, entry["classes"]).key
              for entry in verify_classification(u).found_not_predicted]
@@ -508,14 +508,61 @@ def test_predictions_look_each_split_stratum_up_once(monkeypatch):
     ("R", 2), ("R", 4), ("R", 6),
 ])
 def test_predictions_match_the_per_family_reference(monkeypatch, family, n):
-    """Every family built from the strata shared on the universe against
-    the same family built on its own, keyed by a void-row unique: the
-    same partitions with the same specs, in the same order."""
+    """Every family built in blocks from the strata shared on the universe
+    against the same family built on its own, keyed by a void-row unique:
+    the same partitions with the same specs, in the same order."""
     universe = enumerate_universe(family, n)
     built = [(part.key, specs) for part, specs in predicted_congruences(universe)]
-    monkeypatch.setattr(families, "_family_partition", family_partition_reference)
+    monkeypatch.setattr(families, "_family_partitions", per_shape_reference)
     reference = [(part.key, specs) for part, specs in predicted_congruences(universe)]
     assert built == reference
+
+
+def per_shape_reference(universe, shapes):
+    """``family_partition_reference`` on each shape, one family at a time."""
+    return [family_partition_reference(universe, zero, splits) for zero, splits in shapes]
+
+
+@pytest.mark.parametrize("rows", [1, 2, 5])
+@pytest.mark.parametrize("name", ["or4", "or6", "sr4", "sr6", "r4"])
+def test_predictions_are_the_same_in_blocks_of_any_size(name, rows, request, monkeypatch):
+    """The block builder with its budget shrunk to ``rows`` rows a block,
+    so the predictions span several blocks, gives the same partitions with
+    the same specs as the default block and as the per-shape reference."""
+    universe = request.getfixturevalue(name)
+    moves = universe.translations()
+    default = predicted_congruences(universe)
+    blocks = []
+    least_rows = families._least_rows
+    monkeypatch.setattr(families, "_least_rows",
+                        lambda u, chunk: blocks.append(len(chunk)) or least_rows(u, chunk))
+    monkeypatch.setattr(congruences, "TABLE_BLOCK_BYTES", rows * (moves.nbytes + 8 * len(universe)))
+    blocked = predicted_congruences(universe)
+    assert len(blocks) > 1 and set(blocks[:-1]) == {rows} and 0 < blocks[-1] <= rows
+    assert sum(blocks) == sum(len(specs) for _, specs in default) - 1  # all but the universal one
+    assert [(p.key, specs) for p, specs in blocked] == [(p.key, specs) for p, specs in default]
+    monkeypatch.setattr(families, "_family_partitions", per_shape_reference)
+    reference = predicted_congruences(universe)
+    assert [(p.key, specs) for p, specs in blocked] == [(p.key, specs) for p, specs in reference]
+
+
+def test_block_builder_refuses_one_bad_shape_among_good_ones(or4, monkeypatch):
+    """Special 1's unit split with no zero ideal is no congruence: set
+    after, between and before good shapes, in one block or in blocks of
+    two rows, the builder refuses it and names its shape."""
+    units = maximal_subgroup(or4, 4)
+    bad = (or4.ranks < 1, [(or4.ranks == 4, units, _as_subgroup(units, {(1, 2, 3, 4), (2, 1, 4, 3)}))])
+    good = [families._rank_shape(or4, 1, TRIVIAL_1), families._typed_shape(or4, "I", FULL_2),
+            families._special_shape(or4, 2)]
+    for rows in (None, 2):
+        if rows is not None:
+            monkeypatch.setattr(congruences, "TABLE_BLOCK_BYTES",
+                                rows * (or4.translations().nbytes + 8 * len(or4)))
+        for at in (3, 1, 0):
+            shapes = good[:at] + [bad] + good[at:]
+            with pytest.raises(InvariantViolation, match=f"shape {at} is not a congruence"):
+                _family_partitions(or4, shapes)
+    assert len(_family_partitions(or4, good)) == 3
 
 
 @pytest.mark.skipif(element_limit() < 1_441_729,

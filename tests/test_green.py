@@ -334,6 +334,21 @@ def test_maximal_subgroup_refuses_a_universe_that_is_not_the_whole_family():
             maximal_subgroup(submonoid, k)
 
 
+def test_maximal_subgroup_refuses_a_rank_with_no_element(or4, sr4, r4):
+    """OR_4 and SR_4 have ranks 0, 1, 2 and 4 only, admissible domains
+    having at most m = 2 points below n; R_4 has every rank 0..4.  A rank
+    outside them, or one that is not an integer, has no maximal subgroup."""
+    for universe in (or4, sr4, r4):
+        ranks = set(universe.ranks.tolist())
+        assert ranks == ({0, 1, 2, 3, 4} if universe.family == "R" else {0, 1, 2, 4})
+        for k in ranks - {4}:
+            assert maximal_subgroup(universe, np.int64(k)) is symmetric_group(k)
+        bad = [-1, 5, 2.0, True] + ([] if universe.family == "R" else [3])
+        for k in bad:
+            with pytest.raises(ValueError, match=rf"{universe.family}_4 has no element of rank"):
+                maximal_subgroup(universe, k)
+
+
 def test_h_class_groups_are_symmetric_groups(or4, or6):
     for universe in (or4, or6):
         m = universe.n // 2
