@@ -1,47 +1,25 @@
-"""Finite-monoid congruence machinery.
+"""Finite-monoid congruence machinery, without a product table.  A map of
+the engine; each step is told where it is defined:
 
-Partitions are flat class-id vectors in a canonical form (classes numbered
-by their smallest member), so equality of partitions is equality of
-vectors.  Inside the closure engine a partition is held as least-member
-labels instead: every element is labelled by the least member of its
-class, which is just as canonical and lets classes be merged by hooking
-labels (``_merge``).  Labels become canonical ids with no sort, a block of
-label rows at a time: the roots, the elements labelled by themselves,
-counted by one ``cumsum``, number the classes (``_canonical_rows``).
-
-An equivalence compatible with multiplication by each generator of the
-monoid, on both sides, is a congruence, since every element is a product
-of generators.  So a closure runs in rounds over the rows x -> g·x and
-x -> x·g of the generators (``MonoidUniverse.generators``: 5 on OR_6, 4 on
-SR_6): each round merges the generator translates of the pairs
-(l, label of l) whose label changed in the round before.  On a whole
-OR_n, SR_n or R_n each round also grows the zero class to the ideal it
-generates, read off ``MonoidUniverse.j_order``: a zero class is always an ideal, so those
-pairs lie in every congruence holding the pairs so far, and the ideal's
-members need no translation (``_closure_rows``).  ``is_congruence`` checks
-the same rows.  They come from ``MonoidUniverse.translations``, which
-looks up 2k·N products, so nothing here builds an N x N product table.
-
-The lattice enumerator works on inverse monoids, which OR_n, SR_n and R_n
-are: a congruence there is fixed by its kernel and trace, so it is a join
-of principal congruences of kernel pairs (x⁻¹·x, x) and trace pairs
-(e, f) of idempotents with f < e.  Pairs conjugate by a unit close to the
-same principal congruence, so one pair per orbit of x -> g·x·g⁻¹ is a
-seed (``_kernel_trace_seeds``): 21 on OR_4, 45 on OR_6, 124 on OR_8.  The
-seeds close in blocks of label rows laid end to end, one set of closure
-rounds per block (``_principal_ids``).  Every congruence of a finite monoid
-is a join of principal ones, so each lattice member is then joined with
-the principal congruences only, in one merge per member over the member
-tiled once per principal congruence, until nothing new appears
-(``_lattice_ids``), each principal one checked to be a congruence first
-by the compatibility test of ``is_congruence`` (``_is_compatible``), which
-checks a block of rows per call.  The members are canonicalized in
-blocks of rows too.
-The same engine lists the normal subgroups of a permutation group, as the
-identity classes of its congruences, from the same orbit step
-(``_orbit_minima``) and generator rows, and keeps each congruence as the
-subgroup's coset labels.  A ``PermGroup`` is the same ``core._ElementStore``
-as a universe, so it stores no Cayley table either.
+- ``Partition``: a canonical class-id vector, so equal partitions are
+  equal vectors.  Inside the engine a partition is held as least-member
+  labels, each element labelled by the least member of its class, and
+  ``_canonical_rows`` numbers them with no sort.
+- ``_merge``: the join of labels with element pairs, the kernel that every
+  closure and join runs.
+- ``_closure_ids`` and ``_closure_rows``: the least congruence holding some
+  pairs, in rounds over the generator rows of
+  ``MonoidUniverse.translations``, growing the zero class along
+  ``MonoidUniverse.j_order``.  ``is_congruence`` checks the same rows
+  (``_is_compatible``).
+- ``_kernel_trace_seeds`` and ``_orbit_minima``: one kernel or trace pair
+  per unit-conjugation orbit, the seeds of the principal congruences.
+- ``_principal_ids``: the seeds closed in blocks of label rows laid end to
+  end, ``_block_rows`` rows a block.
+- ``_lattice_ids`` and ``congruence_lattice``: every congruence, as joins
+  of the principal ones.
+- ``PermGroup`` and ``normal_subgroups``: the same engine on a permutation
+  group, whose congruences are the cosets of its normal subgroups.
 """
 
 from __future__ import annotations
@@ -66,36 +44,52 @@ def _least_members(ids):
 
 def _block_rows(moves):
     """How many label rows over the N elements of ``moves`` one block
-    takes: ``moves.nbytes + 8·N`` bytes a row, the offset generator rows
-    and one label row each, within ``TABLE_BLOCK_BYTES``, and at least one."""
-    return max(1, TABLE_BLOCK_BYTES // (moves.nbytes + 8 * moves.shape[1]))
+    takes: ``moves.nbytes + 16·N`` bytes a row, the offset generator rows,
+    one label row and one row of ``_closure_rows``' row zeros each, within
+    ``TABLE_BLOCK_BYTES``, and at least one."""
+    return max(1, TABLE_BLOCK_BYTES // (moves.nbytes + 16 * moves.shape[1]))
 
 
 def _merge(ids, u, v):
     """Least-member labels of the join of ``ids`` with the pairs (u[i], v[i]).
 
-    Each step hooks the greater of two distinct labels to the least label
-    offered to it, then pointer-jumps until every label is a root.  Labels
-    only fall and stay inside their class, so each class ends labelled by
-    its least member.  Returns ``ids`` itself when nothing merges, and never
-    writes to it.
+    ``ids`` must be flat least-member labels, every element labelled by the
+    least member of its class (``ids[ids] == ids``), as every caller holds
+    them.  Each step hooks the greater of two distinct labels, a root, to
+    the least label offered to it.  Then only the hooked roots point off a
+    root, so their chains are jumped on the hooked entries alone, and one
+    gather relabels every element.  Labels only fall and stay inside their
+    class, so each class ends labelled by its least member.  Returns
+    ``ids`` itself when nothing merges, and never writes to it.
     """
-    a, b = ids[u], ids[v]
-    keep = a != b
-    if not keep.any():
+    hi, lo = _hooks(ids, u, v)
+    if not hi.size:
         return ids
     ids = ids.copy()
-    while keep.any():
-        a, b = a[keep], b[keep]
-        np.minimum.at(ids, np.maximum(a, b), np.minimum(a, b))
+    while hi.size:
+        np.minimum.at(ids, hi, lo)
+        up = ids[hi]
         while True:
-            jumped = ids[ids]
-            if np.array_equal(jumped, ids):
+            top = ids[up]
+            if (top == up).all():
                 break
-            ids = jumped
-        a, b = ids[a], ids[b]
-        keep = a != b
+            ids[hi] = up = top
+        del up, top
+        ids = ids[ids]
+        hi, lo = _hooks(ids, hi, lo)
     return ids
+
+
+def _hooks(ids, u, v):
+    """The pairs of distinct labels (ids[u[i]], ids[v[i]]), each ordered
+    (greater, lesser).  Each pair array is filtered as soon as the mask is
+    known, so at most three pair-sized arrays are alive at once."""
+    a, b = ids[u], ids[v]
+    keep = a != b
+    a = a[keep]
+    b = b[keep]
+    hi = np.maximum(a, b)
+    return hi, np.minimum(a, b, out=a)
 
 
 def _is_compatible(moves, ids, least):
@@ -135,7 +129,8 @@ def _closure_ids(moves, pairs, j_order=None):
 def _closure_rows(moves, ids, u, v, j_order=None):
     """The closure rounds of ``_closure_ids``, from the labels ``ids`` and
     the seed pairs (u[i], v[i]).  ``_principal_ids`` runs it on several
-    label rows laid end to end, with ``moves`` offset to match.
+    label rows laid end to end, with ``moves`` offset to match, so each
+    element's row zero is read from one lookup built once a call.
 
     Given the ``MonoidUniverse.j_order`` of a monoid whose element 0 is its
     zero, each round also grows every row's zero class to the ideal it
@@ -157,6 +152,7 @@ def _closure_rows(moves, ids, u, v, j_order=None):
         size = len(j_ids)
         done = np.zeros((ids.size // size, len(below)), dtype=bool)  # J-classes collapsed per row
         collapsed = np.zeros(ids.size, dtype=bool)
+        row_zero = np.repeat(np.arange(0, ids.size, size), size)  # the zero of each element's row
     while u.size:
         merged = _merge(ids, u, v)
         moved = np.flatnonzero(merged != ids)
@@ -164,7 +160,7 @@ def _closure_rows(moves, ids, u, v, j_order=None):
         grow = None
         if j_order is not None:
             moved = moved[~collapsed[moved]]
-            zero = moved[ids[moved] == moved - moved % size]  # labelled by their row's zero
+            zero = moved[ids[moved] == row_zero[moved]]
             if zero.size:
                 reached = np.zeros_like(done)
                 reached[zero // size, j_ids[zero % size]] = True
@@ -176,7 +172,7 @@ def _closure_rows(moves, ids, u, v, j_order=None):
                     moved = moved[~collapsed[moved]]
         u, v = moves[:, moved].ravel(), moves[:, ids[moved]].ravel()
         if grow is not None:
-            u, v = np.concatenate([u, grow - grow % size]), np.concatenate([v, grow])
+            u, v = np.concatenate([u, row_zero[grow]]), np.concatenate([v, grow])
     return ids
 
 
@@ -400,9 +396,8 @@ def _principal_ids(moves, seeds, j_order=None):
     A block of R seeds closes at once: its R label rows lie end to end, row
     r offset by r·N, and so do the generator rows, so no class crosses two
     rows and one set of ``_closure_rows`` rounds closes all R, each row
-    growing its own zero class when ``j_order`` is given.  R is as
-    large as ``TABLE_BLOCK_BYTES`` allows for the offset rows and one label
-    row each: every seed of OR_4 at once, 22 on OR_6, one on OR_8.
+    growing its own zero class when ``j_order`` is given.  R is
+    ``_block_rows``: every seed of OR_4 at once, 20 on OR_6, one on OR_8.
     """
     count, size = moves.shape
     seeds = np.asarray(seeds, dtype=np.intp).reshape(-1, 2)

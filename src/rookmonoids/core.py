@@ -353,7 +353,7 @@ def _canonical_rows(least):
     roots = least == np.arange(least.shape[-1])
     rank = np.cumsum(roots, axis=-1, dtype=np.int32)
     rank -= 1
-    return np.take_along_axis(rank, least, axis=-1)
+    return rank[least] if least.ndim == 1 else np.take_along_axis(rank, least, axis=-1)
 
 
 def _canonical_ids(ids):

@@ -15,7 +15,7 @@ import numpy as np
 
 from rookmonoids import (InvariantViolation, PartialInjection, Partition, ResourceLimitError,
                          admissible_subsets, is_admissible, is_congruence)
-from rookmonoids.congruences import _is_compatible, _least_members, _merge
+from rookmonoids.congruences import _is_compatible, _least_members
 from rookmonoids.core import _canonical_ids, _member_mask
 
 NAIVE_LATTICE_LIMIT = 9
@@ -172,15 +172,37 @@ def closure_reference(table, pairs):
     return _canonical_ids([find(x) for x in range(size)])
 
 
+def merge_reference(ids, u, v):
+    """The join of the partition labelled ``ids`` with the pairs
+    (u[i], v[i]), as least-member labels: a plain union-find over Python
+    ints, the reference for ``congruences._merge``.  Each element starts
+    joined to its label, and a union keeps the lesser root, so every root
+    is the least member of its class."""
+    parent = list(range(len(ids)))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for a, b in itertools.chain(enumerate(np.asarray(ids).tolist()),
+                                zip(np.asarray(u).tolist(), np.asarray(v).tolist())):
+        ra, rb = find(a), find(b)
+        parent[max(ra, rb)] = min(ra, rb)
+    return np.array([find(x) for x in range(len(parent))], dtype=np.intp)
+
+
 def plain_closure(moves, pairs):
     """The closure rounds without the zero-class collapse, as least-member
-    labels: each round merges its pairs, then translates every pair
-    (l, label of l) whose label changed by each generator row."""
+    labels: each round merges its pairs (``merge_reference``), then
+    translates every pair (l, label of l) whose label changed by each
+    generator row."""
     ids = np.arange(moves.shape[1], dtype=np.intp)
     pairs = np.asarray(pairs, dtype=np.intp).reshape(-1, 2)
     u, v = pairs[:, 0], pairs[:, 1]
     while u.size:
-        merged = _merge(ids, u, v)
+        merged = merge_reference(ids, u, v)
         moved = np.flatnonzero(merged != ids)
         ids = merged
         u, v = moves[:, moved].ravel(), moves[:, ids[moved]].ravel()

@@ -37,8 +37,8 @@ from rookmonoids.congruences import (
 from rookmonoids.core import InvariantViolation, MonoidUniverse, _canonical_ids, invert
 from rookmonoids.families import predicted_congruences
 
-from oracles import (all_congruences_naive, closure_reference, perm_inv, perm_mul, plain_closure,
-                     principal_left, principal_right, principal_twosided, set_partitions,
+from oracles import (all_congruences_naive, closure_reference, merge_reference, perm_inv, perm_mul,
+                     plain_closure, principal_left, principal_right, principal_twosided, set_partitions,
                      table_translations)
 
 
@@ -222,6 +222,31 @@ def test_ideal_collapse_cuts_the_closure_rounds(or6, monkeypatch):
     assert len(merges) < plain / 2
 
 
+def test_each_row_of_a_block_grows_its_own_zero_class(or6, monkeypatch):
+    """A block of seeds closes in the rounds of its slowest row, one merge
+    a round: each row grows its own zero class, read off its own row zero,
+    as it would alone."""
+    rounds = []
+    merge = congruences._merge
+
+    def counted(*args):
+        rounds.append(args[0].size)
+        return merge(*args)
+
+    monkeypatch.setattr(congruences, "_merge", counted)
+    moves, j_order = or6.translations(), or6.j_order
+    seeds = _kernel_trace_seeds(or6)[:congruences._block_rows(moves)]
+    alone = []
+    for pair in seeds.tolist():
+        rounds[:] = []
+        _closure_ids(moves, [pair], j_order)
+        alone.append(len(rounds))
+    rounds[:] = []
+    _principal_ids(moves, seeds, j_order)
+    assert len(seeds) > 1 and set(rounds) == {len(seeds) * len(or6)}
+    assert len(rounds) == max(alone)
+
+
 def orbit_seeds(table, units):
     """One seed pair per class of element pairs under two-sided unit
     translation, in ascending order: the lattice's seeds before the
@@ -333,6 +358,52 @@ def test_canonical_rows_match_canonical_ids_on_random_merges():
                 u, v = rng.integers(0, size, (2, pairs))
                 rows.append(_merge(np.arange(size), u, v))
             assert_canonical_rows(np.array(rows))
+
+
+def assert_merge(ids, u, v):
+    """``_merge`` against ``merge_reference`` on read-only labels, which it
+    must not write; when every pair already lies in one class it returns
+    the labels themselves."""
+    ids = np.array(ids, dtype=np.intp)
+    ids.setflags(write=False)
+    u, v = np.asarray(u, dtype=np.intp), np.asarray(v, dtype=np.intp)
+    found = _merge(ids, u, v)
+    expected = merge_reference(ids, u, v)
+    assert found.tolist() == expected.tolist()
+    assert (found is ids) == np.array_equal(expected, ids)
+
+
+def random_labels(rng, size):
+    """Least-member labels of a random partition of ``size`` elements."""
+    return merge_reference(np.arange(size), *rng.integers(0, max(size, 1), (2, size // 2)))
+
+
+def test_merge_matches_the_union_find_reference():
+    """Random pairs on random labels, hook chains listed either way, one
+    root offered many labels, pairs already related, and blocks of label
+    rows laid end to end with each row's pairs offset to it."""
+    rng = np.random.default_rng(26)
+    for size in (1, 2, 3, 10, 60, 500):
+        for count in (0, 1, size // 2, 3 * size):
+            u, v = rng.integers(0, size, (2, count))
+            assert_merge(np.arange(size), u, v)
+            assert_merge(random_labels(rng, size), u, v)
+        ids = random_labels(rng, size)
+        assert_merge(ids, np.arange(size), ids)  # each element with its own label
+        chain = np.arange(size - 1)
+        for order in (chain[::-1], chain):  # pairs (i, i+1), high to low, then low to high
+            assert_merge(np.arange(size), order, order + 1)
+            assert_merge(np.arange(size), order + 1, order)
+        offered = rng.permutation(size)  # the last element offered every label
+        assert_merge(np.arange(size), np.full(size, size - 1), offered)
+        assert_merge(np.arange(size), offered, np.full(size, size - 1))
+    for rows, size in ((2, 10), (5, 37), (3, 200)):
+        shift = np.arange(rows) * size
+        labels = np.concatenate([random_labels(rng, size) + s for s in shift])
+        u, v = rng.integers(0, size, (2, rows, size)) + shift[:, None]
+        assert_merge(labels, u.ravel(), v.ravel())
+        chain = np.arange(size - 1)[::-1] + shift[:, None]
+        assert_merge(np.arange(rows * size), chain.ravel(), chain.ravel() + 1)
 
 
 @pytest.mark.parametrize("family, n", [

@@ -536,7 +536,7 @@ def test_predictions_are_the_same_in_blocks_of_any_size(name, rows, request, mon
     least_rows = families._least_rows
     monkeypatch.setattr(families, "_least_rows",
                         lambda u, chunk: blocks.append(len(chunk)) or least_rows(u, chunk))
-    monkeypatch.setattr(congruences, "TABLE_BLOCK_BYTES", rows * (moves.nbytes + 8 * len(universe)))
+    monkeypatch.setattr(congruences, "TABLE_BLOCK_BYTES", rows * (moves.nbytes + 16 * len(universe)))
     blocked = predicted_congruences(universe)
     assert len(blocks) > 1 and set(blocks[:-1]) == {rows} and 0 < blocks[-1] <= rows
     assert sum(blocks) == sum(len(specs) for _, specs in default) - 1  # all but the universal one
