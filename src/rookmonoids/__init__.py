@@ -53,10 +53,7 @@ from .core import (
 from .families import (
     ClassificationReport,
     FamilySpec,
-    build_eq_N,
-    build_eq_N1N2,
-    build_eq_special,
-    build_eq_type,
+    build_family,
     predicted_congruences,
     verify_classification,
 )

@@ -461,6 +461,7 @@ def _lattice_ids(moves, seeds, j_order=None):
     labels = (labels + offsets).ravel()
     u = np.flatnonzero(labels != np.arange(labels.size))
     v = labels[u]
+    del labels  # P·N labels, 41 MB on OR_10: the joins read only u and v
     worklist = list(distinct.values())
     while worklist:
         tiled = (worklist.pop() + offsets).ravel()

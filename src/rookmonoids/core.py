@@ -358,9 +358,11 @@ def _canonical_rows(least):
 
 def _canonical_ids(ids):
     """Renumber class labels by first occurrence, as int32: ``np.unique``
-    finds each element's least member, and ``_canonical_rows`` numbers them."""
+    finds where each label first occurs, and the labels rank by that place."""
     _, first, inverse = np.unique(np.asarray(ids), return_index=True, return_inverse=True)
-    return _canonical_rows(first[inverse.ravel()])
+    rank = np.empty(first.size, dtype=np.int32)
+    rank[np.argsort(first)] = np.arange(first.size, dtype=np.int32)
+    return rank[inverse.ravel()]
 
 
 class _ElementStore:

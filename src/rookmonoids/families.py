@@ -1,32 +1,20 @@
-"""Constructors for the predicted congruence families and the verifier
-that diffs them against the brute-force congruence lattice.
+"""The predicted congruence families and the verifier that diffs them
+against the brute-force congruence lattice.
 
-Every family has one shape, a ``(zero, splits)`` pair: an ideal collapses
-into the zero class, the elements of one or more J-classes split into
-their H-classes and, inside each, into the cosets of a normal subgroup of
-the H-class group, ``green.maximal_subgroup``, and everything else stays
-singleton.  A normal subgroup is given by its coset labels, the congruence
-on the group that ``normal_subgroups`` computed; each member reads the
-label of its H-coordinate, and a whole H-class is the full group's one
-coset.  Work that depends only on a split stratum, ``green._h_split``'s
-lookup of its H-coordinates in the group and an id base per H-class, is
-done once per (group, mask) and universe; each family then sets its ids by
-arithmetic.  One private builder, ``_family_partitions``, makes the
-partitions of many shapes as rows of one block: one ``np.unique`` for the
-least members, ``_canonical_rows`` for the ids, and one compatibility test
-for every row.  The shape helpers check the parameters and pick the ideal
-and the splits: a rank stratum at each level of ``_levels``
-(``_rank_shape``), both half-rank types on OR (``_half_rank_shape``),
-per-type variants at half rank on OR (``_typed_shape``), and, at degree 4
-only, two OR congruences that also split the units by an order-2 subgroup
-of the Klein unit group W′ (``_special_shape``).  ``predicted_congruences``
-builds every shape in one call; each public ``build_eq_*`` builds its one
-shape with the same call.
+A family is named by a ``FamilySpec``: its tag, its level and the labels
+of normal subgroups of maximal subgroups (``green.maximal_subgroup``).
+``_specs`` lists every family of a universe, and a spec it does not list
+names no congruence.  Every family has one shape: an ideal collapses into
+the zero class, the elements of one or more J-classes split into their
+H-classes and, inside each, into the cosets of a normal subgroup of the
+H-class group, and everything else stays singleton.  A whole H-class is
+the full group's one coset.
 """
 
 from __future__ import annotations
 
-import itertools
+import functools
+import types
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,6 +28,7 @@ from .congruences import (
 )
 from .core import InvariantViolation, TYPE_I, TYPE_II, _canonical_rows
 from .green import _h_split, _ideal_name, green_partition, maximal_subgroup
+
 
 @dataclass(frozen=True)
 class FamilySpec:
@@ -55,50 +44,121 @@ class FamilySpec:
         return {name: value for name, value in vars(self).items() if value is not None}
 
 
-def _require_family(universe, family):
-    if universe.family != family:
-        raise ValueError(f"expected an {family} universe, got {universe.family}")
+def _levels(universe):
+    """The ranks k of the rank-k family, each with the ``maximal_subgroup``
+    whose normal subgroups parametrise it: S_k for 1 <= k <= top, where top
+    is m-1 on OR, m on SR and n-1 on R, and the unit group at k = n on SR
+    and R.  On R these are Liber's congruences of the symmetric inverse monoid."""
+    n = universe.n
+    top = {"OR": n // 2 - 1, "SR": n // 2, "R": n - 1}[universe.family]
+    ranks = list(range(1, top + 1)) + ([] if universe.family == "OR" else [n])
+    return {k: maximal_subgroup(universe, k) for k in ranks}
 
 
-def _as_subgroup(parent, subgroup):
-    """The coset labels of a normal subgroup of ``parent`` (``PermGroup.cosets``)."""
-    labels = parent.cosets(subgroup)
-    if labels is None:
-        raise ValueError("subgroup is not normal in its parent group")
-    return labels
+@functools.cache
+def _labelled(parent):
+    """The normal subgroups of ``parent`` by deterministic short labels,
+    smallest first: 1, full, alt (even permutations), or order<d> with a
+    #i disambiguator when several share an order.  Built once per group, so
+    read-only."""
+    subgroups = normal_subgroups(parent)
+    perms = parent.perms
+    inversions = np.triu(perms[:, :, None] > perms[:, None, :]).sum(axis=(1, 2))
+    even = frozenset(map(tuple, perms[inversions % 2 == 0].tolist()))
+    generic = [
+        sub for sub in subgroups
+        if 1 < len(sub) < len(parent) and sub != even
+    ]
+    clashes = {}
+    for sub in generic:
+        clashes[len(sub)] = clashes.get(len(sub), 0) + 1
+    seen = {}
+    out = {}
+    for sub in subgroups:
+        if len(sub) == 1:
+            label = "1"
+        elif len(sub) == len(parent):
+            label = "full"
+        elif sub == even:
+            label = "alt"
+        else:
+            i = seen[len(sub)] = seen.get(len(sub), 0) + 1
+            label = f"order{len(sub)}" + (f"#{i}" if clashes[len(sub)] > 1 else "")
+        out[label] = sub
+    return types.MappingProxyType(out)
 
 
-def _family_partitions(universe, shapes):
-    """The partitions of the ``(zero, splits)`` shapes, an iterable, in
-    order: the one shape every predicted family has.
+def _specs(universe):
+    """Every family of the universe, in build order: a rank family per
+    level and label, on OR the half-rank pairs, the typed families and, at
+    degree 4, the two specials, and last the universal congruence."""
+    family, m = universe.family, universe.n // 2
+    specs = [FamilySpec(f"{family}_eqN", k=k, n_label=label)
+             for k, parent in _levels(universe).items() for label in _labelled(parent)]
+    if family == "OR":
+        labels = list(_labelled(maximal_subgroup(universe, m)))
+        specs += [FamilySpec("OR_eqN1N2", n1_label=a, n2_label=b) for a in labels for b in labels]
+        specs += [FamilySpec(tag, k=m, n_label=label)
+                  for tag in ("OR_eqI", "OR_eqII") for label in labels]
+        if universe.n == 4:
+            specs += [FamilySpec("OR_eq1"), FamilySpec("OR_eq2")]
+    return specs + [FamilySpec("universal")]
 
-    ``zero`` masks the ideal that collapses into the zero class.  Each
-    ``(mask, group, labels)`` split cuts the masked elements, of rank k =
-    ``group.degree``, into their H-classes and each H-class into the cosets
-    of a normal subgroup N of ``group``: members of one H-class are related
-    when their H-coordinates lie in one coset of N, read off the coset
-    labels of ``_as_subgroup`` at the positions ``_h_split`` found, so a
-    member's id is plain arithmetic.  ``_h_split`` looks a stratum up once
-    per universe, across families and calls.  Everything else stays
-    singleton.
 
-    The shapes build as rows of class ids, in blocks of ``_block_rows``
-    rows, each block read from ``shapes`` as it is built, so only its own
-    masks are held.  Per block, ``_least_rows`` gives every element's least
-    member, ``_canonical_rows`` numbers the classes, and one
-    ``_is_compatible`` call checks every row to be a congruence, so a row
-    that is not raises ``InvariantViolation``.
+def _shape(universe, spec):
+    """The ``(zero, splits)`` of a spec that ``_specs`` lists (see
+    ``_family_partitions``).  The typed families on OR swallow the opposite
+    half-rank type into the zero class; the degree-4 specials are the typed
+    families with whole H-classes whose units also split by the cosets of
+    an order-2 subgroup of the Klein unit group W′."""
+    ranks, mtypes, m = universe.ranks, universe.mtypes, universe.n // 2
+
+    def split(mask, k, label):
+        group = maximal_subgroup(universe, k)
+        return mask, group, group.cosets(_labelled(group)[label])
+
+    if spec.tag == "universal":
+        return np.ones(len(universe), dtype=bool), []
+    kind = spec.tag.partition("_")[2]
+    if kind == "eqN":
+        return ranks < spec.k, [split(ranks == spec.k, spec.k, spec.n_label)]
+    if kind == "eqN1N2":
+        return ranks < m, [split(mtypes == TYPE_I, m, spec.n1_label),
+                           split(mtypes == TYPE_II, m, spec.n2_label)]
+    variant, other = (TYPE_I, TYPE_II) if kind in ("eqI", "eq1") else (TYPE_II, TYPE_I)
+    splits = [split(mtypes == variant, m, spec.n_label or "full")]
+    if kind in ("eq1", "eq2"):
+        units = maximal_subgroup(universe, 4)
+        pairing = (2, 1, 4, 3) if kind == "eq1" else (3, 4, 1, 2)  # with 1234, a subgroup of W′
+        splits.append((ranks == 4, units, units.cosets({(1, 2, 3, 4), pairing})))
+    return (ranks < m) | (mtypes == other), splits
+
+
+def _family_partitions(universe, specs):
+    """The partitions of the families ``specs`` names, in order.
+
+    In a shape (``_shape``), ``zero`` masks the ideal that collapses into
+    the zero class, and each ``(mask, group, labels)`` split relates the
+    members of one H-class whose H-coordinates, looked up once per universe
+    (``_h_split``), share a coset label of a normal subgroup of ``group``
+    (``PermGroup.cosets``), so a member's id is plain arithmetic.  The
+    families build as rows of class ids in blocks of ``_block_rows`` rows,
+    each block's shapes made as it is built, so only its masks are held.
+    Per block, ``_least_rows`` gives every element's least member,
+    ``_canonical_rows`` numbers the classes, and one ``_is_compatible``
+    call checks every row, so a row that is no congruence raises
+    ``InvariantViolation``.
     """
     moves = universe.translations()
-    rows, shapes, parts = _block_rows(moves), iter(shapes), []
-    while chunk := list(itertools.islice(shapes, rows)):
-        least = _least_rows(universe, chunk)
+    rows, parts = _block_rows(moves), []
+    for start in range(0, len(specs), rows):
+        block = specs[start:start + rows]
+        shapes = [_shape(universe, spec) for spec in block]
+        least = _least_rows(universe, shapes)
         ids = _canonical_rows(least)
         bad = np.flatnonzero(~_is_compatible(moves, ids, least))
         if bad.size:
-            raise InvariantViolation(
-                f"the family partition of shape {len(parts) + bad[0]} is not a congruence"
-            )
+            raise InvariantViolation(f"the family partition of {block[bad[0]]} is not a congruence")
         parts.extend(Partition._canonical(universe, row) for row in ids)
     return parts
 
@@ -122,156 +182,25 @@ def _least_rows(universe, shapes):
     return least
 
 
-def _levels(universe):
-    """The ranks k of the rank-k family, each with the ``maximal_subgroup``
-    whose normal subgroups parametrise it: S_k for 1 <= k <= top, where top
-    is m-1 on OR, m on SR and n-1 on R, and the unit group at k = n on SR
-    and R.  On R these are Liber's congruences of the symmetric inverse monoid."""
-    n = universe.n
-    top = {"OR": n // 2 - 1, "SR": n // 2, "R": n - 1}[universe.family]
-    ranks = list(range(1, top + 1)) + ([] if universe.family == "OR" else [n])
-    return {k: maximal_subgroup(universe, k) for k in ranks}
-
-
-def _rank_shape(universe, k, subgroup):
-    """The shape of ``build_eq_N``."""
-    levels = _levels(universe)
-    if k not in levels:
-        raise ValueError(
-            f"level must be one of {list(levels)} on {universe.family}_{universe.n}, got {k}"
-        )
-    group, ranks = levels[k], universe.ranks
-    return ranks < k, [(ranks == k, group, _as_subgroup(group, subgroup))]
-
-
-def _half_rank_shape(universe, sub1, sub2):
-    """The shape of ``build_eq_N1N2``."""
-    _require_family(universe, "OR")
-    m = universe.n // 2
-    parent = maximal_subgroup(universe, m)
-    splits = [
-        (universe.mtypes == TYPE_I, parent, _as_subgroup(parent, sub1)),
-        (universe.mtypes == TYPE_II, parent, _as_subgroup(parent, sub2)),
-    ]
-    return universe.ranks < m, splits
-
-
-def _typed_shape(universe, variant, subgroup):
-    """The typed rule on OR, the shape of ``build_eq_type``: the zero class
-    swallows everything of rank < m plus the whole opposite-type stratum,
-    and the ``variant`` stratum splits by the cosets of ``subgroup``."""
-    _require_family(universe, "OR")
-    if variant not in (TYPE_I, TYPE_II):
-        raise ValueError(f"variant must be {TYPE_I!r} or {TYPE_II!r}, got {variant!r}")
-    m = universe.n // 2
-    parent = maximal_subgroup(universe, m)
-    other = TYPE_II if variant == TYPE_I else TYPE_I
-    zero = (universe.ranks < m) | (universe.mtypes == other)
-    return zero, [(universe.mtypes == variant, parent, _as_subgroup(parent, subgroup))]
-
-
-def _special_shape(universe, which):
-    """The shape of ``build_eq_special``."""
-    _require_family(universe, "OR")
-    if universe.n != 4:
-        raise ValueError(f"special congruences exist only at degree 4, got {universe.n}")
-    if which not in (1, 2):
-        raise ValueError(f"which must be 1 or 2, got {which}")
-    zero, splits = _typed_shape(universe, TYPE_I if which == 1 else TYPE_II,
-                                maximal_subgroup(universe, 2))
-    units = maximal_subgroup(universe, 4)
-    pairing = {1: (2, 1, 4, 3), 2: (3, 4, 1, 2)}[which]  # with 1234, a subgroup of W′
-    unit_split = (universe.ranks == 4, units, _as_subgroup(units, {(1, 2, 3, 4), pairing}))
-    return zero, splits + [unit_split]
-
-
-def build_eq_N(universe, k, subgroup):
-    """Rank-k family, k a level of ``_levels``: one class below rank k,
-    the cosets of the normal subgroup inside each rank-k H-class,
-    singletons above."""
-    return _family_partitions(universe, [_rank_shape(universe, k, subgroup)])[0]
-
-
-def build_eq_N1N2(universe, sub1, sub2):
-    """Half-rank family on OR: one class below rank m, per-type subgroup
-    orbits at rank m, unit singletons."""
-    return _family_partitions(universe, [_half_rank_shape(universe, sub1, sub2)])[0]
-
-
-def build_eq_type(universe, variant, subgroup):
-    """Typed half-rank family on OR (``_typed_shape``); units stay singletons."""
-    return _family_partitions(universe, [_typed_shape(universe, variant, subgroup)])[0]
-
-
-def build_eq_special(universe, which):
-    """The two degree-4 specials on OR: the typed family of type I (special
-    1) or II (special 2) with whole H-classes, the full ``S_2``, and the
-    units split by the cosets of an order-2 subgroup of W′."""
-    return _family_partitions(universe, [_special_shape(universe, which)])[0]
-
-
-def _labelled(parent):
-    """The normal subgroups of ``parent``, smallest first, with
-    deterministic short labels: 1, full, alt (even permutations), or
-    order<d> with a #i disambiguator when several share an order."""
-    subgroups = normal_subgroups(parent)
-    perms = parent.perms
-    inversions = np.triu(perms[:, :, None] > perms[:, None, :]).sum(axis=(1, 2))
-    even = frozenset(map(tuple, perms[inversions % 2 == 0].tolist()))
-    generic = [
-        sub for sub in subgroups
-        if 1 < len(sub) < len(parent) and sub != even
-    ]
-    clashes = {}
-    for sub in generic:
-        clashes[len(sub)] = clashes.get(len(sub), 0) + 1
-    seen = {}
-    out = []
-    for sub in subgroups:
-        if len(sub) == 1:
-            label = "1"
-        elif len(sub) == len(parent):
-            label = "full"
-        elif sub == even:
-            label = "alt"
-        else:
-            i = seen[len(sub)] = seen.get(len(sub), 0) + 1
-            label = f"order{len(sub)}" + (f"#{i}" if clashes[len(sub)] > 1 else "")
-        out.append((label, sub))
-    return out
+def build_family(universe, spec):
+    """The congruence of the family ``spec`` names, a ``FamilySpec`` as
+    ``predicted_congruences`` and the verify report give it.  A spec that
+    ``_specs`` does not list for the universe raises ``ValueError``."""
+    if spec not in _specs(universe):
+        raise ValueError(f"{spec!r} is not a family of {universe.family}_{universe.n}")
+    return _family_partitions(universe, [spec])[0]
 
 
 def predicted_congruences(universe):
-    """Instantiate every family over every admissible parameter, plus the
-    universal partition; dedupe by partition, keeping all specs.  Every
-    family builds in one ``_family_partitions`` call, which reads each
-    shape from its helper only when its block is built; each split
-    stratum's H-coordinates are looked up once per universe
-    (``green._h_split``)."""
-    m = universe.n // 2
-    todo = []  # (spec, shape helper, its parameters)
-    for k, parent in _levels(universe).items():
-        for label, sub in _labelled(parent):
-            todo.append((FamilySpec(f"{universe.family}_eqN", k=k, n_label=label),
-                         _rank_shape, (k, sub)))
-    if universe.family == "OR":
-        sm = _labelled(maximal_subgroup(universe, m))
-        for label1, sub1 in sm:
-            for label2, sub2 in sm:
-                todo.append((FamilySpec("OR_eqN1N2", n1_label=label1, n2_label=label2),
-                             _half_rank_shape, (sub1, sub2)))
-        for variant, tag in ((TYPE_I, "OR_eqI"), (TYPE_II, "OR_eqII")):
-            for label, sub in sm:
-                todo.append((FamilySpec(tag, k=m, n_label=label), _typed_shape, (variant, sub)))
-        if universe.n == 4:
-            todo.append((FamilySpec("OR_eq1"), _special_shape, (1,)))
-            todo.append((FamilySpec("OR_eq2"), _special_shape, (2,)))
-    parts = _family_partitions(universe, (shape(universe, *args) for _, shape, args in todo))
-    pairs = [(spec, part) for (spec, _, _), part in zip(todo, parts)]
-    pairs.append((FamilySpec("universal"), Partition.universal(universe)))
-
+    """Every family of ``_specs``, deduplicated by partition with all its
+    specs kept, finest first.  All but the last, the universal congruence,
+    build in one ``_family_partitions`` call: the universal one needs no
+    check, and building it would add one held partition to the builder's
+    peak (11 MiB on R_8)."""
+    specs = _specs(universe)
+    parts = _family_partitions(universe, specs[:-1]) + [Partition.universal(universe)]
     by_key = {}
-    for spec, part in pairs:
+    for spec, part in zip(specs, parts):
         by_key.setdefault(part.key, (part, []))[1].append(spec)
     merged = [(part, tuple(specs)) for part, specs in by_key.values()]
     merged.sort(key=lambda item: (-item[0].num_classes, item[0].key))

@@ -82,8 +82,9 @@ def class_count_formulas(m):
     The rank-m D entry carries two values: ``combined`` counts the two
     half-rank classes together, ``per_class`` is the size of each one.
     """
-    if m < 1:
-        raise ValueError(f"half-degree must be >= 1, got {m}")
+    if not _is_integer(m) or m < 1:
+        raise ValueError(f"half-degree must be an integer >= 1, got {m!r}")
+    m = int(m)
     n = 2 * m
     w_prime = 2 ** (m - 1) * factorial(m)
     l_size = {k: comb(m, k) * 2**k * factorial(k) for k in range(m)}

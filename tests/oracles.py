@@ -241,17 +241,17 @@ def all_congruences_naive(universe):
 
 
 def family_partition_reference(universe, zero, splits, unit_pairs=()):
-    """The one shape every predicted family has, built per family: the
-    reference for ``families._family_partitions``, which looks each split
-    stratum up once, keys its classes by arithmetic and builds every family
-    in blocks of rows.
+    """The one shape every predicted family has (``families._shape``),
+    built per family: the reference for ``families._family_partitions``,
+    which looks each split stratum up once, keys its classes by arithmetic
+    and builds every family in blocks of rows.
 
     ``zero`` masks the ideal that collapses into the zero class.  Each
     ``(mask, group, labels)`` split cuts the masked elements, of rank k =
     ``group.degree``, into their H-classes and each H-class into the cosets
     of a normal subgroup N of ``group``: members of one H-class are related
     when their H-coordinates (``h_coords``) lie in one coset of N, read off
-    the coset labels of ``_as_subgroup``.  ``unit_pairs`` lists element
+    N's coset labels (``PermGroup.cosets``).  ``unit_pairs`` lists element
     pairs merged on top.  Everything else stays singleton.  The result is
     checked to be a congruence before it is returned.
     """

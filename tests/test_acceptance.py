@@ -206,7 +206,7 @@ def test_criterion_6_stretch_classification_degree_6(family, n):
 
 def test_criterion_7_degree_4_specials():
     """The two degree-4 congruences have exactly the declared classes."""
-    from rookmonoids import build_eq_special
+    from rookmonoids import FamilySpec, build_family
 
     or4 = enumerate_universe("OR", 4)
     ident = 1
@@ -214,7 +214,7 @@ def test_criterion_7_degree_4_specials():
     d2 = or4.element_index(PartialInjection(4, (3, 4, 1, 2)))
     d12 = or4.element_index(PartialInjection(4, (4, 3, 2, 1)))
 
-    eq1 = build_eq_special(or4, 1)
+    eq1 = build_family(or4, FamilySpec("OR_eq1"))
     assert is_congruence(or4, eq1)
     assert set(eq1.class_of(ident)) == {ident, d1}
     assert set(eq1.class_of(d2)) == {d2, d12}
@@ -232,7 +232,7 @@ def test_criterion_7_degree_4_specials():
         b = or4.element_index(PartialInjection.from_pairs(4, right))
         assert eq1.relates(a, b)
 
-    eq2 = build_eq_special(or4, 2)
+    eq2 = build_family(or4, FamilySpec("OR_eq2"))
     assert is_congruence(or4, eq2)
     assert set(eq2.class_of(ident)) == {ident, d2}
     assert set(eq2.class_of(d1)) == {d1, d12}

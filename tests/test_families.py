@@ -1,19 +1,19 @@
+import dataclasses
 import hashlib
 import json
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from rookmonoids import (
+    FamilySpec,
     InvariantViolation,
     PartialInjection,
     Partition,
     PermGroup,
-    build_eq_N,
-    build_eq_N1N2,
-    build_eq_special,
-    build_eq_type,
+    build_family,
     congruence_closure,
     congruence_lattice,
     enumerate_ideals,
@@ -31,17 +31,13 @@ from rookmonoids import congruences, families
 from rookmonoids.core import element_limit, image_codes
 from rookmonoids.families import (
     _annotate_unmatched,
-    _as_subgroup,
     _family_partitions,
     _labelled,
+    _least_rows,
     _levels,
 )
 
 from oracles import family_partition_reference, is_even
-
-TRIVIAL_1 = frozenset({(1,)})
-TRIVIAL_2 = frozenset({(1, 2)})
-FULL_2 = frozenset({(1, 2), (2, 1)})
 
 # The unit pairings of the two degree-4 specials, as full-rank image tuples:
 # the old pair form, kept as the oracle of the W′ split that builds them.
@@ -55,14 +51,38 @@ def units_of(universe):
     return universe.units()
 
 
+def rank_family(universe, k, label):
+    """The rank-k family of the universe's kind with the labelled subgroup."""
+    return build_family(universe, FamilySpec(f"{universe.family}_eqN", k=k, n_label=label))
+
+
+def half_rank_family(universe, label1, label2):
+    return build_family(universe, FamilySpec("OR_eqN1N2", n1_label=label1, n2_label=label2))
+
+
+def typed_family(universe, variant, label):
+    return build_family(universe, FamilySpec(f"OR_eq{variant}", k=universe.n // 2, n_label=label))
+
+
+def special(universe, which):
+    return build_family(universe, FamilySpec(f"OR_eq{which}"))
+
+
+def unit_pairing_shape(universe):
+    """Special 1's unit split with no zero ideal: pairing the units alone
+    relates rank-2 elements of OR_4 that no class holds together."""
+    units = maximal_subgroup(universe, 4)
+    return universe.ranks < 1, [(universe.ranks == 4, units, units.cosets({(1, 2, 3, 4), (2, 1, 4, 3)}))]
+
+
 def test_rank_family_at_level_one_is_the_identity(or4, or6):
     for universe in (or4, or6):
-        part = build_eq_N(universe, 1, TRIVIAL_1)
+        part = rank_family(universe, 1, "1")
         assert part == Partition.identity(universe)
 
 
 def test_rank_family_structure_on_or6(or6):
-    part = build_eq_N(or6, 2, FULL_2)
+    part = rank_family(or6, 2, "full")
     zero_class = set(part.class_of(0))
     assert zero_class == {i for i in range(len(or6)) if or6.ranks[i] < 2}
     for block in part.classes():
@@ -77,14 +97,13 @@ def test_rank_family_structure_on_or6(or6):
 
 def test_rank_family_rejects_bad_parameters(or4, or6, sr4, r4):
     with pytest.raises(ValueError):
-        build_eq_N(or4, 2, FULL_2)
+        rank_family(or4, 2, "full")
     with pytest.raises(ValueError):
-        build_eq_N(or4, 0, TRIVIAL_1)
+        rank_family(or4, 0, "1")
     with pytest.raises(ValueError):
-        build_eq_N(or4, 1, frozenset({(1, 2), (2, 1)}))
-    not_normal = frozenset({(1, 2, 3), (2, 1, 3)})
+        rank_family(or4, 1, "full")  # S_1 has one normal subgroup, labelled 1
     with pytest.raises(ValueError):
-        build_eq_N(enumerate_universe("SR", 6), 3, not_normal)
+        rank_family(enumerate_universe("SR", 6), 3, "order2")  # no order-2 normal subgroup of S_3
     # The levels: 1..m-1 on OR, 1..m and n on SR, 1..n on R.
     for universe, accepted, rejected in (
         (or6, (1, 2), (0, 3, 6)),
@@ -92,31 +111,74 @@ def test_rank_family_rejects_bad_parameters(or4, or6, sr4, r4):
         (r4, (1, 2, 3, 4), (0, 5)),
     ):
         for k in accepted:
-            trivial = frozenset({tuple(range(1, k + 1))})
-            assert is_congruence(universe, build_eq_N(universe, k, trivial))
+            assert is_congruence(universe, rank_family(universe, k, "1"))
         for k in rejected:
-            with pytest.raises(ValueError, match="level"):
-                build_eq_N(universe, k, frozenset({tuple(range(1, k + 1))}))
+            with pytest.raises(ValueError, match="is not a family of"):
+                rank_family(universe, k, "1")
 
 
 def test_or_families_refuse_bad_parameters(or4, sr4):
-    with pytest.raises(ValueError, match="which must be 1 or 2, got 3"):
-        build_eq_special(or4, 3)
-    with pytest.raises(ValueError, match="expected an OR universe, got SR"):
-        build_eq_N1N2(sr4, TRIVIAL_2, TRIVIAL_2)
+    with pytest.raises(ValueError, match=r"FamilySpec\(tag='OR_eq3'.* is not a family of OR_4"):
+        special(or4, 3)
+    with pytest.raises(ValueError, match="is not a family of SR_4"):
+        half_rank_family(sr4, "1", "1")
+
+
+@pytest.mark.parametrize("name, good, field, wrong", [
+    ("or4", FamilySpec("OR_eqI", k=2, n_label="1"), "k", 1),
+    ("or4", FamilySpec("OR_eqN", k=1, n_label="1"), "tag", "SR_eqN"),
+    ("or4", FamilySpec("OR_eqN", k=1, n_label="1"), "k", 2),
+    ("sr4", FamilySpec("SR_eqN", k=4, n_label="full"), "k", 3),
+    ("or4", FamilySpec("OR_eqN1N2", n1_label="1", n2_label="full"), "n2_label", "alt"),
+    ("or4", FamilySpec("OR_eqII", k=2, n_label="full"), "tag", "OR_eqIII"),
+    ("or4", FamilySpec("OR_eq2"), "k", 2),
+    ("or4", FamilySpec("universal"), "n_label", "1"),
+    ("or6", FamilySpec("OR_eqN1N2", n1_label="alt", n2_label="1"), "tag", "OR_eq1"),
+    ("r4", FamilySpec("R_eqN", k=4, n_label="order4"), "n_label", "order2"),
+])
+def test_build_family_refuses_a_spec_with_one_wrong_field(name, good, field, wrong, request):
+    """Each spec that ``_specs`` lists builds; with one field changed it
+    names no family and is refused: a wrong level, family, variant or
+    label, a special off degree 4 and a field the family does not take."""
+    universe = request.getfixturevalue(name)
+    assert is_congruence(universe, build_family(universe, good))
+    bad = dataclasses.replace(good, **{field: wrong})
+    with pytest.raises(ValueError, match=re.escape(f"{bad!r} is not a family of")):
+        build_family(universe, bad)
+
+
+def test_build_family_refuses_a_spec_in_json_form(or4):
+    with pytest.raises(ValueError, match="is not a family of OR_4"):
+        build_family(or4, FamilySpec("OR_eq1").to_json())
+
+
+@pytest.mark.parametrize("family, n", [
+    ("OR", 2), ("OR", 4), ("OR", 6), ("SR", 2), ("SR", 4), ("SR", 6), ("R", 2), ("R", 4), ("R", 6),
+])
+def test_every_verified_spec_builds_its_lattice_member(family, n):
+    """Every spec of a matched entry of the verify JSON, read back as a
+    ``FamilySpec``, builds the lattice member that the entry names."""
+    universe = enumerate_universe(family, n)
+    lattice = congruence_lattice(universe)
+    payload = json.loads(json.dumps(verify_classification(universe).to_json()))
+    specs = [(FamilySpec(**spec), entry["lattice_index"])
+             for entry in payload["matched"] for spec in entry["specs"]]
+    assert len(specs) == len(families._specs(universe))
+    for spec, index in specs:
+        assert build_family(universe, spec) == lattice[index]
 
 
 def test_two_subgroup_family(or2, or4):
-    assert build_eq_N1N2(or2, TRIVIAL_1, TRIVIAL_1) == Partition.identity(or2)
-    rees = build_eq_N1N2(or4, TRIVIAL_2, TRIVIAL_2)
+    assert half_rank_family(or2, "1", "1") == Partition.identity(or2)
+    rees = half_rank_family(or4, "1", "1")
     assert set(rees.class_of(0)) == {i for i in range(len(or4)) if or4.ranks[i] < 2}
     assert all(
         len(block) == 1
         for block in rees.classes()
         if int(or4.ranks[block[0]]) >= 2
     )
-    lopsided = build_eq_N1N2(or4, FULL_2, TRIVIAL_2)
-    mirrored = build_eq_N1N2(or4, TRIVIAL_2, FULL_2)
+    lopsided = half_rank_family(or4, "full", "1")
+    mirrored = half_rank_family(or4, "1", "full")
     assert lopsided != mirrored
     for block in lopsided.classes():
         if int(or4.ranks[block[0]]) == 2:
@@ -125,7 +187,7 @@ def test_two_subgroup_family(or2, or4):
 
 
 def test_typed_family_on_or4(or4):
-    part = build_eq_type(or4, "I", TRIVIAL_2)
+    part = typed_family(or4, "I", "1")
     zero_class = set(part.class_of(0))
     expected_zero = {
         i for i in range(len(or4))
@@ -138,22 +200,21 @@ def test_typed_family_on_or4(or4):
     assert len(type_i) == 8
     assert part.num_classes == 1 + 8 + 4
 
-    merged = build_eq_type(or4, "I", FULL_2)
+    merged = typed_family(or4, "I", "full")
     for block in merged.classes():
         if or4.mtypes[block[0]] == "I" and int(or4.ranks[block[0]]) == 2:
             assert len(block) == 2
 
-    assert build_eq_type(or4, "I", TRIVIAL_2) != build_eq_type(or4, "II", TRIVIAL_2)
+    assert typed_family(or4, "I", "1") != typed_family(or4, "II", "1")
     with pytest.raises(ValueError):
-        build_eq_type(or4, "III", TRIVIAL_2)
+        typed_family(or4, "III", "1")
 
 
 def test_typed_families_differ_for_every_subgroup(or4, or6):
     for universe in (or4, or6):
-        m = universe.n // 2
-        for _, sub in _labelled_subgroups(m):
-            one = build_eq_type(universe, "I", sub)
-            two = build_eq_type(universe, "II", sub)
+        for label in _labelled(symmetric_group(universe.n // 2)):
+            one = typed_family(universe, "I", label)
+            two = typed_family(universe, "II", label)
             assert one != two
             assert set(one.class_of(0)) != set(two.class_of(0))
 
@@ -171,15 +232,13 @@ def test_labelled_alt_is_the_even_permutations(family, n):
     else:
         parent = maximal_subgroup(enumerate_universe(family, n), n)
     even = frozenset(p for p in parent if is_even(p))
-    labelled = dict(_labelled(parent))
+    labelled = _labelled(parent)
+    assert list(labelled.values()) == list(normal_subgroups(parent))
+    assert _labelled(parent) is labelled
     if 1 < len(even) < len(parent):
         assert labelled["alt"] == even
     else:
         assert "alt" not in labelled
-
-
-def _labelled_subgroups(k):
-    return [(len(s), s) for s in normal_subgroups(symmetric_group(k))]
 
 
 def test_special_congruences_class_structure(or4):
@@ -187,7 +246,7 @@ def test_special_congruences_class_structure(or4):
     d2 = or4.element_index(PartialInjection(4, (3, 4, 1, 2)))
     d12 = or4.element_index(PartialInjection(4, (4, 3, 2, 1)))
 
-    eq1 = build_eq_special(or4, 1)
+    eq1 = special(or4, 1)
     assert is_congruence(or4, eq1)
     assert set(eq1.class_of(1)) == {1, d1}
     assert set(eq1.class_of(d2)) == {d2, d12}
@@ -202,7 +261,7 @@ def test_special_congruences_class_structure(or4):
             assert {or4.elements[i].domain() for i in block} == {e.domain()}
             assert len(block) == 2
 
-    eq2 = build_eq_special(or4, 2)
+    eq2 = special(or4, 2)
     assert is_congruence(or4, eq2)
     assert set(eq2.class_of(1)) == {1, d2}
     assert set(eq2.class_of(d1)) == {d1, d12}
@@ -214,7 +273,7 @@ def test_special_congruences_class_structure(or4):
 
 
 def test_special_congruence_relates_the_translated_pairs(or4):
-    eq1 = build_eq_special(or4, 1)
+    eq1 = special(or4, 1)
     relations = [
         ([(1, 1), (2, 2)], [(1, 2), (2, 1)]),
         ([(1, 3), (2, 4)], [(1, 4), (2, 3)]),
@@ -230,17 +289,15 @@ def test_special_congruence_relates_the_translated_pairs(or4):
 def test_special_congruence_is_generated_by_its_unit_pair(or4):
     d1 = or4.element_index(PartialInjection(4, (2, 1, 4, 3)))
     d2 = or4.element_index(PartialInjection(4, (3, 4, 1, 2)))
-    assert congruence_closure(or4, [(1, d1)]) == build_eq_special(or4, 1)
-    assert congruence_closure(or4, [(1, d2)]) == build_eq_special(or4, 2)
+    assert congruence_closure(or4, [(1, d1)]) == special(or4, 1)
+    assert congruence_closure(or4, [(1, d2)]) == special(or4, 2)
 
 
-def test_builder_refuses_a_partition_that_is_not_a_congruence(or4):
-    """Special 1's unit split with no zero ideal: pairing the units alone
-    relates rank-2 elements that no class holds together."""
-    units = maximal_subgroup(or4, 4)
-    labels = _as_subgroup(units, {(1, 2, 3, 4), (2, 1, 4, 3)})
+def test_builder_refuses_a_partition_that_is_not_a_congruence(or4, monkeypatch):
+    """A listed spec whose shape is the unit pairing alone is refused."""
+    monkeypatch.setattr(families, "_shape", lambda universe, spec: unit_pairing_shape(universe))
     with pytest.raises(InvariantViolation, match="not a congruence"):
-        _family_partitions(or4, [(or4.ranks < 1, [(or4.ranks == 4, units, labels)])])
+        special(or4, 1)
 
 
 def min_code_partition(universe, zero, splits, unit_pairs=()):
@@ -277,17 +334,17 @@ def test_coset_label_splits_match_the_min_image_code_oracle(name, request):
     universe = request.getfixturevalue(name)
     ranks, mtypes, m = universe.ranks, universe.mtypes, universe.n // 2
     for k, group in _levels(universe).items():
-        for sub in normal_subgroups(group):
-            assert build_eq_N(universe, k, sub) == min_code_partition(
+        for label, sub in _labelled(group).items():
+            assert rank_family(universe, k, label) == min_code_partition(
                 universe, ranks < k, [(ranks == k, sub)])
     if universe.family == "OR":
-        subs = normal_subgroups(symmetric_group(m))
-        for sub1 in subs:
-            for sub2 in subs:
-                assert build_eq_N1N2(universe, sub1, sub2) == min_code_partition(
+        subs = _labelled(symmetric_group(m)).items()
+        for label1, sub1 in subs:
+            for label2, sub2 in subs:
+                assert half_rank_family(universe, label1, label2) == min_code_partition(
                     universe, ranks < m, [(mtypes == "I", sub1), (mtypes == "II", sub2)])
             for variant, other in (("I", "II"), ("II", "I")):
-                assert build_eq_type(universe, variant, sub1) == min_code_partition(
+                assert typed_family(universe, variant, label1) == min_code_partition(
                     universe, (ranks < m) | (mtypes == other), [(mtypes == variant, sub1)])
 
 
@@ -302,12 +359,12 @@ def test_specials_split_by_the_one_coset_of_s2(or4):
             tuple(or4.element_index(PartialInjection(4, images)) for images in pair)
             for pair in _OR4_UNIT_PAIRS[which]
         ]
-        special = build_eq_special(or4, which)
-        assert special == min_code_partition(
+        built = special(or4, which)
+        assert built == min_code_partition(
             or4, zero, [(or4.mtypes == kept, None)], pairs)
-        assert special == family_partition_reference(
-            or4, zero, [(or4.mtypes == kept, s2, _as_subgroup(s2, s2))], pairs)
-    assert not _as_subgroup(s2, s2).any()
+        assert built == family_partition_reference(
+            or4, zero, [(or4.mtypes == kept, s2, s2.cosets(s2))], pairs)
+    assert not s2.cosets(s2).any()
 
 
 def test_unit_level_split_gathers_no_coset_images(sr8):
@@ -316,10 +373,10 @@ def test_unit_level_split_gathers_no_coset_images(sr8):
     384 × 384 × 8 intp gather of the min-image-code key (9.4 MB)."""
     w = maximal_subgroup(sr8, 8)
     sr8.translations()
-    normal_subgroups(w)
+    _labelled(w)
     tracemalloc.start()
     try:
-        part = build_eq_N(sr8, 8, frozenset(w))
+        part = rank_family(sr8, 8, "full")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -327,11 +384,15 @@ def test_unit_level_split_gathers_no_coset_images(sr8):
     assert peak < 2**22
 
 
-def test_builder_refuses_an_h_coordinate_outside_the_group(or4):
+def outside_split(mask):
+    """A split by a group of degree 2 that holds none of the other H-coordinates."""
     trivial = PermGroup(2, [(1, 2)])
-    split = (or4.ranks == 2, trivial, _as_subgroup(trivial, trivial))
+    return mask, trivial, trivial.cosets(trivial)
+
+
+def test_builder_refuses_an_h_coordinate_outside_the_group(or4):
     with pytest.raises(InvariantViolation, match="H-coordinate of element"):
-        _family_partitions(or4, [(or4.ranks < 2, [split])])
+        _least_rows(or4, [(or4.ranks < 2, [outside_split(or4.ranks == 2)])])
 
 
 def test_a_shared_stratum_memo_keys_by_group_and_mask():
@@ -340,12 +401,10 @@ def test_a_shared_stratum_memo_keys_by_group_and_mask():
     refused after one that does.  A fresh universe, since a shared
     fixture's memo may already be full."""
     or4 = enumerate_universe("OR", 4)
-    build_eq_N1N2(or4, FULL_2, TRIVIAL_2)
+    half_rank_family(or4, "full", "1")
     assert len(or4._splits) == 2
-    trivial = PermGroup(2, [(1, 2)])
-    split = (or4.mtypes == "I", trivial, _as_subgroup(trivial, trivial))
     with pytest.raises(InvariantViolation, match="H-coordinate of element"):
-        _family_partitions(or4, [(or4.ranks < 2, [split])])
+        _least_rows(or4, [(or4.ranks < 2, [outside_split(or4.mtypes == "I")])])
 
 
 def counting_indices(monkeypatch):
@@ -362,13 +421,13 @@ def counting_indices(monkeypatch):
 
 
 def test_separate_builder_calls_look_each_stratum_up_once(monkeypatch):
-    """Two public ``build_eq_N1N2`` calls on one universe share its memo:
-    each half-rank type is looked up by the first call only."""
+    """Two ``build_family`` calls on one universe share its memo: each
+    half-rank type is looked up by the first call only."""
     or4 = enumerate_universe("OR", 4)
     degrees = counting_indices(monkeypatch)
-    first = build_eq_N1N2(or4, FULL_2, TRIVIAL_2)
+    first = half_rank_family(or4, "full", "1")
     assert degrees == [2, 2]
-    second = build_eq_N1N2(or4, TRIVIAL_2, FULL_2)
+    second = half_rank_family(or4, "1", "full")
     assert degrees == [2, 2]
     assert first != second
 
@@ -382,27 +441,25 @@ def test_h_class_group_shares_the_stratum_memo(monkeypatch):
     first = h_class_group(or4, 1)
     assert degrees == [4]
     assert h_class_group(or4, 1) == first and degrees == [4]
-    build_eq_special(or4, 1)
+    special(or4, 1)
     assert degrees == [4, 2]
 
 
 def test_special_congruences_need_degree_four(or6):
     with pytest.raises(ValueError):
-        build_eq_special(or6, 1)
+        special(or6, 1)
 
 
 def test_symplectic_family(sr2, sr4):
-    assert build_eq_N(sr4, 1, TRIVIAL_1) == Partition.identity(sr4)
-    assert build_eq_N(sr2, 1, TRIVIAL_1) == Partition.identity(sr2)
+    assert rank_family(sr4, 1, "1") == Partition.identity(sr4)
+    assert rank_family(sr2, 1, "1") == Partition.identity(sr2)
 
-    w = maximal_subgroup(sr4, 4)
-    full = frozenset(w)
-    top = build_eq_N(sr4, 4, full)
+    top = rank_family(sr4, 4, "full")
     assert set(top.class_of(0)) == {i for i in range(len(sr4)) if sr4.ranks[i] < 4}
     assert set(top.class_of(1)) == set(units_of(sr4))
     assert top.num_classes == 2
 
-    mid = build_eq_N(sr4, 2, FULL_2)
+    mid = rank_family(sr4, 2, "full")
     assert set(mid.class_of(0)) == {i for i in range(len(sr4)) if sr4.ranks[i] < 2}
     for block in mid.classes():
         rank = int(sr4.ranks[block[0]])
@@ -412,19 +469,17 @@ def test_symplectic_family(sr2, sr4):
             assert len(block) == 1
 
     with pytest.raises(ValueError):
-        build_eq_N(sr4, 3, TRIVIAL_1)
+        rank_family(sr4, 3, "1")
 
 
 def test_family_monotonicity(or4, or6, sr4):
-    small, big = TRIVIAL_2, FULL_2
-    assert build_eq_N(or6, 2, small).refines(build_eq_N(or6, 2, big))
-    assert build_eq_N1N2(or4, small, small).refines(build_eq_N1N2(or4, big, small))
-    assert build_eq_type(or4, "I", small).refines(build_eq_type(or4, "I", big))
-    assert build_eq_N(sr4, 2, small).refines(build_eq_N(sr4, 2, big))
-    w = maximal_subgroup(sr4, 4)
-    subs = sorted(normal_subgroups(w), key=len)
-    for sub in subs:
-        assert build_eq_N(sr4, 4, subs[0]).refines(build_eq_N(sr4, 4, sub))
+    small, big = "1", "full"
+    assert rank_family(or6, 2, small).refines(rank_family(or6, 2, big))
+    assert half_rank_family(or4, small, small).refines(half_rank_family(or4, big, small))
+    assert typed_family(or4, "I", small).refines(typed_family(or4, "I", big))
+    assert rank_family(sr4, 2, small).refines(rank_family(sr4, 2, big))
+    for label in _labelled(maximal_subgroup(sr4, 4)):
+        assert rank_family(sr4, 4, "1").refines(rank_family(sr4, 4, label))
 
 
 def test_every_family_partition_is_a_congruence_and_not_universal():
@@ -476,17 +531,18 @@ def test_unit_groups_are_cached_per_family_and_degree(or4, sr4):
 
 
 @pytest.mark.parametrize("n, extras", [(4, 5), (6, 4), (8, 8)])
-def test_or_extras_are_the_rees_quotients_with_units_split_by_w_prime(n, extras):
+def test_or_extras_are_the_rees_quotients_with_units_split_by_w_prime(n, extras, monkeypatch):
     """On OR the congruences no family predicts are, as a set, one per
     normal subgroup N of W′: every non-unit in the zero class, and the
     units split by the cosets of N.  Only tested here: no family builds
-    them."""
+    them, so the builder reads their shapes by label."""
     u = enumerate_universe("OR", n)
     w = maximal_subgroup(u, n)
-    expected = {
-        part.key for part in _family_partitions(
-            u, [(u.ranks < n, [(u.ranks == n, w, _as_subgroup(w, sub))]) for sub in normal_subgroups(w)])
-    }
+    shapes = {label: (u.ranks < n, [(u.ranks == n, w, w.cosets(sub))])
+              for label, sub in _labelled(w).items()}
+    monkeypatch.setattr(families, "_shape", lambda universe, label: shapes[label])
+    expected = {part.key for part in _family_partitions(u, list(shapes))}
+    monkeypatch.undo()
     found = [Partition.from_classes(u, entry["classes"]).key
              for entry in verify_classification(u).found_not_predicted]
     assert len(found) == len(set(found)) == len(expected) == extras
@@ -518,9 +574,9 @@ def test_predictions_match_the_per_family_reference(monkeypatch, family, n):
     assert built == reference
 
 
-def per_shape_reference(universe, shapes):
-    """``family_partition_reference`` on each shape, one family at a time."""
-    return [family_partition_reference(universe, zero, splits) for zero, splits in shapes]
+def per_shape_reference(universe, specs):
+    """``family_partition_reference`` on each spec's shape, one family at a time."""
+    return [family_partition_reference(universe, *families._shape(universe, spec)) for spec in specs]
 
 
 @pytest.mark.parametrize("rows", [1, 2, 5])
@@ -549,19 +605,20 @@ def test_predictions_are_the_same_in_blocks_of_any_size(name, rows, request, mon
 def test_block_builder_refuses_one_bad_shape_among_good_ones(or4, monkeypatch):
     """Special 1's unit split with no zero ideal is no congruence: set
     after, between and before good shapes, in one block or in blocks of
-    two rows, the builder refuses it and names its shape."""
-    units = maximal_subgroup(or4, 4)
-    bad = (or4.ranks < 1, [(or4.ranks == 4, units, _as_subgroup(units, {(1, 2, 3, 4), (2, 1, 4, 3)}))])
-    good = [families._rank_shape(or4, 1, TRIVIAL_1), families._typed_shape(or4, "I", FULL_2),
-            families._special_shape(or4, 2)]
+    two rows, the builder refuses it and names its spec."""
+    bad = FamilySpec("unit pairing")
+    shape = families._shape
+    monkeypatch.setattr(families, "_shape",
+                        lambda u, spec: unit_pairing_shape(u) if spec == bad else shape(u, spec))
+    good = [FamilySpec("OR_eqN", k=1, n_label="1"), FamilySpec("OR_eqI", k=2, n_label="full"),
+            FamilySpec("OR_eq2")]
     for rows in (None, 2):
         if rows is not None:
             monkeypatch.setattr(congruences, "TABLE_BLOCK_BYTES",
                                 rows * (or4.translations().nbytes + 8 * len(or4)))
         for at in (3, 1, 0):
-            shapes = good[:at] + [bad] + good[at:]
-            with pytest.raises(InvariantViolation, match=f"shape {at} is not a congruence"):
-                _family_partitions(or4, shapes)
+            with pytest.raises(InvariantViolation, match=re.escape(f"of {bad!r} is not a congruence")):
+                _family_partitions(or4, good[:at] + [bad] + good[at:])
     assert len(_family_partitions(or4, good)) == 3
 
 
@@ -595,7 +652,7 @@ def test_predicted_congruences_or4_include_the_specials(or4):
     tags = {s.tag for _, specs in preds for s in specs}
     assert {"OR_eqN", "OR_eqN1N2", "OR_eqI", "OR_eqII", "OR_eq1", "OR_eq2",
             "universal"} <= tags
-    special_keys = {build_eq_special(or4, 1).key, build_eq_special(or4, 2).key}
+    special_keys = {special(or4, 1).key, special(or4, 2).key}
     assert special_keys <= {p.key for p, _ in preds}
     assert len(preds) == 12
 

@@ -147,6 +147,15 @@ def test_count_formula_values():
         class_count_formulas(0)
 
 
+@pytest.mark.parametrize("m", [0, True, 2.0, "2"])
+def test_count_formulas_refuse_a_half_degree_off_the_integer_rule(m):
+    """The one integer rule (``core._is_integer``): a bool, a float and a
+    string are refused as 0 is, and a numpy integer reads as its int."""
+    with pytest.raises(ValueError, match=f"half-degree must be an integer >= 1, got {m!r}"):
+        class_count_formulas(m)
+    assert class_count_formulas(np.int64(2)) == class_count_formulas(2)
+
+
 @pytest.mark.parametrize("n", [2, 4, 6, 8])
 def test_count_formulas_match_brute_force(n):
     universe = enumerate_universe("OR", n)
