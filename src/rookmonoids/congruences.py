@@ -4,14 +4,15 @@ the engine; each step is told where it is defined:
 - ``Partition``: a canonical class-id vector, so equal partitions are
   equal vectors.  Inside the engine a partition is held as least-member
   labels, each element labelled by the least member of its class, and
-  ``_canonical_rows`` numbers them with no sort.
+  ``_canonical_rows`` numbers them in one flat gather, with no sort.
 - ``_merge``: the join of labels with element pairs, the kernel that every
   closure and join runs.
 - ``_closure_ids`` and ``_closure_rows``: the least congruence holding some
   pairs, in rounds over the generator rows of
   ``MonoidUniverse.translations``, growing the zero class along
-  ``MonoidUniverse.j_order``.  ``is_congruence`` checks the same rows
-  (``_is_compatible``).
+  ``MonoidUniverse.j_order``.  ``_is_compatible`` checks a block of
+  partitions against the same rows in one flat gather, for
+  ``is_congruence``, ``_check_closures`` and the family builder.
 - ``_kernel_trace_seeds`` and ``_orbit_minima``: one kernel or trace pair
   per unit-conjugation orbit, the seeds of the principal congruences.
 - ``_principal_ids``: the seeds closed in blocks of label rows laid end to
@@ -96,11 +97,15 @@ def _is_compatible(moves, ids, least):
     """One bool per row of an (R, N) block of partitions, given as class
     ids ``ids`` and least-member labels ``least``: True when that row is
     compatible with every translation row of ``moves``, each element moving
-    into the class that the least member of its class moves into.  With
-    int32 ids the gathers take 8 bytes per generator row and element, which
+    into the class that the least member of its class moves into.  One
+    gather of the transposed block puts element x of row r at x·R + r, so
+    one flat index, least·R + r, reads the least members.  With int32 ids
+    the gathers take 8 bytes per generator row and element, which
     ``_block_rows`` budgets for."""
-    labels = ids[:, moves]
-    return (labels == np.take_along_axis(labels, least[:, None], axis=2)).all(axis=(1, 2))
+    rows = len(ids)
+    labels = np.take(np.ascontiguousarray(ids.T), moves, axis=0).reshape(len(moves), -1)
+    index = least.T * rows + np.arange(rows)
+    return (labels == np.take(labels, index.ravel(), axis=1)).all(axis=0).reshape(-1, rows).all(axis=0)
 
 
 def _closure_ids(moves, pairs, j_order=None):
@@ -178,12 +183,12 @@ def _closure_rows(moves, ids, u, v, j_order=None):
 
 class Partition:
     """A partition of a universe as a canonical class-id vector: read-only
-    int32 ids numbering the classes by first occurrence.  The constructor
-    takes any class ids and canonicalizes them (``_canonical_ids``); the
-    engine, which holds least-member labels, builds through ``_canonical``
-    from ``_canonical_rows`` instead, with no sort."""
+    int32 ids numbering the classes by first occurrence, held once (``key``
+    makes their bytes).  The constructor canonicalizes any class ids
+    (``_canonical_ids``); the engine, which holds least-member labels,
+    builds through ``_canonical`` from ``_canonical_rows``, with no sort."""
 
-    __slots__ = ("universe", "ids", "_key")
+    __slots__ = ("universe", "ids", "_hash")
 
     def __init__(self, universe, ids):
         ids = np.asarray(ids)
@@ -197,7 +202,7 @@ class Partition:
         self.universe = universe
         self.ids = ids
         ids.setflags(write=False)
-        self._key = ids.tobytes()
+        self._hash = None
 
     @classmethod
     def _canonical(cls, universe, ids):
@@ -231,7 +236,7 @@ class Partition:
 
     @property
     def key(self):
-        return self._key
+        return self.ids.tobytes()
 
     @property
     def num_classes(self):
@@ -268,11 +273,13 @@ class Partition:
         return (
             isinstance(other, Partition)
             and self.universe is other.universe
-            and self._key == other._key
+            and np.array_equal(self.ids, other.ids)
         )
 
     def __hash__(self):
-        return hash(self._key)
+        if self._hash is None:
+            self._hash = hash(self.ids.tobytes())
+        return self._hash
 
     def __repr__(self):
         return f"<Partition of {self.universe.family}_{self.universe.n} into {self.num_classes} classes>"

@@ -349,11 +349,11 @@ def _canonical_rows(least):
     (R, N) block, or one row, labels every element by the least member of
     its class.  A class is numbered by the count of roots, the elements
     labelled by themselves, before its least member, so classes count up by
-    first occurrence.  One ``cumsum`` and one gather; no sort."""
-    roots = least == np.arange(least.shape[-1])
-    rank = np.cumsum(roots, axis=-1, dtype=np.int32)
+    first occurrence.  One ``cumsum`` and one flat gather; no sort."""
+    size = least.shape[-1]
+    rank = np.cumsum(least == np.arange(size), axis=-1, dtype=np.int32)
     rank -= 1
-    return rank[least] if least.ndim == 1 else np.take_along_axis(rank, least, axis=-1)
+    return rank[least] if least.ndim == 1 else rank.ravel()[least + size * np.arange(len(least))[:, None]]
 
 
 def _canonical_ids(ids):

@@ -139,15 +139,14 @@ def _family_partitions(universe, specs):
 
     In a shape (``_shape``), ``zero`` masks the ideal that collapses into
     the zero class, and each ``(mask, group, labels)`` split relates the
-    members of one H-class whose H-coordinates, looked up once per universe
-    (``_h_split``), share a coset label of a normal subgroup of ``group``
-    (``PermGroup.cosets``), so a member's id is plain arithmetic.  The
-    families build as rows of class ids in blocks of ``_block_rows`` rows,
-    each block's shapes made as it is built, so only its masks are held.
-    Per block, ``_least_rows`` gives every element's least member,
-    ``_canonical_rows`` numbers the classes, and one ``_is_compatible``
-    call checks every row, so a row that is no congruence raises
-    ``InvariantViolation``.
+    members of one H-class whose H-coordinates share a coset label of a
+    normal subgroup of ``group`` (``PermGroup.cosets``); the H-class layout
+    is looked up once per universe (``_h_split``).  The families build in
+    blocks of ``_block_rows`` rows, each block's shapes made as it is
+    built, so only its masks are held.  Per block, ``_least_rows`` writes
+    every element's least member, ``_canonical_rows`` numbers the classes,
+    and one ``_is_compatible`` call checks every row, so a row that is no
+    congruence raises ``InvariantViolation``.
     """
     moves = universe.translations()
     rows, parts = _block_rows(moves), []
@@ -164,21 +163,17 @@ def _family_partitions(universe, specs):
 
 
 def _least_rows(universe, shapes):
-    """The least-member labels of the shapes' partitions, one row each:
-    each shape's class ids, then one ``np.unique`` over the rows laid end
-    to end, each offset past the ids of the row before."""
-    size = len(universe)
-    block = np.tile(np.arange(size, dtype=np.int64), (len(shapes), 1))
-    for row, (zero, splits) in zip(block, shapes):
+    """The least-member labels of the shapes' partitions, one row each, with
+    no sort: 0 on the zero class; on a split, the member of the H-class
+    (``_h_split``) at the coset's least position (``PermGroup.cosets``);
+    and every other element itself."""
+    least = np.empty((len(shapes), len(universe)), dtype=np.intp)
+    least[:] = np.arange(len(universe))
+    for row, (zero, splits) in zip(least, shapes):
         row[zero] = 0  # the zero map, element 0, lies in every ideal
         for mask, group, labels in splits:
-            members, pos, base = _h_split(universe, mask, group)
-            row[members] = base + labels[pos]
-    offsets = np.arange(len(shapes))[:, None]
-    block += offsets * (block.max() + 1)
-    _, first, inverse = np.unique(block, return_index=True, return_inverse=True)
-    least = first[inverse.reshape(block.shape)]
-    least -= offsets * size
+            at = _h_split(universe, mask, group)
+            row[at] = at[:, labels]
     return least
 
 
@@ -199,10 +194,10 @@ def predicted_congruences(universe):
     peak (11 MiB on R_8)."""
     specs = _specs(universe)
     parts = _family_partitions(universe, specs[:-1]) + [Partition.universal(universe)]
-    by_key = {}
+    by_part = {}
     for spec, part in zip(specs, parts):
-        by_key.setdefault(part.key, (part, []))[1].append(spec)
-    merged = [(part, tuple(specs)) for part, specs in by_key.values()]
+        by_part.setdefault(part, []).append(spec)
+    merged = [(part, tuple(specs)) for part, specs in by_part.items()]
     merged.sort(key=lambda item: (-item[0].num_classes, item[0].key))
     return merged
 
@@ -263,28 +258,27 @@ def verify_classification(universe):
     with its zero class named from its J-classes."""
     predictions = predicted_congruences(universe)
     lattice = congruence_lattice(universe)
-    lattice_keys = {part.key: i for i, part in enumerate(lattice)}
+    lattice_index = {part: i for i, part in enumerate(lattice)}
     green = green_partition(universe)
 
     matched = []
     predicted_not_found = []
-    pred_by_key = {}
     for part, specs in predictions:
-        pred_by_key[part.key] = specs
         entry = {
             "specs": [s.to_json() for s in specs],
             "num_classes": part.num_classes,
         }
-        if part.key in lattice_keys:
-            entry["lattice_index"] = lattice_keys[part.key]
+        if part in lattice_index:
+            entry["lattice_index"] = lattice_index[part]
             matched.append(entry)
         else:
             predicted_not_found.append(entry)
 
+    predicted = {part for part, _ in predictions}
     found_not_predicted = [
         _annotate_unmatched(universe, part, i, green)
         for i, part in enumerate(lattice)
-        if part.key not in pred_by_key
+        if part not in predicted
     ]
 
     notes = []

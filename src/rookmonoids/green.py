@@ -211,14 +211,13 @@ def _unit_group(family, n):
 
 def _h_split(universe, mask, group):
     """A split stratum as the builder reads it, for any subgroup of
-    ``group``: the masked members, the positions of their H-coordinates
-    (``h_coords``) among the members of ``group``, and an id base
-    N + h * |group| for each, h the least member of its H-class.  A
-    member's class id is its base plus the coset label at its position: one
-    id per H-class and coset in the whole universe, so the splits of one
-    family never collide, and none below N, where the element indices lie.
-    Computed once per (group, mask) and universe, and kept on it
-    (``MonoidUniverse._splits``) for every family and ``h_class_group``."""
+    ``group``: a read-only int32 array with a row per H-class, whose entry
+    p is the member with H-coordinate (``h_coords``) the p-th of ``group``.
+    A row must also list its members in index order, as ``core._stratum``
+    lays them out, else ``InvariantViolation``: so a set of positions has
+    its least member at its least position.  Kept on the universe
+    (``MonoidUniverse._splits``) per (group, mask) for every family and
+    ``h_class_group``."""
     key = (group, mask.tobytes())
     if key not in universe._splits:
         members = np.flatnonzero(mask)
@@ -228,9 +227,14 @@ def _h_split(universe, mask, group):
                 f"the H-coordinate of element {members[np.argmin(found)]} is not in {group!r}"
             )
         codes = universe.dom_masks[members] << universe.n | universe.img_masks[members]
-        _, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
-        h = members[first][inverse.ravel()]  # the least member of each H-class
-        universe._splits[key] = members, pos, len(universe) + h * len(group)
+        order = np.argsort(codes, kind="stable")  # by H-class, each in index order
+        whole = members.size % len(group) == 0  # so each H-class can fill a row
+        if whole:
+            at, pos, codes = (a[order].reshape(-1, len(group)) for a in (members, pos, codes))
+        if not whole or ((pos != np.arange(len(group))) | (codes != codes[:, :1])).any():
+            raise InvariantViolation(f"the H-classes of {group!r} do not list their members in its order")
+        universe._splits[key] = at = at.astype(np.int32)
+        at.setflags(write=False)
     return universe._splits[key]
 
 
@@ -245,10 +249,8 @@ def h_class_group(universe, idx):
     if ((row != 0) & (row != np.arange(1, universe.n + 1))).any():
         raise ValueError(f"element {idx} (images {tuple(row.tolist())}) is not idempotent")
     group = maximal_subgroup(universe, universe.ranks[idx])
-    members, pos, _ = _h_split(universe, (universe.dom_masks == dom) & (universe.img_masks == dom), group)
-    if not np.array_equal(np.sort(pos), np.arange(len(group))):
-        raise InvariantViolation("H-class does not map bijectively onto its group")
-    return group, dict(zip(members.tolist(), map(tuple, group.perms[pos].tolist())))
+    (at,) = _h_split(universe, (universe.dom_masks == dom) & (universe.img_masks == dom), group)
+    return group, dict(zip(at.tolist(), map(tuple, group.perms.tolist())))
 
 
 def j_order_dot(green):

@@ -240,6 +240,44 @@ def all_congruences_naive(universe):
     return parts
 
 
+def least_rows_reference(universe, shapes):
+    """The least-member labels of ``families._least_rows``, by a sort: each
+    shape's class ids, a split member's id being N + h·|group| plus its
+    coset label, h the least member of its H-class, then one ``np.unique``
+    over the rows laid end to end, each offset past the ids of the row
+    before.  It assumes no H-class layout."""
+    size = len(universe)
+    block = np.tile(np.arange(size, dtype=np.int64), (len(shapes), 1))
+    for row, (zero, splits) in zip(block, shapes):
+        row[zero] = 0  # the zero map, element 0, lies in every ideal
+        for mask, group, labels in splits:
+            members = np.flatnonzero(mask)
+            pos, found = group._indices(universe.h_coords[members, :group.degree])
+            assert found.all()
+            codes = universe.dom_masks[members] << universe.n | universe.img_masks[members]
+            _, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
+            h = members[first][inverse.ravel()]  # the least member of each H-class
+            row[members] = size + h * len(group) + labels[pos]
+    offsets = np.arange(len(shapes))[:, None]
+    block += offsets * (block.max() + 1)
+    _, first, inverse = np.unique(block, return_index=True, return_inverse=True)
+    least = first[inverse.reshape(block.shape)]
+    least -= offsets * size
+    return least
+
+
+def compatible_reference(moves, ids):
+    """One bool per row of the class-id block ``ids``: True when every
+    translation row of ``moves`` maps each class into one class, checked
+    element by element in Python."""
+    out = []
+    for row in ids.tolist():
+        image = {}
+        out.append(all(image.setdefault((g, c), row[m[x]]) == row[m[x]]
+                       for g, m in enumerate(moves.tolist()) for x, c in enumerate(row)))
+    return out
+
+
 def family_partition_reference(universe, zero, splits, unit_pairs=()):
     """The one shape every predicted family has (``families._shape``),
     built per family: the reference for ``families._family_partitions``,

@@ -37,9 +37,9 @@ from rookmonoids.congruences import (
 from rookmonoids.core import InvariantViolation, MonoidUniverse, _canonical_ids, invert
 from rookmonoids.families import predicted_congruences
 
-from oracles import (all_congruences_naive, closure_reference, merge_reference, perm_inv, perm_mul,
-                     plain_closure, principal_left, principal_right, principal_twosided, set_partitions,
-                     table_translations)
+from oracles import (all_congruences_naive, closure_reference, compatible_reference, merge_reference,
+                     perm_inv, perm_mul, plain_closure, principal_left, principal_right,
+                     principal_twosided, set_partitions, table_translations)
 
 
 def lattice_keys(parts):
@@ -71,6 +71,28 @@ def test_partition_canonical_form(or4):
     assert p.relates(0, 3) and not p.relates(0, 1)
     classes = p.classes()
     assert [min(c) for c in classes] == sorted(min(c) for c in classes)
+
+
+def test_partitions_hold_their_ids_once(or4, or6):
+    """A partition keeps its ids and no copy of them: ``key`` makes their
+    bytes on each call, hashing caches one int, and equality compares the
+    ids of partitions on one universe only."""
+    ids = np.arange(len(or6), dtype=np.int32) // 2
+    tracemalloc.start()
+    try:
+        part = Partition._canonical(or6, ids)
+        assert hash(part) == hash(part)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held < ids.nbytes // 4
+    assert part.key == ids.tobytes()
+    same = Partition(or6, ids + 5)
+    assert same == part and hash(same) == hash(part) and len({part, same}) == 1
+    assert Partition(or6, ids // 2) != part
+    other = enumerate_universe("OR", 4)
+    assert Partition.identity(other) != Partition.identity(or4)
+    assert Partition.identity(other).key == Partition.identity(or4).key
 
 
 def test_partition_identity_and_universal(or4):
@@ -600,6 +622,50 @@ def test_lattice_of_toy_two_element_monoid():
         if _is_compatible(moves, ids[None], _least_members(ids)[None])[0]
     }
     assert len(found) == 2
+
+
+def compatibility_cases(name, request):
+    """The translation rows of a universe or of ``symmetric_group(4)``, and
+    class-id rows to check on them: every congruence, each with one element
+    moved into the next class, and random partitions into 2 to 6 classes,
+    shuffled with a fixed seed."""
+    rng = np.random.default_rng(7)
+    if name == "S4":
+        group = symmetric_group(4)
+        normal_subgroups(group)
+        rows = [_canonical_rows(labels) for labels in group._cosets.values()]
+        moves = group.translations()
+    else:
+        universe = request.getfixturevalue(name)
+        rows = [part.ids for part in congruence_lattice(universe)]
+        moves = universe.translations()
+    size = moves.shape[1]
+    moved = []
+    for ids in rows:
+        if ids.max() > 0:
+            x = int(rng.integers(1, size))
+            bent = ids.copy()
+            bent[x] = (ids[x] + 1) % (ids.max() + 1)
+            moved.append(_canonical_ids(bent))
+    noise = [_canonical_ids(rng.integers(0, k, size)) for k in range(2, 7) for _ in range(3)]
+    cases = np.array(rows + moved + noise, dtype=np.int32)
+    return moves, cases[rng.permutation(len(cases))]
+
+
+@pytest.mark.parametrize("rows", [1, 2, 5])
+@pytest.mark.parametrize("name", ["or4", "sr4", "r4", "S4"])
+def test_compatibility_matches_the_per_element_reference(name, rows, request):
+    """``_is_compatible`` on blocks of 1, 2 and 5 rows, one flat gather a
+    block, against a pure-Python check of every class under every
+    translation row: congruences, near misses and random partitions."""
+    moves, cases = compatibility_cases(name, request)
+    found = []
+    for start in range(0, len(cases), rows):
+        block = cases[start:start + rows]
+        least = np.array([_least_members(ids) for ids in block])
+        found += _is_compatible(moves, block, least).tolist()
+    assert found == compatible_reference(moves, cases)
+    assert True in found and False in found
 
 
 def is_congruence_all_products(part):

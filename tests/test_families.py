@@ -37,7 +37,7 @@ from rookmonoids.families import (
     _levels,
 )
 
-from oracles import family_partition_reference, is_even
+from oracles import family_partition_reference, is_even, least_rows_reference
 
 # The unit pairings of the two degree-4 specials, as full-rank image tuples:
 # the old pair form, kept as the oracle of the W′ split that builds them.
@@ -393,6 +393,36 @@ def outside_split(mask):
 def test_builder_refuses_an_h_coordinate_outside_the_group(or4):
     with pytest.raises(InvariantViolation, match="H-coordinate of element"):
         _least_rows(or4, [(or4.ranks < 2, [outside_split(or4.ranks == 2)])])
+
+
+@pytest.mark.parametrize("family", ["OR", "SR", "R"])
+@pytest.mark.parametrize("n", [2, 4, 6])
+def test_least_rows_match_the_sorting_reference(family, n):
+    """``_least_rows`` writes each least member off the H-class layout of
+    ``_h_split``; the reference finds it with ``np.unique``.  Every spec of
+    the universe, in blocks of 1 row, 2 rows and all rows."""
+    universe = enumerate_universe(family, n)
+    shapes = [families._shape(universe, spec) for spec in families._specs(universe)]
+    for rows in (1, 2, len(shapes)):
+        for start in range(0, len(shapes), rows):
+            block = shapes[start:start + rows]
+            assert np.array_equal(_least_rows(universe, block), least_rows_reference(universe, block))
+
+
+def test_builder_refuses_an_h_class_out_of_index_order():
+    """Two members of one half-rank H-class of a fresh OR_4 with their
+    H-coordinates swapped: the class no longer lists its members in the
+    order of S_2, so its least members cannot be read off the layout, and
+    the builder and ``h_class_group`` refuse it."""
+    or4 = enumerate_universe("OR", 4)
+    fixed = (or4.image_matrix == 0) | (or4.image_matrix == np.arange(1, 5))
+    e = np.flatnonzero((or4.mtypes == "I") & fixed.all(axis=1))[0]  # an idempotent
+    i, j = np.flatnonzero((or4.dom_masks == or4.dom_masks[e]) & (or4.img_masks == or4.dom_masks[e]))
+    or4.h_coords[[i, j]] = or4.h_coords[[j, i]]
+    with pytest.raises(InvariantViolation, match="do not list their members in its order"):
+        half_rank_family(or4, "full", "1")
+    with pytest.raises(InvariantViolation, match="do not list their members in its order"):
+        h_class_group(or4, int(e))
 
 
 def test_a_shared_stratum_memo_keys_by_group_and_mask():
