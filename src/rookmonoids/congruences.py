@@ -12,13 +12,14 @@ the engine; each step is told where it is defined:
   ``MonoidUniverse.translations``, growing the zero class along
   ``MonoidUniverse.j_order``.  ``_is_compatible`` checks a block of
   partitions against the same rows in one flat gather, for
-  ``is_congruence``, ``_check_closures`` and the family builder.
+  ``is_congruence``, ``_principal_ids`` and the family builder.
 - ``_kernel_trace_seeds`` and ``_orbit_minima``: one kernel or trace pair
   per unit-conjugation orbit, the seeds of the principal congruences.
 - ``_principal_ids``: the seeds closed in blocks of label rows laid end to
-  end, ``_block_rows`` rows a block.
+  end, ``_block_rows`` rows a block, each block's new closures checked
+  to be congruences as it closes.
 - ``_lattice_ids`` and ``congruence_lattice``: every congruence, as joins
-  of the principal ones.
+  of the principal ones from the identity alone, each member its own row.
 - ``PermGroup`` and ``normal_subgroups``: the same engine on a permutation
   group, whose congruences are the cosets of its normal subgroups.
 """
@@ -397,14 +398,19 @@ def _kernel_trace_seeds(universe):
 
 
 def _principal_ids(moves, seeds, j_order=None):
-    """The distinct principal congruences of the seed pairs, as a dict from
-    label bytes to least-member labels, in the order of first appearance.
+    """The distinct principal congruences of the seed pairs, as a (P, N)
+    array of least-member labels in the order of first appearance.
 
     A block of R seeds closes at once: its R label rows lie end to end, row
     r offset by r·N, and so do the generator rows, so no class crosses two
     rows and one set of ``_closure_rows`` rounds closes all R, each row
     growing its own zero class when ``j_order`` is given.  R is
     ``_block_rows``: every seed of OR_4 at once, 20 on OR_6, one on OR_8.
+    The new rows of each block are checked to be congruences there, in one
+    ``_is_compatible`` call: joins of congruences stay in the finite
+    lattice, but joins of closures that are not can be exponentially many,
+    so a broken closure raises ``InvariantViolation`` here instead of
+    filling memory in ``_lattice_ids``.
     """
     count, size = moves.shape
     seeds = np.asarray(seeds, dtype=np.intp).reshape(-1, 2)
@@ -412,70 +418,58 @@ def _principal_ids(moves, seeds, j_order=None):
     offsets = np.arange(rows, dtype=np.intp) * size
     # Named R·N, not -1: a group of order 1 has no generator rows.
     tiled = (moves[:, None, :] + offsets[:, None]).reshape(count, rows * size)
-    found = {}
+    seen, found = {}, [np.empty((0, size), dtype=np.intp)]
     for start in range(0, len(seeds), rows):
         block = seeds[start:start + rows]
         shift, width = offsets[:len(block)], len(block) * size
         ids = _closure_rows(tiled[:, :width], np.arange(width, dtype=np.intp),
                             block[:, 0] + shift, block[:, 1] + shift, j_order)
-        for row in ids.reshape(len(block), size) - shift[:, None]:
-            found.setdefault(row.tobytes(), row)
-    return found
-
-
-def _check_closures(moves, labels):
-    """Raise ``InvariantViolation`` unless every row of ``labels``, the
-    least-member labels of a seed pair's closure, is a congruence: one
-    ``_is_compatible`` call per block of ``_block_rows`` rows."""
-    rows = _block_rows(moves)
-    for start in range(0, len(labels), rows):
-        block = labels[start:start + rows]
-        ids = _canonical_rows(block)
-        bad = np.flatnonzero(~_is_compatible(moves, ids, block))
+        ids = ids.reshape(len(block), size) - shift[:, None]
+        new = [r for r, row in enumerate(ids) if seen.setdefault(row.tobytes(), start + r) == start + r]
+        if not new:  # nothing to check, and _is_compatible cannot reshape an empty block
+            continue
+        ids = ids[new]
+        canonical = _canonical_rows(ids)
+        bad = np.flatnonzero(~_is_compatible(moves, canonical, ids))
         if bad.size:
             raise InvariantViolation(
-                f"the closure of a seed pair, with {ids[bad[0]].max() + 1} classes, is not a congruence"
+                f"the closure of a seed pair, with {canonical[bad[0]].max() + 1} classes, is not a congruence"
             )
+        found.append(ids)
+    return np.concatenate(found)
 
 
 def _lattice_ids(moves, seeds, j_order=None):
     """Every congruence of the algebra whose generator translations are the
-    rows of ``moves``, as least-member labels in no particular order.
+    rows of ``moves``, as least-member labels in no particular order, each
+    its own array.
 
     Closes the seed pairs (``_principal_ids``, with ``j_order`` when the
-    algebra is a monoid with zero), adds the identity and the
-    universal partition, and joins each member with the principal
-    congruences until nothing new appears.  When the seeds reach every
-    principal congruence this is the whole lattice, since every congruence
-    of a finite algebra is a join of principal ones.  Each principal closure
-    is checked to be a congruence first: joins of congruences stay in the
-    finite lattice, but joins of closures that are not can be exponentially
-    many, so a broken closure raises ``InvariantViolation`` here instead of
-    filling memory (``_check_closures``).
+    algebra is a monoid with zero), then joins each member with the
+    principal congruences until nothing new appears, from the identity
+    alone: its joins are the principal congruences themselves.  When the
+    seeds reach every principal congruence this is the whole lattice, the
+    universal partition too, since every congruence of a finite algebra is
+    a join of principal ones.
     """
     size = moves.shape[1]
-    principal = _principal_ids(moves, seeds, j_order)
-    labels = np.array(list(principal.values()), dtype=np.intp).reshape(-1, size)
-    _check_closures(moves, labels)
-    distinct = dict(principal)
-    for ids in (np.arange(size, dtype=np.intp), np.zeros(size, dtype=np.intp)):
-        distinct.setdefault(ids.tobytes(), ids)
-
+    labels = _principal_ids(moves, seeds, j_order)
     # One merge joins a member with all P principal congruences: the member
     # is tiled P times, row p offset by p·N, and row p takes the pairs
     # (element, its label) of principal p.
-    offsets = np.arange(len(principal), dtype=np.intp)[:, None] * size
+    offsets = np.arange(len(labels), dtype=np.intp)[:, None] * size
     labels = (labels + offsets).ravel()
     u = np.flatnonzero(labels != np.arange(labels.size))
     v = labels[u]
     del labels  # P·N labels, 41 MB on OR_10: the joins read only u and v
-    worklist = list(distinct.values())
+    identity = np.arange(size, dtype=np.intp)
+    distinct, worklist = {identity.tobytes(): identity}, [identity]
     while worklist:
         tiled = (worklist.pop() + offsets).ravel()
         for joined in _merge(tiled, u, v).reshape(-1, size) - offsets:
             key = joined.tobytes()
             if key not in distinct:
-                distinct[key] = joined
+                distinct[key] = joined = joined.copy()  # a row of a block: keep it, not the block
                 worklist.append(joined)
     return list(distinct.values())
 
@@ -613,14 +607,14 @@ def normal_subgroups(group):
     identity: no trace pairs, and one kernel pair (1, g) per conjugacy
     class (``_orbit_minima``).  Each subgroup's congruence is kept too, as
     read-only least-member labels over the group's indices, one label per
-    coset (``PermGroup.cosets``); the family builder splits by them.
+    coset (``PermGroup.cosets``): the ``_lattice_ids`` member itself, which
+    shares memory with no other.  The family builder splits by them.
     """
     if group._normal is None:
         found = []
         moves, k = group.translations(), len(group.generators())
         seeds = _orbit_minima(np.arange(1, len(group)), len(group), moves[:k], moves[k:])
         for ids in _lattice_ids(moves, seeds):
-            ids = ids.copy()  # a row of a block: keep it, not the block
             ids.setflags(write=False)
             found.append((np.flatnonzero(ids == 0), ids))
         found.sort(key=lambda item: (len(item[0]), item[0].tolist()))

@@ -76,6 +76,16 @@ def green_partition(universe):
     )
 
 
+def _green_for(universe, green):
+    """``green``, or ``green_partition(universe)`` when None; Green data
+    built for another universe is refused with ``ValueError``."""
+    if green is None:
+        return green_partition(universe)
+    if green.universe is not universe:
+        raise ValueError("Green data lives on another universe")
+    return green
+
+
 def class_count_formulas(m):
     """Closed-form Green class counts and sizes for the orthogonal family.
 
@@ -146,7 +156,7 @@ def enumerate_ideals(universe, green=None):
     ``MonoidUniverse.translations`` (``_is_absorbing``), so no product
     table is built.  Each is named by ``_ideal_name``.
     """
-    green = green or green_partition(universe)
+    green = _green_for(universe, green)
     moves = universe.translations()
     below = universe.j_order[1]
     count = len(below)
@@ -217,8 +227,8 @@ def _h_split(universe, mask, group):
     lays them out, else ``InvariantViolation``: so a set of positions has
     its least member at its least position.  Kept on the universe
     (``MonoidUniverse._splits``) per (group, mask) for every family and
-    ``h_class_group``."""
-    key = (group, mask.tobytes())
+    ``h_class_group``, each mask keyed by its packed bits, N/8 bytes."""
+    key = (group, np.packbits(mask).tobytes())
     if key not in universe._splits:
         members = np.flatnonzero(mask)
         pos, found = group._indices(universe.h_coords[members, :group.degree])
@@ -262,7 +272,7 @@ def j_order_dot(green):
 
 def green_report(universe, green=None):
     """Counts, formula comparison, and discrepancies, ready for JSON."""
-    green = green or green_partition(universe)
+    green = _green_for(universe, green)
     m = universe.n // 2
     counts = {}
     for rel in ("L", "R", "H", "J"):

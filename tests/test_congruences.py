@@ -32,6 +32,7 @@ from rookmonoids.congruences import (
     _least_members,
     _lattice_ids,
     _merge,
+    _orbit_minima,
     _principal_ids,
 )
 from rookmonoids.core import InvariantViolation, MonoidUniverse, _canonical_ids, invert
@@ -333,9 +334,8 @@ def test_block_closures_match_one_seed_at_a_time(name, rows, request, monkeypatc
         expected.setdefault(ids.tobytes(), ids)
     for j_order in (None, universe.j_order):
         found = _principal_ids(moves, seeds, j_order)
-        assert list(found) == list(expected)
-        for key, ids in found.items():
-            assert ids.dtype == np.intp and ids.tobytes() == key
+        assert found.dtype == np.intp
+        assert [row.tobytes() for row in found] == list(expected)
 
 
 def first_occurrence_ids(row):
@@ -365,7 +365,7 @@ def test_canonical_rows_match_canonical_ids_on_the_engine_rows(family, n):
     universe = enumerate_universe(family, n)
     moves, j_order = universe.translations(), universe.j_order
     seeds = _kernel_trace_seeds(universe)
-    assert_canonical_rows(np.array(list(_principal_ids(moves, seeds, j_order).values())))
+    assert_canonical_rows(_principal_ids(moves, seeds, j_order))
     assert_canonical_rows(np.array(_lattice_ids(moves, seeds, j_order)))
 
 
@@ -483,14 +483,36 @@ def test_kernel_trace_seeds_are_one_pair_per_conjugation_orbit(family, n, count)
 def test_lattice_refuses_a_principal_closure_that_is_not_a_congruence(or4, monkeypatch):
     """Joins of equivalences that are not congruences need not stay in the
     lattice and can be exponentially many, so the lattice checks each
-    principal closure before joining: here one that relates the identity
-    to element 2 and nothing else."""
-    broken = np.arange(len(or4))
-    broken[2] = 1
-    monkeypatch.setattr(congruences, "_principal_ids",
-                        lambda moves, seeds, j_order=None: {broken.tobytes(): broken})
+    principal closure as it closes: here the first row of a block relates
+    the identity to element 2 and nothing else."""
+
+    def broken(moves, ids, u, v, j_order=None):
+        ids = ids.copy()
+        ids[2] = 1
+        return ids
+
+    monkeypatch.setattr(congruences, "_closure_rows", broken)
     with pytest.raises(InvariantViolation, match=f"with {len(or4) - 1} classes, is not a congruence"):
         congruence_lattice(or4)
+
+
+@pytest.mark.parametrize("name", ["or6", "sr6", "r4", "s4"])
+def test_lattice_members_share_no_memory(name, request):
+    """Each member of ``_lattice_ids`` is its own array, not a row of the
+    block that a closure or a join returned, so no finished member keeps a
+    block alive, and ``normal_subgroups`` keeps its members as they are."""
+    if name == "s4":
+        group = symmetric_group(4)
+        moves, k = group.translations(), len(group.generators())
+        members = _lattice_ids(moves, _orbit_minima(np.arange(1, len(group)), len(group),
+                                                    moves[:k], moves[k:]))
+    else:
+        universe = request.getfixturevalue(name)
+        members = _lattice_ids(universe.translations(), _kernel_trace_seeds(universe), universe.j_order)
+    whole = [ids if ids.base is None else ids.base for ids in members]  # the array each row lies in
+    assert len(members) > 2
+    for a, b in itertools.combinations(whole, 2):
+        assert not np.shares_memory(a, b)
 
 
 def test_kernel_trace_seeds_refuse_a_monoid_that_is_not_inverse():

@@ -437,6 +437,17 @@ def test_a_shared_stratum_memo_keys_by_group_and_mask():
         _least_rows(or4, [(or4.ranks < 2, [outside_split(or4.mtypes == "I")])])
 
 
+def test_stratum_memo_keys_pack_the_mask_to_bits():
+    """The stratum memo keys each mask by its packed bits, N/8 bytes, not
+    by one byte an element: on OR_6 after the predicted families and one
+    ``h_class_group`` call."""
+    or6 = enumerate_universe("OR", 6)
+    predicted_congruences(or6)
+    h_class_group(or6, 1)
+    assert len(or6._splits) > 1
+    assert {len(mask) for _, mask in or6._splits} == {-(-len(or6) // 8)}
+
+
 def counting_indices(monkeypatch):
     """The degrees of the groups whose ``PermGroup._indices`` runs, in call order."""
     degrees = []

@@ -31,6 +31,20 @@ def partition_of(keys):
     return [ids.setdefault(k, len(ids)) for k in keys]
 
 
+def test_green_data_of_another_universe_is_refused(or4, sr2):
+    """``enumerate_ideals`` and ``green_report`` refuse Green data built for
+    another universe, as ``is_congruence`` refuses a partition, also when
+    the two universes have the same size, as R_2 and SR_2 do."""
+    r2 = enumerate_universe("R", 2)
+    assert len(r2) == len(sr2)
+    for universe, other in ((or4, sr2), (r2, sr2), (sr2, r2)):
+        green = green_partition(other)
+        for fn in (enumerate_ideals, green_report):
+            with pytest.raises(ValueError, match="Green data lives on another universe"):
+                fn(universe, green)
+            assert fn(other, green) == fn(other)
+
+
 def test_principal_ideals_of_distinguished_elements(or4):
     everything = frozenset(range(len(or4)))
     assert principal_right(or4, 1) == everything
