@@ -2,17 +2,17 @@
 the engine; each step is told where it is defined:
 
 - ``Partition``: a canonical class-id vector, so equal partitions are
-  equal vectors.  Inside the engine a partition is held as least-member
-  labels, each element labelled by the least member of its class, and
-  ``_canonical_rows`` numbers them in one flat gather, with no sort.
+  equal vectors.  The engine holds least-member labels, each element
+  labelled by the least member of its class, and ``_canonical_rows``
+  numbers them, with no sort, only where it makes a ``Partition``.
 - ``_merge``: the join of labels with element pairs, the kernel that every
   closure and join runs.
 - ``_closure_ids`` and ``_closure_rows``: the least congruence holding some
   pairs, in rounds over the generator rows of
   ``MonoidUniverse.translations``, growing the zero class along
-  ``MonoidUniverse.j_order``.  ``_is_compatible`` checks a block of
-  partitions against the same rows in one flat gather, for
-  ``is_congruence``, ``_principal_ids`` and the family builder.
+  ``MonoidUniverse.j_order``.  ``_is_compatible`` checks a block of label
+  rows against the same rows in one flat gather, for ``is_congruence``,
+  ``_principal_ids`` and the family builder.
 - ``_kernel_trace_seeds`` and ``_orbit_minima``: one kernel or trace pair
   per unit-conjugation orbit, the seeds of the principal congruences.
 - ``_principal_ids``: the seeds closed in blocks of label rows laid end to
@@ -94,19 +94,19 @@ def _hooks(ids, u, v):
     return hi, np.minimum(a, b, out=a)
 
 
-def _is_compatible(moves, ids, least):
-    """One bool per row of an (R, N) block of partitions, given as class
-    ids ``ids`` and least-member labels ``least``: True when that row is
-    compatible with every translation row of ``moves``, each element moving
-    into the class that the least member of its class moves into.  One
-    gather of the transposed block puts element x of row r at x·R + r, so
-    one flat index, least·R + r, reads the least members.  With int32 ids
-    the gathers take 8 bytes per generator row and element, which
-    ``_block_rows`` budgets for."""
-    rows = len(ids)
-    labels = np.take(np.ascontiguousarray(ids.T), moves, axis=0).reshape(len(moves), -1)
+def _is_compatible(moves, least):
+    """One bool per row of an (R, N) block of least-member labels: True
+    when that row is compatible with every translation row of ``moves``,
+    each element moving into the class that the least member of its class
+    moves into.  One gather of the transposed block puts element x of row
+    r at x·R + r, so one flat index, least·R + r, reads the least members.
+    Gathered as int32, the labels take 8 bytes per generator row and
+    element, which ``_block_rows`` budgets for.  No rows give no bools."""
+    rows, size = least.shape
+    labels = np.take(np.ascontiguousarray(least.T, dtype=np.int32), moves, axis=0)
+    labels = labels.reshape(len(moves), size * rows)
     index = least.T * rows + np.arange(rows)
-    return (labels == np.take(labels, index.ravel(), axis=1)).all(axis=0).reshape(-1, rows).all(axis=0)
+    return (labels == np.take(labels, index.ravel(), axis=1)).all(axis=0).reshape(size, rows).all(axis=0)
 
 
 def _closure_ids(moves, pairs, j_order=None):
@@ -288,7 +288,8 @@ class Partition:
 
 def partition_from_json(universe, obj):
     meta = obj.get("universe", {})
-    if meta and (meta.get("family") != universe.family or meta.get("n") != universe.n):
+    n = meta.get("n")
+    if meta and (meta.get("family") != universe.family or not _is_integer(n) or n != universe.n):
         raise ValueError(f"partition belongs to {meta}, not this universe")
     return Partition.from_classes(universe, obj["classes"])
 
@@ -303,8 +304,7 @@ def is_congruence(universe, partition):
     """
     if partition.universe is not universe:
         raise ValueError("partition lives on another universe")
-    ids = partition.ids
-    return bool(_is_compatible(universe.translations(), ids[None], _least_members(ids)[None])[0])
+    return bool(_is_compatible(universe.translations(), _least_members(partition.ids)[None])[0])
 
 
 def _zero_order(universe):
@@ -323,11 +323,14 @@ def congruence_closure(universe, pairs):
 
 
 def join(p, q):
-    """Least congruence containing two congruences (their equivalence join)."""
+    """Least congruence containing two partitions: the pairs (x, least
+    member of x's class) of both, closed as in ``congruence_closure``."""
     if p.universe is not q.universe:
         raise ValueError("partitions live on different universes")
-    other = _least_members(q.ids)
-    least = _merge(_least_members(p.ids), np.arange(other.size), other)
+    everything = np.arange(len(p.universe), dtype=np.intp)
+    least = np.concatenate([_least_members(p.ids), _least_members(q.ids)])
+    least = _closure_rows(p.universe.translations(), everything, np.tile(everything, 2), least,
+                          _zero_order(p.universe))
     return Partition._canonical(p.universe, _canonical_rows(least))
 
 
@@ -425,16 +428,11 @@ def _principal_ids(moves, seeds, j_order=None):
         ids = _closure_rows(tiled[:, :width], np.arange(width, dtype=np.intp),
                             block[:, 0] + shift, block[:, 1] + shift, j_order)
         ids = ids.reshape(len(block), size) - shift[:, None]
-        new = [r for r, row in enumerate(ids) if seen.setdefault(row.tobytes(), start + r) == start + r]
-        if not new:  # nothing to check, and _is_compatible cannot reshape an empty block
-            continue
-        ids = ids[new]
-        canonical = _canonical_rows(ids)
-        bad = np.flatnonzero(~_is_compatible(moves, canonical, ids))
+        ids = ids[[r for r, row in enumerate(ids) if seen.setdefault(row.tobytes(), start + r) == start + r]]
+        bad = np.flatnonzero(~_is_compatible(moves, ids))
         if bad.size:
-            raise InvariantViolation(
-                f"the closure of a seed pair, with {canonical[bad[0]].max() + 1} classes, is not a congruence"
-            )
+            roots = np.count_nonzero(ids[bad[0]] == np.arange(size))
+            raise InvariantViolation(f"the closure of a seed pair, with {roots} classes, is not a congruence")
         found.append(ids)
     return np.concatenate(found)
 

@@ -445,27 +445,6 @@ class _ElementStore:
         return self._translations
 
 
-def _cayley_tree(left):
-    """Breadth-first tree over x -> g·x from the identity, element 1, given
-    the generators' left translation rows ``left``: per level, the new
-    elements, the generator g and the parent p of each, e = g·e_p; and the
-    mask of elements reached."""
-    edges = []
-    reached = np.zeros(left.shape[1], dtype=bool)
-    reached[1] = True
-    frontier = np.array([1], dtype=np.intp)
-    while frontier.size:
-        # A child's first occurrence in the level names its edge.
-        children, first = np.unique(left[:, frontier], return_index=True)
-        new = ~reached[children]
-        children, first = children[new].astype(np.intp), first[new]
-        reached[children] = True
-        gens, slots = np.divmod(first, frontier.size)
-        edges.append((children, gens, frontier[slots]))
-        frontier = children
-    return edges, reached
-
-
 def _member_mask(family, image_matrix):
     """Vectorized ``is_member`` over the rows of an (N, n) image matrix."""
     images = np.asarray(image_matrix).astype(np.intp)
@@ -518,31 +497,24 @@ def _units(family, n):
 def _stratum(family, n, k):
     """The rank-k members in canonical order, as rows of an image matrix:
     the domain sets in lexicographic order, each with the arrangements of
-    its image sets in lexicographic order.  Every row is a member by
-    construction, and no candidate is filtered, except OR's odd units.
-
-    On R every k-set is a domain and an image set, so the arrangements are
-    ``itertools.permutations`` of the n letters, already in order.  On SR
-    and OR both are the admissible k-sets, and at OR half rank a domain
-    takes the arrangements of the image sets of its own parity type only.
-    The units of SR and OR come from ``_units``.  The tests check every
-    stratum against generating all arrangements and filtering them with
-    ``_member_mask``."""
-    if family == "R":
-        sets = np.array(list(itertools.combinations(range(1, n + 1), k)), dtype=np.intp)
-        kinds = np.zeros(len(sets), dtype=np.intp)
-        arrangements = [np.array(list(itertools.permutations(range(1, n + 1), k)), dtype=np.uint8)]
-    elif k == n:
+    its image sets in lexicographic order (``_arrangements``).  Every row
+    is a member by construction; no candidate is filtered, except OR's odd
+    units.  The domain and image sets are every k-set on R, the admissible
+    k-sets on SR and OR, and at OR half rank a domain takes the image sets
+    of its own parity type only.  SR and OR units come from ``_units``.
+    The tests check every stratum against generating all arrangements and
+    filtering them with ``_member_mask``."""
+    if family != "R" and k == n:
         return _units(family, n)
-    else:
-        sets = np.array(admissible_subsets(n, k), dtype=np.intp).reshape(-1, k)
-        if not len(sets):
-            return np.zeros((0, n), dtype=np.uint8)
-        # The parity type of a set counts its points above m; only OR's
-        # half rank pairs domains and image sets by it.
-        typed = family == "OR" and k == n // 2
-        kinds = np.count_nonzero(sets > n // 2, axis=1) % 2 if typed else np.zeros(len(sets), np.intp)
-        arrangements = [_arrangements(sets[kinds == kind]) for kind in range(kinds.max() + 1)]
+    subsets = itertools.combinations(range(1, n + 1), k) if family == "R" else admissible_subsets(n, k)
+    sets = np.array(list(subsets), dtype=np.intp).reshape(-1, k)
+    if not len(sets):
+        return np.zeros((0, n), dtype=np.uint8)
+    # The parity type of a set counts its points above m; only OR's half
+    # rank pairs domains and image sets by it.
+    typed = family == "OR" and k == n // 2
+    kinds = np.count_nonzero(sets > n // 2, axis=1) % 2 if typed else np.zeros(len(sets), np.intp)
+    arrangements = [_arrangements(sets[kinds == kind]) for kind in range(kinds.max() + 1)]
     block = np.zeros((len(sets), len(arrangements[0]), n), dtype=np.uint8)
     for kind, arranged in enumerate(arrangements):
         doms = np.flatnonzero(kinds == kind)
@@ -663,15 +635,16 @@ class MonoidUniverse(_ElementStore):
         """Full N x N product table, ``table[i, j]`` the index of e_i * e_j; cached.
 
         Gated by ``limit`` because it is quadratic.  Built from the Cayley
-        graph of the generators (Froidure & Pin, 1997): a breadth-first tree
-        over x -> g·x from the identity gives each element i a parent p and
-        a generator g with e_i = g·e_p, so row i is the left translation row
-        of g gathered at row p, ``table[i] = left[g][table[p]]``.  Rows are
-        filled level by level, in blocks of about ``TABLE_BLOCK_BYTES`` of
-        temporaries.  No product is looked up here: ``translations`` and
-        ``generators`` have checked every generator translate of every
-        element, and an element the tree does not reach raises
-        ``InvariantViolation``.  int16 below 32,768 elements, else int32.
+        graph of the generators (Froidure & Pin, 1997): a breadth-first walk
+        over x -> g·x from the identity, element 1, finds each element i of
+        a level as g·e_p, p on the level before, so row i is the left
+        translation row of g gathered at row p: table[i] = left[g][table[p]].
+        Each level's rows are filled as it is found, in blocks of about
+        ``TABLE_BLOCK_BYTES`` of temporaries.  No product is looked up:
+        ``translations`` and ``generators`` have checked every generator
+        translate of every element, and an element the walk does not reach
+        raises ``InvariantViolation``.  int16 below 32,768 elements, else
+        int32.
         """
         if self._table is None:
             size = len(self)
@@ -681,23 +654,31 @@ class MonoidUniverse(_ElementStore):
                 )
             dtype = np.int16 if size < 2**15 else np.int32
             left = self.translations()[:len(self.generators())].astype(dtype)
-            edges, reached = _cayley_tree(left)
+            flat = left.ravel()
+            table = np.empty((size, size), dtype=dtype)
+            table[1] = np.arange(size)
+            # Per product: the parent's entry, its 8-byte index and the result.
+            rows = max(1, TABLE_BLOCK_BYTES // (size * (2 * dtype().itemsize + 8)))
+            reached = np.arange(size) == 1
+            frontier = np.array([1], dtype=np.intp)
+            while frontier.size:
+                # A child's first occurrence in the level names its generator and parent.
+                children, first = np.unique(left[:, frontier], return_index=True)
+                new = ~reached[children]
+                children, first = children[new].astype(np.intp), first[new]
+                reached[children] = True
+                gens, parents = np.divmod(first, frontier.size)
+                for start in range(0, len(children), rows):
+                    block = slice(start, start + rows)
+                    index = table[frontier[parents[block]]].astype(np.intp)
+                    index += gens[block, None] * size
+                    table[children[block]] = flat.take(index)
+                frontier = children
             if not reached.all():
                 raise InvariantViolation(
                     f"element {np.argmin(reached)} of {self.family}_{self.n} is not"
                     " reached from the identity by the generators"
                 )
-            left = left.ravel()
-            table = np.empty((size, size), dtype=dtype)
-            table[1] = np.arange(size)
-            # Per product: the parent's entry, its 8-byte index and the result.
-            rows = max(1, TABLE_BLOCK_BYTES // (size * (2 * dtype().itemsize + 8)))
-            for children, gens, parents in edges:
-                for start in range(0, len(children), rows):
-                    block = slice(start, start + rows)
-                    index = table[parents[block]].astype(np.intp)
-                    index += gens[block, None] * size
-                    table[children[block]] = left.take(index)
             self._table = table
         return self._table
 

@@ -144,9 +144,9 @@ def _family_partitions(universe, specs):
     is looked up once per universe (``_h_split``).  The families build in
     blocks of ``_block_rows`` rows, each block's shapes made as it is
     built, so only its masks are held.  Per block, ``_least_rows`` writes
-    every element's least member, ``_canonical_rows`` numbers the classes,
-    and one ``_is_compatible`` call checks every row, so a row that is no
-    congruence raises ``InvariantViolation``.
+    every element's least member, one ``_is_compatible`` call checks every
+    row, so a row that is no congruence raises ``InvariantViolation``, and
+    ``_canonical_rows`` numbers the classes.
     """
     moves = universe.translations()
     rows, parts = _block_rows(moves), []
@@ -154,11 +154,10 @@ def _family_partitions(universe, specs):
         block = specs[start:start + rows]
         shapes = [_shape(universe, spec) for spec in block]
         least = _least_rows(universe, shapes)
-        ids = _canonical_rows(least)
-        bad = np.flatnonzero(~_is_compatible(moves, ids, least))
+        bad = np.flatnonzero(~_is_compatible(moves, least))
         if bad.size:
             raise InvariantViolation(f"the family partition of {block[bad[0]]} is not a congruence")
-        parts.extend(Partition._canonical(universe, row) for row in ids)
+        parts.extend(Partition._canonical(universe, row) for row in _canonical_rows(least))
     return parts
 
 

@@ -235,7 +235,7 @@ def all_congruences_naive(universe):
     moves = table_translations(universe.multiplication_table(), np.arange(size))
     block = np.array(list(set_partitions(size)))
     least = np.array([_least_members(ids) for ids in block])
-    parts = [Partition(universe, ids) for ids in block[_is_compatible(moves, block, least)]]
+    parts = [Partition(universe, ids) for ids in block[_is_compatible(moves, least)]]
     parts.sort(key=lambda p: (-p.num_classes, p.key))
     return parts
 

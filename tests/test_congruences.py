@@ -338,6 +338,24 @@ def test_block_closures_match_one_seed_at_a_time(name, rows, request, monkeypatc
         assert [row.tobytes() for row in found] == list(expected)
 
 
+def test_a_block_of_closures_already_seen_adds_no_row(or4, monkeypatch):
+    """The block budget is shrunk to one block of the seeds, so the second
+    block, the same seeds reversed, closes only to rows already found:
+    ``_principal_ids`` must check its empty block of new rows and still give
+    the per-seed ``_closure_ids`` results, first appearances in seed order."""
+    moves = or4.translations()
+    seeds = _kernel_trace_seeds(or4)
+    monkeypatch.setattr(congruences, "TABLE_BLOCK_BYTES", len(seeds) * (moves.nbytes + 16 * len(or4)))
+    assert congruences._block_rows(moves) == len(seeds)
+    for j_order in (None, or4.j_order):
+        expected = {}
+        for pair in seeds:
+            ids = _closure_ids(moves, [pair], j_order)
+            expected.setdefault(ids.tobytes(), ids)
+        found = _principal_ids(moves, np.concatenate([seeds, seeds[::-1]]), j_order)
+        assert [row.tobytes() for row in found] == list(expected)
+
+
 def first_occurrence_ids(row):
     """Class ids numbered by first occurrence, one element at a time."""
     ids = {}
@@ -641,7 +659,7 @@ def test_lattice_of_toy_two_element_monoid():
     found = {
         ids.tobytes()
         for ids in set_partitions(2)
-        if _is_compatible(moves, ids[None], _least_members(ids)[None])[0]
+        if _is_compatible(moves, _least_members(ids)[None])[0]
     }
     assert len(found) == 2
 
@@ -685,9 +703,14 @@ def test_compatibility_matches_the_per_element_reference(name, rows, request):
     for start in range(0, len(cases), rows):
         block = cases[start:start + rows]
         least = np.array([_least_members(ids) for ids in block])
-        found += _is_compatible(moves, block, least).tolist()
+        found += _is_compatible(moves, least).tolist()
     assert found == compatible_reference(moves, cases)
     assert True in found and False in found
+
+
+def test_compatibility_of_no_rows_is_no_bools(or4):
+    found = _is_compatible(or4.translations(), np.empty((0, len(or4)), dtype=np.intp))
+    assert found.dtype == bool and found.shape == (0,)
 
 
 def is_congruence_all_products(part):
@@ -788,6 +811,24 @@ def test_join_refinement(or4):
             assert p.refines(j) and q.refines(j)
 
 
+@pytest.mark.parametrize("name", ["or4", "sr4", "r2"])
+def test_join_is_the_closure_of_both_partitions(name, request):
+    """``join`` of any two partitions, congruences or not, against the
+    plain reference closure of the pairs relating each element to the
+    least member of its class in either one."""
+    universe = request.getfixturevalue(name) if name != "r2" else enumerate_universe("R", 2)
+    size = len(universe)
+    listed = universe.multiplication_table().tolist()
+    lattice = congruence_lattice(universe)
+    rng = np.random.default_rng(size)
+    parts = [Partition(universe, rng.integers(0, k, size)) for k in (2, size // 2, size - 1) for _ in range(3)]
+    parts += [Partition.identity(universe), lattice[len(lattice) // 2], Partition.from_classes(
+        universe, [[2, 3]] + [[x] for x in range(size) if x not in (2, 3)])]
+    for p, q in itertools.product(parts, repeat=2):
+        pairs = [(x, int(y)) for part in (p, q) for x, y in enumerate(_least_members(part.ids))]
+        assert np.array_equal(join(p, q).ids, closure_reference(listed, pairs))
+
+
 def test_refines_refuses_a_partition_of_another_universe(or4, sr4):
     """``refines``, and so ``lattice_to_dot``, compares class ids, which
     mean nothing across universes of one size."""
@@ -811,6 +852,16 @@ def test_partition_json_round_trip(or4):
     assert partition_from_json(or4, payload) == part
     with pytest.raises(ValueError):
         partition_from_json(or4, {"universe": {"family": "SR", "n": 4}, "classes": []})
+
+
+@pytest.mark.parametrize("n", [4.0, "4"])
+def test_partition_from_json_refuses_a_degree_that_is_not_an_integer(or4, n):
+    """The universe's degree follows ``core._is_integer``: 4.0 == 4, but a
+    float names no degree."""
+    payload = Partition.identity(or4).to_json()
+    payload["universe"]["n"] = n
+    with pytest.raises(ValueError, match="not this universe"):
+        partition_from_json(or4, payload)
 
 
 def test_partition_from_json_rejects_overlapping_and_missing_classes(or4):
