@@ -1,28 +1,10 @@
-"""Finite-monoid congruence machinery, without a product table.  A map of
-the engine; each step is told where it is defined:
-
-- ``Partition``: a canonical class-id vector, so equal partitions are
-  equal vectors.  The engine holds least-member labels, each element
-  labelled by the least member of its class, and ``_canonical_rows``
-  numbers them, with no sort, only where it makes a ``Partition``.
-- ``_merge``: the join of labels with element pairs, the kernel that every
-  closure and join runs.
-- ``_closure_ids`` and ``_closure_rows``: the least congruence holding some
-  pairs, in rounds over the generator rows of
-  ``MonoidUniverse.translations``, growing the zero class along
-  ``MonoidUniverse.j_order``.  ``_is_compatible`` checks a block of label
-  rows against the same rows in one flat gather, for ``is_congruence``,
-  ``_principal_ids`` and the family builder.
-- ``_kernel_trace_seeds`` and ``_orbit_minima``: one kernel or trace pair
-  per unit-conjugation orbit, the seeds of the principal congruences.
-- ``_principal_ids``: the seeds closed in blocks of label rows laid end to
-  end, ``_block_rows`` rows a block, each block's new closures checked
-  to be congruences as it closes.
-- ``_lattice_ids`` and ``congruence_lattice``: every congruence, as joins
-  of the principal ones from the identity alone, each member its own row.
-- ``PermGroup`` and ``normal_subgroups``: the same engine on a permutation
-  group, whose congruences are the cosets of its normal subgroups.
-"""
+"""Finite-monoid congruence machinery, without a product table.  The engine
+holds least-member labels, each element labelled by the least member of its
+class; ``_merge`` joins them with pairs, ``_closure_rows`` closes them over
+the generator rows, ``_principal_ids`` closes the seeds of
+``_kernel_trace_seeds``, ``_lattice_ids`` joins the principal congruences,
+and ``Partition`` numbers the result canonically.  ``normal_subgroups`` runs
+the same engine on a permutation group."""
 
 from __future__ import annotations
 
@@ -144,13 +126,13 @@ def _closure_rows(moves, ids, u, v, j_order=None):
     implied pairs during a closure in the same way).  A zero class is an
     ideal, since x ρ 0 gives s·x·t ρ s·0·t = 0: once it meets a J-class,
     the down-set I of that class in the J-order lies in it in every
-    congruence that holds the pairs so far.  So the pairs (0, x), x in I,
-    join the next round's pairs, and the result is the same least
-    congruence.  The members of I need no translation: g·x and x·g lie in
-    I, which ends in the zero class with g·0 = 0·g = 0.  Every element that
-    joins the zero class, through a seed, a translate or a collapse pair
-    that pulls its whole class in, has its own J-class in the down-set
-    collapsed that round, so no member of the zero class is translated.  A
+    congruence that holds the pairs so far.  So in the round that reaches
+    I, every class that meets I is relabelled to its row zero, again while
+    that pulls in an element whose J-class is not yet collapsed, and the
+    result is the same least congruence.  The zero class then holds only
+    collapsed ideals, whose members need no translation: g·x and x·g lie in
+    the ideal too, with g·0 = 0·g = 0.  So the next round's pairs are the
+    translates of the moved elements outside the zero class.  A
     permutation group has no zero and passes no ``j_order``.
     """
     if j_order is not None:
@@ -163,22 +145,22 @@ def _closure_rows(moves, ids, u, v, j_order=None):
         merged = _merge(ids, u, v)
         moved = np.flatnonzero(merged != ids)
         ids = merged
-        grow = None
         if j_order is not None:
-            moved = moved[~collapsed[moved]]
             zero = moved[ids[moved] == row_zero[moved]]
-            if zero.size:
+            while zero.size:
                 reached = np.zeros_like(done)
                 reached[zero // size, j_ids[zero % size]] = True
                 new = (reached @ below.T) & ~done
-                if new.any():
-                    done |= new
-                    grow = np.flatnonzero(new[:, j_ids])
-                    collapsed[grow] = True
-                    moved = moved[~collapsed[moved]]
+                done |= new
+                grow = np.flatnonzero(new[:, j_ids])
+                collapsed[grow] = True
+                roots = np.zeros(ids.size, dtype=bool)
+                roots[ids[grow]] = True
+                pulled = roots[ids]
+                ids = np.where(pulled, row_zero, ids)
+                zero = np.flatnonzero(pulled & ~collapsed)
+            moved = moved[~collapsed[moved]]
         u, v = moves[:, moved].ravel(), moves[:, ids[moved]].ravel()
-        if grow is not None:
-            u, v = np.concatenate([u, row_zero[grow]]), np.concatenate([v, grow])
     return ids
 
 
@@ -409,8 +391,8 @@ def _principal_ids(moves, seeds, j_order=None):
     rows and one set of ``_closure_rows`` rounds closes all R, each row
     growing its own zero class when ``j_order`` is given.  R is
     ``_block_rows``: every seed of OR_4 at once, 20 on OR_6, one on OR_8.
-    The new rows of each block are checked to be congruences there, in one
-    ``_is_compatible`` call: joins of congruences stay in the finite
+    The new rows of a block, if any, are checked to be congruences there, in
+    one ``_is_compatible`` call: joins of congruences stay in the finite
     lattice, but joins of closures that are not can be exponentially many,
     so a broken closure raises ``InvariantViolation`` here instead of
     filling memory in ``_lattice_ids``.
@@ -429,6 +411,8 @@ def _principal_ids(moves, seeds, j_order=None):
                             block[:, 0] + shift, block[:, 1] + shift, j_order)
         ids = ids.reshape(len(block), size) - shift[:, None]
         ids = ids[[r for r, row in enumerate(ids) if seen.setdefault(row.tobytes(), start + r) == start + r]]
+        if not len(ids):
+            continue
         bad = np.flatnonzero(~_is_compatible(moves, ids))
         if bad.size:
             roots = np.count_nonzero(ids[bad[0]] == np.arange(size))

@@ -227,7 +227,7 @@ def test_ideal_collapse_agrees_with_the_plain_rounds_on_kernel_trace_seeds(name,
 def test_ideal_collapse_cuts_the_closure_rounds(or6, monkeypatch):
     """The zero class reaches its ideal in one round instead of one round
     per step down the J-order: the seed-0 stratified pairs of OR_6 take
-    fewer than half the rounds with the collapse (116 against 297)."""
+    fewer than half the rounds with the collapse (71 against 297)."""
     merges = []
     merge = congruences._merge
 
@@ -243,6 +243,49 @@ def test_ideal_collapse_cuts_the_closure_rounds(or6, monkeypatch):
     for pair in pairs:
         _closure_ids(moves, [pair], or6.j_order)
     assert len(merges) < plain / 2
+
+
+def test_ideal_collapse_closes_in_the_round_that_reaches_it(or6, monkeypatch):
+    """The classes that meet the ideal are relabelled in the round that
+    reaches it, with no round that merges the pairs (0, x): the seed-0
+    stratified pairs of OR_6 take 71 merges, and the rank-1 pair (22, 37)
+    takes 2, the pair and its translates, whose collapse leaves nothing
+    to translate."""
+    merges = []
+    merge = congruences._merge
+
+    def counted(*args):
+        merges.append(args)
+        return merge(*args)
+
+    monkeypatch.setattr(congruences, "_merge", counted)
+    moves, j_order = or6.translations(), or6.j_order
+    for pair in stratified_pairs(or6, 0):
+        _closure_ids(moves, [pair], j_order)
+    assert len(merges) == 71
+    merges[:] = []
+    _closure_ids(moves, [(22, 37)], j_order)
+    assert len(merges) == 2
+
+
+@pytest.mark.parametrize("name", ["or6", "sr6", "r4"])
+def test_ideal_collapse_pulls_in_classes_from_outside_the_ideal(name, request):
+    """Closures of two pairs (x, y) with rank x < rank y, against the plain
+    closure rounds.  (0, z) collapses the ideal of z's J-class in the first
+    round, and (x, y), x drawn from that J-class, has the collapse pull y's
+    class in from outside the ideal, then y's own ideal.  For each J-class
+    y is drawn from each higher rank, and is the identity once: as the
+    least member of its class, only the collapse moves it."""
+    universe = request.getfixturevalue(name)
+    moves, ranks, j_ids = universe.translations(), universe.ranks, universe.j_order[0]
+    rng = np.random.default_rng(len(universe))
+    for j in np.unique(j_ids[(ranks > 0) & (ranks < universe.n)]):
+        x, z = rng.choice(np.flatnonzero(j_ids == j), 2, replace=False)
+        above = [rng.choice(np.flatnonzero(ranks == high)) for high in np.unique(ranks[ranks > ranks[x]])]
+        for y in above + [1]:
+            pairs = [(0, z), (x, y)]
+            fast = _closure_ids(moves, pairs, universe.j_order)
+            assert np.array_equal(fast, plain_closure(moves, pairs)), pairs
 
 
 def test_each_row_of_a_block_grows_its_own_zero_class(or6, monkeypatch):
@@ -512,6 +555,26 @@ def test_lattice_refuses_a_principal_closure_that_is_not_a_congruence(or4, monke
     monkeypatch.setattr(congruences, "_closure_rows", broken)
     with pytest.raises(InvariantViolation, match=f"with {len(or4) - 1} classes, is not a congruence"):
         congruence_lattice(or4)
+
+
+def test_principal_ids_checks_each_distinct_congruence_once(monkeypatch):
+    """From OR_8 up a block holds one seed, and most seeds close to a
+    principal congruence found before.  A block that adds none is not
+    checked, so the 124 seeds of OR_8 make one ``_is_compatible`` call per
+    distinct principal congruence, 22."""
+    or8 = enumerate_universe("OR", 8)
+    calls = []
+    check = congruences._is_compatible
+
+    def counted(moves, least):
+        calls.append(len(least))
+        return check(moves, least)
+
+    monkeypatch.setattr(congruences, "_is_compatible", counted)
+    moves, seeds = or8.translations(), _kernel_trace_seeds(or8)
+    found = _principal_ids(moves, seeds, or8.j_order)
+    assert congruences._block_rows(moves) == 1 and len(seeds) == 124
+    assert len(found) == 22 and calls == [1] * 22
 
 
 @pytest.mark.parametrize("name", ["or6", "sr6", "r4", "s4"])
