@@ -82,10 +82,13 @@ def build_parser():
 
 
 def _emit(args, payload, *, text, dot=None):
+    """Write the body ``--format`` asks for: the JSON of ``payload()``, the
+    DOT of ``dot()`` or ``text``.  The payload and the DOT are functions, so
+    a body no format asks for is never built."""
     if args.format == "json":
-        body = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        body = json.dumps(payload(), sort_keys=True, indent=2) + "\n"
     elif args.format == "dot":
-        body = dot
+        body = dot()
     else:
         body = text
     if args.out:
@@ -104,10 +107,10 @@ def cmd_elements(args):
     histogram = universe.rank_histogram()
     lines = [f"{universe.family}_{universe.n}: {len(universe)} elements"]
     lines += [f"  rank {k}: {v}" for k, v in sorted(histogram.items())]
-    payload = universe_to_json(universe)
-    payload["size"] = len(universe)
-    payload["rank_histogram"] = {str(k): v for k, v in histogram.items()}
-    _emit(args, payload, text="\n".join(lines) + "\n")
+    _emit(args, lambda: universe_to_json(universe) | {
+        "size": len(universe),
+        "rank_histogram": {str(k): v for k, v in histogram.items()},
+    }, text="\n".join(lines) + "\n")
     return EXIT_OK
 
 
@@ -120,31 +123,36 @@ def cmd_green(args):
         lines.append(f"  {rel}-classes: {report['counts'][rel]['classes']}")
     for entry in report["discrepancies"]:
         lines.append(f"  note[{entry['kind']}]: {entry.get('note', entry)}")
-    _emit(args, report, dot=j_order_dot(green), text="\n".join(lines) + "\n")
+    _emit(args, lambda: report, dot=lambda: j_order_dot(green), text="\n".join(lines) + "\n")
     return EXIT_OK
 
 
 def cmd_ideals(args):
     universe = _universe(args)
     ideals = enumerate_ideals(universe)
-    payload = {
+    lines = [f"{universe.family}_{universe.n}: {len(ideals)} absorbing down-sets"]
+    lines += [f"  {d.kind}(k={d.k}): {d.size} elements" for d in ideals]
+    _emit(args, lambda: {
         "family": universe.family,
         "n": universe.n,
         "ideals": [
             {"kind": d.kind, "k": d.k, "size": d.size, "members": list(d.members)}
             for d in ideals
         ],
-    }
-    lines = [f"{universe.family}_{universe.n}: {len(ideals)} absorbing down-sets"]
-    lines += [f"  {d.kind}(k={d.k}): {d.size} elements" for d in ideals]
-    _emit(args, payload, text="\n".join(lines) + "\n")
+    }, text="\n".join(lines) + "\n")
     return EXIT_OK
 
 
 def cmd_congruences_predict(args):
     universe = _universe(args)
     predictions = predicted_congruences(universe)
-    payload = {
+    lines = [f"{universe.family}_{universe.n}: {len(predictions)} distinct predicted congruences"]
+    for part, specs in predictions:
+        tags = ", ".join(
+            s.tag + (f"[k={s.k}]" if s.k is not None else "") for s in specs
+        )
+        lines.append(f"  {part.num_classes:4d} classes  <- {tags}")
+    _emit(args, lambda: {
         "family": universe.family,
         "n": universe.n,
         "predicted": [
@@ -155,36 +163,27 @@ def cmd_congruences_predict(args):
             }
             for part, specs in predictions
         ],
-    }
-    lines = [f"{universe.family}_{universe.n}: {len(predictions)} distinct predicted congruences"]
-    for part, specs in predictions:
-        tags = ", ".join(
-            s.tag + (f"[k={s.k}]" if s.k is not None else "") for s in specs
-        )
-        lines.append(f"  {part.num_classes:4d} classes  <- {tags}")
-    _emit(args, payload, text="\n".join(lines) + "\n")
+    }, text="\n".join(lines) + "\n")
     return EXIT_OK
 
 
 def cmd_congruences_enumerate(args):
     universe = _universe(args)
     lattice = congruence_lattice(universe)
-    payload = {
+    lines = [f"{universe.family}_{universe.n}: {len(lattice)} congruences"]
+    lines += [f"  {part.num_classes} classes" for part in lattice]
+    _emit(args, lambda: {
         "family": universe.family,
         "n": universe.n,
         "count": len(lattice),
-        "congruences": [part.to_json()["classes"] for part in lattice],
-    }
-    lines = [f"{universe.family}_{universe.n}: {len(lattice)} congruences"]
-    lines += [f"  {part.num_classes} classes" for part in lattice]
-    _emit(args, payload, dot=lattice_to_dot(lattice), text="\n".join(lines) + "\n")
+        "congruences": [part.classes() for part in lattice],
+    }, dot=lambda: lattice_to_dot(lattice), text="\n".join(lines) + "\n")
     return EXIT_OK
 
 
 def cmd_congruences_verify(args):
     universe = _universe(args)
     report = verify_classification(universe)
-    payload = report.to_json()
     lines = [
         f"{universe.family}_{universe.n}: lattice has {report.lattice_size} congruences",
         f"  matched predictions: {len(report.matched)}",
@@ -199,7 +198,7 @@ def cmd_congruences_verify(args):
         )
     for note in report.notes:
         lines.append(f"  note: {note}")
-    _emit(args, payload, text="\n".join(lines) + "\n")
+    _emit(args, report.to_json, text="\n".join(lines) + "\n")
     if not report.ok:
         sys.stderr.write("some predicted congruences are missing from the lattice\n")
         return EXIT_INVARIANT
@@ -239,7 +238,7 @@ def cmd_counterexample(args):
         f"conjugate({theta(n, first)}) = {conj.images[theta(n, first) - 1]} but the "
         f"mirror of conjugate({first}) is {theta(n, conj.images[first - 1])}",
     ]
-    _emit(args, payload, text="\n".join(lines) + "\n")
+    _emit(args, lambda: payload, text="\n".join(lines) + "\n")
     return EXIT_OK
 
 
@@ -272,7 +271,7 @@ def cmd_erratum(args):
         lines.append(
             f"    union of the two half-rank ideals ({d.size} elements) is absorbing"
         )
-    _emit(args, payload, text="\n".join(lines) + "\n")
+    _emit(args, lambda: payload, text="\n".join(lines) + "\n")
     return EXIT_OK
 
 

@@ -784,5 +784,6 @@ def universe_to_json(universe):
     return {
         "family": universe.family,
         "n": universe.n,
-        "elements": [[[s, t] for s, t in e.pairs()] for e in universe.elements],
+        "elements": [[[i + 1, t] for i, t in enumerate(row) if t]
+                     for row in universe.image_matrix.tolist()],
     }

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import functools
 import types
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,14 +66,8 @@ def _labelled(parent):
     perms = parent.perms
     inversions = np.triu(perms[:, :, None] > perms[:, None, :]).sum(axis=(1, 2))
     even = frozenset(map(tuple, perms[inversions % 2 == 0].tolist()))
-    generic = [
-        sub for sub in subgroups
-        if 1 < len(sub) < len(parent) and sub != even
-    ]
-    clashes = {}
-    for sub in generic:
-        clashes[len(sub)] = clashes.get(len(sub), 0) + 1
-    seen = {}
+    clashes = Counter(len(sub) for sub in subgroups if 1 < len(sub) < len(parent) and sub != even)
+    seen = Counter()
     out = {}
     for sub in subgroups:
         if len(sub) == 1:
@@ -82,8 +77,8 @@ def _labelled(parent):
         elif sub == even:
             label = "alt"
         else:
-            i = seen[len(sub)] = seen.get(len(sub), 0) + 1
-            label = f"order{len(sub)}" + (f"#{i}" if clashes[len(sub)] > 1 else "")
+            seen[len(sub)] += 1
+            label = f"order{len(sub)}" + (f"#{seen[len(sub)]}" if clashes[len(sub)] > 1 else "")
         out[label] = sub
     return types.MappingProxyType(out)
 
@@ -108,9 +103,9 @@ def _specs(universe):
 def _shape(universe, spec):
     """The ``(zero, splits)`` of a spec that ``_specs`` lists (see
     ``_family_partitions``).  The typed families on OR swallow the opposite
-    half-rank type into the zero class; the degree-4 specials are the typed
-    families with whole H-classes whose units also split by the cosets of
-    an order-2 subgroup of the Klein unit group W′."""
+    half-rank type into the zero class; ``OR_eq1`` and ``OR_eq2`` are typed
+    with whole H-classes and split the units by ``order2#1`` = {1234, 2143}
+    and ``order2#2`` = {1234, 3412}, normal in the Klein unit group W′."""
     ranks, mtypes, m = universe.ranks, universe.mtypes, universe.n // 2
 
     def split(mask, k, label):
@@ -128,9 +123,7 @@ def _shape(universe, spec):
     variant, other = (TYPE_I, TYPE_II) if kind in ("eqI", "eq1") else (TYPE_II, TYPE_I)
     splits = [split(mtypes == variant, m, spec.n_label or "full")]
     if kind in ("eq1", "eq2"):
-        units = maximal_subgroup(universe, 4)
-        pairing = (2, 1, 4, 3) if kind == "eq1" else (3, 4, 1, 2)  # with 1234, a subgroup of W′
-        splits.append((ranks == 4, units, units.cosets({(1, 2, 3, 4), pairing})))
+        splits.append(split(ranks == 4, 4, "order2#1" if kind == "eq1" else "order2#2"))
     return (ranks < m) | (mtypes == other), splits
 
 
@@ -186,13 +179,10 @@ def build_family(universe, spec):
 
 
 def predicted_congruences(universe):
-    """Every family of ``_specs``, deduplicated by partition with all its
-    specs kept, finest first.  All but the last, the universal congruence,
-    build in one ``_family_partitions`` call: the universal one needs no
-    check, and building it would add one held partition to the builder's
-    peak (11 MiB on R_8)."""
+    """Every family of ``_specs``, built by one ``_family_partitions`` call,
+    deduplicated by partition with all its specs kept, finest first."""
     specs = _specs(universe)
-    parts = _family_partitions(universe, specs[:-1]) + [Partition.universal(universe)]
+    parts = _family_partitions(universe, specs)
     by_part = {}
     for spec, part in zip(specs, parts):
         by_part.setdefault(part, []).append(spec)

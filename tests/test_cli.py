@@ -354,6 +354,54 @@ def test_internal_invariant_exit_code(capsys, monkeypatch):
     assert "invariant" in err
 
 
+def test_verify_exits_3_when_a_prediction_is_missing(capsys, monkeypatch):
+    """With the identity dropped from the OR_4 lattice, the identity
+    prediction, 37 singleton classes, is reported as not found."""
+    import rookmonoids.families as families
+
+    lattice = families.congruence_lattice
+    monkeypatch.setattr(families, "congruence_lattice",
+                        lambda universe: [p for p in lattice(universe) if p.num_classes < len(universe)])
+    code, out, err = run_cli(capsys, "congruences", "verify", "--family", "or", "--n", "4",
+                             "--format", "json")
+    assert code == 3
+    assert err == "some predicted congruences are missing from the lattice\n"
+    payload = json.loads(out)
+    assert payload["lattice_size"] == 16
+    assert [entry["num_classes"] for entry in payload["predicted_not_found"]] == [37]
+
+
+class Built(Exception):
+    """Raised by a body builder patched to refuse."""
+
+
+@pytest.mark.parametrize("argv", [
+    ("congruences", "predict", "--family", "or", "--n", "4"),
+    ("congruences", "enumerate", "--family", "or", "--n", "4"),
+    ("elements", "--family", "sr", "--n", "4"),
+])
+def test_text_builds_neither_the_json_nor_the_dot_body(capsys, monkeypatch, argv):
+    """Text asks for no JSON payload and no DOT: with their builders
+    patched to raise, text runs give the same bytes, and JSON and DOT runs
+    reach the builders."""
+    import rookmonoids.cli as cli
+    from rookmonoids import Partition
+
+    expected = run_cli(capsys, *argv)
+    assert expected[0] == EXIT_OK
+
+    def refuse(*args):
+        raise Built
+
+    for owner, name in ((Partition, "classes"), (cli, "universe_to_json"), (cli, "lattice_to_dot")):
+        monkeypatch.setattr(owner, name, refuse)
+    assert run_cli(capsys, *argv) == expected
+    formats = ("json", "dot") if argv[1] == "enumerate" else ("json",)
+    for fmt in formats:
+        with pytest.raises(Built):
+            main([*argv, "--format", fmt])
+
+
 @pytest.mark.parametrize("argv", [
     ("elements", "--force-budget"),
     ("ideals", "--format", "dot"),

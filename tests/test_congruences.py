@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 import tracemalloc
 
 import numpy as np
@@ -185,6 +186,21 @@ def test_congruence_closure_rejects_bad_pairs(or4, pair):
 def test_congruence_closure_rejects_pairs_of_the_wrong_shape(or4, pairs):
     with pytest.raises(ValueError, match=r"element index pairs must form an \(M, 2\) integer array"):
         congruence_closure(or4, pairs)
+
+
+@pytest.mark.parametrize("shape", [(36,), (38,), (37, 1)])
+def test_partition_refuses_ids_of_the_wrong_shape(or4, shape):
+    with pytest.raises(ValueError, match=rf"^expected 37 class ids, got shape {re.escape(str(shape))}$"):
+        Partition(or4, np.zeros(shape, dtype=np.intp))
+
+
+def test_orbit_minima_refuse_pairs_not_closed_under_conjugation():
+    """S_3 has a trivial centre, so its one pair (identity, element 1) has
+    a conjugate outside the set."""
+    group = symmetric_group(3)
+    moves, k = group.translations(), len(group.generators())
+    with pytest.raises(InvariantViolation, match=r"^conjugating the pair \(0, 1\) by row \d+ leaves the pairs$"):
+        _orbit_minima(np.array([1]), len(group), moves[:k], moves[k:])
 
 
 def stratified_pairs(universe, seed, per_stratum=8):

@@ -758,3 +758,21 @@ def test_witness_requires_degree_six():
     sigma6, s6 = conjugation_escape_witness(6)
     assert is_member("OR", sigma6)
     assert not is_member("SR", compose(compose(invert(s6), sigma6), s6))
+
+
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: enumerate_universe("XX", 4), ValueError,
+     "unknown family 'XX', expected one of ('R', 'SR', 'OR')"),
+    (lambda: PartialInjection(4, [1, 2, 3]), ValueError, "expected 4 image slots, got 3"),
+    (lambda: image_codes(np.zeros((1, 16), dtype=np.uint8)), ResourceLimitError,
+     "image codes of degree 16 overflow int64"),
+])
+def test_malformed_input_is_refused_by_name(build, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        build()
+
+
+def test_image_codes_fit_int64_up_to_degree_15():
+    """(n + 1)^n first exceeds the int64 range at n = 16."""
+    top = np.arange(15, 0, -1)[None, :]
+    assert image_codes(top)[0] == sum(int(v) * 16 ** (14 - i) for i, v in enumerate(top[0]))

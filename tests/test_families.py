@@ -367,6 +367,23 @@ def test_specials_split_by_the_one_coset_of_s2(or4):
     assert not s2.cosets(s2).any()
 
 
+def test_specials_split_the_units_by_their_labelled_subgroups(or4):
+    """``OR_eq1`` splits the units by the cosets of W′'s {1234, 2143} and
+    ``OR_eq2`` by those of {1234, 3412}: each coset is one pair of
+    ``_OR4_UNIT_PAIRS``, labelled by its least index in W′."""
+    w = maximal_subgroup(or4, 4)
+    perms = [tuple(p) for p in w.perms.tolist()]
+    for which in (1, 2):
+        mask, group, labels = families._shape(or4, FamilySpec(f"OR_eq{which}"))[1][-1]
+        assert group is w and np.array_equal(mask, or4.ranks == 4)
+        expected = list(range(len(w)))
+        for pair in _OR4_UNIT_PAIRS[which]:
+            at = [perms.index(p) for p in pair]
+            for i in at:
+                expected[i] = min(at)
+        assert labels.tolist() == expected
+
+
 def test_unit_level_split_gathers_no_coset_images(sr8):
     """The SR_8 unit level with the full unit group W, order 384: each
     member is keyed by one coset label, so the build peaks far below the
@@ -636,7 +653,7 @@ def test_predictions_are_the_same_in_blocks_of_any_size(name, rows, request, mon
     monkeypatch.setattr(congruences, "TABLE_BLOCK_BYTES", rows * (moves.nbytes + 16 * len(universe)))
     blocked = predicted_congruences(universe)
     assert len(blocks) > 1 and set(blocks[:-1]) == {rows} and 0 < blocks[-1] <= rows
-    assert sum(blocks) == sum(len(specs) for _, specs in default) - 1  # all but the universal one
+    assert sum(blocks) == sum(len(specs) for _, specs in default)
     assert [(p.key, specs) for p, specs in blocked] == [(p.key, specs) for p, specs in default]
     monkeypatch.setattr(families, "_family_partitions", per_shape_reference)
     reference = predicted_congruences(universe)
