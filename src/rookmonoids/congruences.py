@@ -1,10 +1,10 @@
 """Finite-monoid congruence machinery, without a product table.  The engine
 holds least-member labels, each element labelled by the least member of its
-class; ``_merge`` joins them with pairs, ``_closure_rows`` closes them over
-the generator rows, ``_principal_ids`` closes the seeds of
-``_kernel_trace_seeds``, ``_lattice_ids`` joins the principal congruences,
-and ``Partition`` numbers the result canonically.  ``normal_subgroups`` runs
-the same engine on a permutation group."""
+class: ``_merge`` joins them with pairs, ``_closure_rows`` closes them over
+the generator rows, ``_lattice_ids`` closes the seeds of
+``_kernel_trace_seeds`` and joins each new principal congruence into the
+members, and ``Partition`` numbers the result canonically.
+``normal_subgroups`` runs the same engine on a permutation group."""
 
 from __future__ import annotations
 
@@ -27,10 +27,10 @@ def _least_members(ids):
 
 
 def _block_rows(moves):
-    """How many label rows over the N elements of ``moves`` one block
-    takes: ``moves.nbytes + 16·N`` bytes a row, the offset generator rows,
-    one label row and one row of ``_closure_rows``' row zeros each, within
-    ``TABLE_BLOCK_BYTES``, and at least one."""
+    """How many label rows over the N elements of ``moves`` a block of
+    ``_lattice_ids`` takes: ``moves.nbytes + 16·N`` bytes a row, the offset
+    generator rows, one label row and one row of ``_closure_rows``' row
+    zeros each, within ``TABLE_BLOCK_BYTES``, and at least one."""
     return max(1, TABLE_BLOCK_BYTES // (moves.nbytes + 16 * moves.shape[1]))
 
 
@@ -116,7 +116,7 @@ def _closure_ids(moves, pairs, j_order=None):
 
 def _closure_rows(moves, ids, u, v, j_order=None):
     """The closure rounds of ``_closure_ids``, from the labels ``ids`` and
-    the seed pairs (u[i], v[i]).  ``_principal_ids`` runs it on several
+    the seed pairs (u[i], v[i]).  ``_lattice_ids`` runs it on several
     label rows laid end to end, with ``moves`` offset to match, so each
     element's row zero is read from one lookup built once a call.
 
@@ -382,20 +382,22 @@ def _kernel_trace_seeds(universe):
     return _orbit_minima(codes, size, moves[units], moves[len(gens) + units])
 
 
-def _principal_ids(moves, seeds, j_order=None):
-    """The distinct principal congruences of the seed pairs, as a (P, N)
-    array of least-member labels in the order of first appearance.
+def _lattice_ids(moves, seeds, j_order=None):
+    """Every congruence of the algebra whose generator translations are the
+    rows of ``moves``, as least-member labels, each its own array.
 
-    A block of R seeds closes at once: its R label rows lie end to end, row
-    r offset by r·N, and so do the generator rows, so no class crosses two
-    rows and one set of ``_closure_rows`` rounds closes all R, each row
-    growing its own zero class when ``j_order`` is given.  R is
-    ``_block_rows``: every seed of OR_4 at once, 20 on OR_6, one on OR_8.
-    The new rows of a block, if any, are checked to be congruences there, in
-    one ``_is_compatible`` call: joins of congruences stay in the finite
-    lattice, but joins of closures that are not can be exponentially many,
-    so a broken closure raises ``InvariantViolation`` here instead of
-    filling memory in ``_lattice_ids``.
+    Seeds close R at a time, R = ``_block_rows``, all 21 of OR_4 and one
+    from OR_8 up: R label rows lie end to end, row r offset by r·N, as do
+    the generator rows, so one set of ``_closure_rows`` rounds closes all R,
+    each row growing its own zero class when ``j_order`` is given.  The
+    closures not yet members are checked in one ``_is_compatible`` call,
+    since joins of closures that are not congruences can be exponentially
+    many.  Each of them still not a member, ρ, is joined into every member
+    x, R members a ``_merge`` with ρ's pairs (element, label).  After
+    ρ_1..ρ_i the members are the joins of the subsets of {ρ_1..ρ_i}, a set
+    closed under join, so a closure already a member adds nothing.  Every
+    congruence of a finite algebra is a join of principal ones, so seeds
+    that reach every principal congruence give the whole lattice.
     """
     count, size = moves.shape
     seeds = np.asarray(seeds, dtype=np.intp).reshape(-1, 2)
@@ -403,57 +405,37 @@ def _principal_ids(moves, seeds, j_order=None):
     offsets = np.arange(rows, dtype=np.intp) * size
     # Named R·N, not -1: a group of order 1 has no generator rows.
     tiled = (moves[:, None, :] + offsets[:, None]).reshape(count, rows * size)
-    seen, found = {}, [np.empty((0, size), dtype=np.intp)]
+    identity = np.arange(size, dtype=np.intp)
+    members, keys = [identity], {identity.tobytes()}
     for start in range(0, len(seeds), rows):
         block = seeds[start:start + rows]
         shift, width = offsets[:len(block)], len(block) * size
         ids = _closure_rows(tiled[:, :width], np.arange(width, dtype=np.intp),
                             block[:, 0] + shift, block[:, 1] + shift, j_order)
-        ids = ids.reshape(len(block), size) - shift[:, None]
-        ids = ids[[r for r, row in enumerate(ids) if seen.setdefault(row.tobytes(), start + r) == start + r]]
-        if not len(ids):
+        new = {row.tobytes(): row for row in ids.reshape(len(block), size) - shift[:, None]}
+        new = [row for key, row in new.items() if key not in keys]
+        if not new:
             continue
-        bad = np.flatnonzero(~_is_compatible(moves, ids))
+        bad = np.flatnonzero(~_is_compatible(moves, np.array(new)))
         if bad.size:
-            roots = np.count_nonzero(ids[bad[0]] == np.arange(size))
+            roots = np.count_nonzero(new[bad[0]] == identity)
             raise InvariantViolation(f"the closure of a seed pair, with {roots} classes, is not a congruence")
-        found.append(ids)
-    return np.concatenate(found)
-
-
-def _lattice_ids(moves, seeds, j_order=None):
-    """Every congruence of the algebra whose generator translations are the
-    rows of ``moves``, as least-member labels in no particular order, each
-    its own array.
-
-    Closes the seed pairs (``_principal_ids``, with ``j_order`` when the
-    algebra is a monoid with zero), then joins each member with the
-    principal congruences until nothing new appears, from the identity
-    alone: its joins are the principal congruences themselves.  When the
-    seeds reach every principal congruence this is the whole lattice, the
-    universal partition too, since every congruence of a finite algebra is
-    a join of principal ones.
-    """
-    size = moves.shape[1]
-    labels = _principal_ids(moves, seeds, j_order)
-    # One merge joins a member with all P principal congruences: the member
-    # is tiled P times, row p offset by p·N, and row p takes the pairs
-    # (element, its label) of principal p.
-    offsets = np.arange(len(labels), dtype=np.intp)[:, None] * size
-    labels = (labels + offsets).ravel()
-    u = np.flatnonzero(labels != np.arange(labels.size))
-    v = labels[u]
-    del labels  # P·N labels, 41 MB on OR_10: the joins read only u and v
-    identity = np.arange(size, dtype=np.intp)
-    distinct, worklist = {identity.tobytes(): identity}, [identity]
-    while worklist:
-        tiled = (worklist.pop() + offsets).ravel()
-        for joined in _merge(tiled, u, v).reshape(-1, size) - offsets:
-            key = joined.tobytes()
-            if key not in distinct:
-                distinct[key] = joined = joined.copy()  # a row of a block: keep it, not the block
-                worklist.append(joined)
-    return list(distinct.values())
+        for rho in new:
+            if rho.tobytes() in keys:
+                continue  # a join of the block's earlier closures
+            u = np.flatnonzero(rho != identity)
+            v = rho[u]
+            old = len(members)
+            for first in range(0, old, rows):
+                lift = offsets[:min(rows, old - first), None]
+                joined = _merge((np.array(members[first:first + len(lift)]) + lift).ravel(),
+                                (u + lift).ravel(), (v + lift).ravel())
+                for x in joined.reshape(len(lift), size) - lift:
+                    key = x.tobytes()
+                    if key not in keys:
+                        keys.add(key)
+                        members.append(x.copy())  # a row of a block: keep it, not the block
+    return members
 
 
 def congruence_lattice(universe):
@@ -461,17 +443,14 @@ def congruence_lattice(universe):
 
     ``_lattice_ids`` closes one kernel or trace pair per unit-conjugation
     orbit (``_kernel_trace_seeds``) over the generator rows, growing zero
-    classes along ``_zero_order``, and joins the principal
-    congruences; no product table is built.  Output is
-    deterministic.  The members' least-member labels are canonicalized
-    in blocks of ``_block_rows`` rows, with no sort (``_canonical_rows``):
-    all at once on OR_4, one row at a time from OR_8 up.  There is no budget
-    here: the universe is already within the element budget that
-    ``enumerate_universe`` checked.
+    classes along ``_zero_order``, and joins each new principal congruence
+    into the members; no product table is built.  The members are
+    canonicalized in blocks of ``_block_rows`` rows, with no sort
+    (``_canonical_rows``).  There is no budget here: the universe is already
+    within the element budget that ``enumerate_universe`` checked.
     """
-    seeds = _kernel_trace_seeds(universe)
     moves = universe.translations()
-    members = _lattice_ids(moves, seeds, _zero_order(universe))
+    members = _lattice_ids(moves, _kernel_trace_seeds(universe), _zero_order(universe))
     rows = _block_rows(moves)
     parts = [Partition._canonical(universe, ids)
              for start in range(0, len(members), rows)
@@ -584,13 +563,11 @@ def normal_subgroups(group):
 
     A congruence on a group is the coset partition of a normal subgroup,
     its identity class, so ``_lattice_ids`` runs over the group's
-    translation rows.  The seeds are the kernel–trace seeds of
-    ``_kernel_trace_seeds`` on a group, whose one idempotent is the
-    identity: no trace pairs, and one kernel pair (1, g) per conjugacy
-    class (``_orbit_minima``).  Each subgroup's congruence is kept too, as
-    read-only least-member labels over the group's indices, one label per
-    coset (``PermGroup.cosets``): the ``_lattice_ids`` member itself, which
-    shares memory with no other.  The family builder splits by them.
+    translation rows.  Its seeds are one kernel pair (1, g) per conjugacy
+    class (``_orbit_minima``); a group, whose one idempotent is the
+    identity, has no trace pairs.  Each subgroup keeps its ``_lattice_ids``
+    member as read-only least-member labels, one per coset, sharing memory
+    with no other member (``PermGroup.cosets``); families split by them.
     """
     if group._normal is None:
         found = []

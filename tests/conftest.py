@@ -19,6 +19,11 @@ def or6():
 
 
 @pytest.fixture(scope="session")
+def or8():
+    return enumerate_universe("OR", 8)
+
+
+@pytest.fixture(scope="session")
 def sr2():
     return enumerate_universe("SR", 2)
 
@@ -41,6 +46,16 @@ def sr8():
 @pytest.fixture(scope="session")
 def r4():
     return enumerate_universe("R", 4)
+
+
+@pytest.fixture(scope="session")
+def r2():
+    return enumerate_universe("R", 2)
+
+
+@pytest.fixture(scope="session")
+def r6():
+    return enumerate_universe("R", 6)
 
 
 @pytest.fixture(scope="session")

@@ -6,7 +6,8 @@ products.  The others read a product table, run the plain closure
 rounds, list every candidate of a rank stratum or build each family on its
 own, so they stay small: the naive lattice filter refuses over
 ``NAIVE_LATTICE_LIMIT`` elements, and the product table itself is gated by
-``DEFAULT_TABLE_LIMIT``.
+``DEFAULT_TABLE_LIMIT``.  ``lattice_reference`` keeps the engine's former
+two-pass lattice over the engine's own closures and merges.
 """
 
 import itertools
@@ -15,7 +16,7 @@ import numpy as np
 
 from rookmonoids import (InvariantViolation, PartialInjection, Partition, ResourceLimitError,
                          admissible_subsets, is_admissible, is_congruence)
-from rookmonoids.congruences import _is_compatible, _least_members
+from rookmonoids.congruences import _block_rows, _closure_rows, _is_compatible, _least_members, _merge
 from rookmonoids.core import _canonical_ids, _member_mask
 
 NAIVE_LATTICE_LIMIT = 9
@@ -207,6 +208,47 @@ def plain_closure(moves, pairs):
         ids = merged
         u, v = moves[:, moved].ravel(), moves[:, ids[moved]].ravel()
     return ids
+
+
+def lattice_reference(moves, seeds, j_order=None):
+    """Every congruence from the seed pairs, as least-member label rows, in
+    two passes: the reference for ``congruences._lattice_ids``, which
+    closes and joins in one loop with one key set.
+
+    First the distinct principal congruences, a (P, N) array: seeds close
+    in blocks of ``_block_rows`` label rows laid end to end, and a ``seen``
+    dict keeps each first appearance.  Then the joins from the identity: a
+    worklist member is tiled P times, row p offset by p·N, and one
+    ``_merge`` joins row p with principal p's pairs (element, label), until
+    nothing new appears.
+    """
+    count, size = moves.shape
+    seeds = np.asarray(seeds, dtype=np.intp).reshape(-1, 2)
+    rows = max(1, min(len(seeds), _block_rows(moves)))
+    offsets = np.arange(rows, dtype=np.intp) * size
+    tiled = (moves[:, None, :] + offsets[:, None]).reshape(count, rows * size)
+    seen, found = {}, [np.empty((0, size), dtype=np.intp)]
+    for start in range(0, len(seeds), rows):
+        block = seeds[start:start + rows]
+        shift, width = offsets[:len(block)], len(block) * size
+        ids = _closure_rows(tiled[:, :width], np.arange(width, dtype=np.intp),
+                            block[:, 0] + shift, block[:, 1] + shift, j_order)
+        ids = ids.reshape(len(block), size) - shift[:, None]
+        found.append(ids[[r for r, row in enumerate(ids)
+                          if seen.setdefault(row.tobytes(), start + r) == start + r]])
+    labels = np.concatenate(found)
+    offsets = np.arange(len(labels), dtype=np.intp)[:, None] * size
+    labels = (labels + offsets).ravel()
+    u = np.flatnonzero(labels != np.arange(labels.size))
+    v = labels[u]
+    identity = np.arange(size, dtype=np.intp)
+    distinct, worklist = {identity.tobytes(): identity}, [identity]
+    while worklist:
+        for joined in _merge((worklist.pop() + offsets).ravel(), u, v).reshape(-1, size) - offsets:
+            if joined.tobytes() not in distinct:
+                distinct[joined.tobytes()] = joined = joined.copy()
+                worklist.append(joined)
+    return list(distinct.values())
 
 
 def set_partitions(size):

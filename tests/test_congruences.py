@@ -34,14 +34,13 @@ from rookmonoids.congruences import (
     _lattice_ids,
     _merge,
     _orbit_minima,
-    _principal_ids,
 )
 from rookmonoids.core import InvariantViolation, MonoidUniverse, _canonical_ids, invert
 from rookmonoids.families import predicted_congruences
 
 from oracles import (all_congruences_naive, closure_reference, compatible_reference, merge_reference,
-                     perm_inv, perm_mul, plain_closure, principal_left, principal_right,
-                     principal_twosided, set_partitions, table_translations)
+                     lattice_reference, perm_inv, perm_mul, plain_closure, principal_left,
+                     principal_right, principal_twosided, set_partitions, table_translations)
 
 
 def lattice_keys(parts):
@@ -308,14 +307,23 @@ def test_each_row_of_a_block_grows_its_own_zero_class(or6, monkeypatch):
     """A block of seeds closes in the rounds of its slowest row, one merge
     a round: each row grows its own zero class, read off its own row zero,
     as it would alone."""
-    rounds = []
-    merge = congruences._merge
+    rounds, closing = [], []
+    merge, closure = congruences._merge, congruences._closure_rows
 
     def counted(*args):
-        rounds.append(args[0].size)
+        if closing:  # a closure round, not a join
+            rounds.append(args[0].size)
         return merge(*args)
 
+    def closed(*args):
+        closing.append(True)
+        try:
+            return closure(*args)
+        finally:
+            closing.pop()
+
     monkeypatch.setattr(congruences, "_merge", counted)
+    monkeypatch.setattr(congruences, "_closure_rows", closed)
     moves, j_order = or6.translations(), or6.j_order
     seeds = _kernel_trace_seeds(or6)[:congruences._block_rows(moves)]
     alone = []
@@ -324,7 +332,7 @@ def test_each_row_of_a_block_grows_its_own_zero_class(or6, monkeypatch):
         _closure_ids(moves, [pair], j_order)
         alone.append(len(rounds))
     rounds[:] = []
-    _principal_ids(moves, seeds, j_order)
+    _lattice_ids(moves, seeds, j_order)
     assert len(seeds) > 1 and set(rounds) == {len(seeds) * len(or6)}
     assert len(rounds) == max(alone)
 
@@ -375,10 +383,10 @@ def test_orbit_seed_closures_cover_every_principal_congruence(
 @pytest.mark.parametrize("rows", [None, 1, 5])
 @pytest.mark.parametrize("name", ["or4", "sr4", "r4", "or6", "sr6"])
 def test_block_closures_match_one_seed_at_a_time(name, rows, request, monkeypatch):
-    """``_principal_ids`` closes seeds in blocks of label rows laid end to
+    """``_lattice_ids`` closes seeds in blocks of label rows laid end to
     end, with and without the zero-class collapse, each row collapsing to
-    its own zero; it must give the per-seed ``_closure_ids`` results, first
-    appearances in seed order.  ``rows`` shrinks the block budget to 1 row
+    its own zero; every per-seed ``_closure_ids`` result must be one of its
+    members, each held once.  ``rows`` shrinks the block budget to 1 row
     per block, or to 5 with a partial last block; None keeps the default."""
     universe = request.getfixturevalue(name)
     moves = universe.translations()
@@ -392,27 +400,31 @@ def test_block_closures_match_one_seed_at_a_time(name, rows, request, monkeypatc
         ids = _closure_ids(moves, [pair])
         expected.setdefault(ids.tobytes(), ids)
     for j_order in (None, universe.j_order):
-        found = _principal_ids(moves, seeds, j_order)
-        assert found.dtype == np.intp
-        assert [row.tobytes() for row in found] == list(expected)
+        found = _lattice_ids(moves, seeds, j_order)
+        assert {row.dtype for row in found} == {np.dtype(np.intp)}
+        keys = {row.tobytes() for row in found}
+        assert len(keys) == len(found) and keys >= expected.keys()
 
 
 def test_a_block_of_closures_already_seen_adds_no_row(or4, monkeypatch):
     """The block budget is shrunk to one block of the seeds, so the second
-    block, the same seeds reversed, closes only to rows already found:
-    ``_principal_ids`` must check its empty block of new rows and still give
-    the per-seed ``_closure_ids`` results, first appearances in seed order."""
+    block, the same seeds reversed, closes only to members: ``_lattice_ids``
+    must skip its check, add no member and still hold every per-seed
+    ``_closure_ids`` result."""
     moves = or4.translations()
     seeds = _kernel_trace_seeds(or4)
     monkeypatch.setattr(congruences, "TABLE_BLOCK_BYTES", len(seeds) * (moves.nbytes + 16 * len(or4)))
     assert congruences._block_rows(moves) == len(seeds)
+    calls = []
+    check = congruences._is_compatible
+    monkeypatch.setattr(congruences, "_is_compatible",
+                        lambda moves, least: calls.append(len(least)) or check(moves, least))
     for j_order in (None, or4.j_order):
-        expected = {}
-        for pair in seeds:
-            ids = _closure_ids(moves, [pair], j_order)
-            expected.setdefault(ids.tobytes(), ids)
-        found = _principal_ids(moves, np.concatenate([seeds, seeds[::-1]]), j_order)
-        assert [row.tobytes() for row in found] == list(expected)
+        expected = {_closure_ids(moves, [pair], j_order).tobytes() for pair in seeds}
+        once = [row.tobytes() for row in _lattice_ids(moves, seeds, j_order)]
+        calls[:] = []
+        found = [row.tobytes() for row in _lattice_ids(moves, np.concatenate([seeds, seeds[::-1]]), j_order)]
+        assert found == once and set(found) >= expected and len(calls) == 1
 
 
 def first_occurrence_ids(row):
@@ -438,11 +450,12 @@ def assert_canonical_rows(block):
 @pytest.mark.parametrize("family", ["OR", "SR", "R"])
 @pytest.mark.parametrize("n", [2, 4, 6])
 def test_canonical_rows_match_canonical_ids_on_the_engine_rows(family, n):
-    """Every principal closure and every lattice member, each as one block."""
+    """Every distinct principal closure and every lattice member, each as
+    one block."""
     universe = enumerate_universe(family, n)
     moves, j_order = universe.translations(), universe.j_order
     seeds = _kernel_trace_seeds(universe)
-    assert_canonical_rows(_principal_ids(moves, seeds, j_order))
+    assert_canonical_rows(np.unique([_closure_ids(moves, [pair], j_order) for pair in seeds], axis=0))
     assert_canonical_rows(np.array(_lattice_ids(moves, seeds, j_order)))
 
 
@@ -560,37 +573,76 @@ def test_kernel_trace_seeds_are_one_pair_per_conjugation_orbit(family, n, count)
 def test_lattice_refuses_a_principal_closure_that_is_not_a_congruence(or4, monkeypatch):
     """Joins of equivalences that are not congruences need not stay in the
     lattice and can be exponentially many, so the lattice checks each
-    principal closure as it closes: here the first row of a block relates
-    the identity to element 2 and nothing else."""
+    principal closure as it closes: here one row of OR_4's one block, the
+    first and then the second, relates the identity to element 2 and
+    nothing else, and the other rows are the true closures."""
+    closure, size = congruences._closure_rows, len(or4)
+    assert congruences._block_rows(or4.translations()) >= len(_kernel_trace_seeds(or4))
+    for row in (0, 1):
 
-    def broken(moves, ids, u, v, j_order=None):
-        ids = ids.copy()
-        ids[2] = 1
-        return ids
+        def broken(moves, ids, u, v, j_order=None):
+            ids = closure(moves, ids, u, v, j_order)
+            ids[row * size:(row + 1) * size] = np.arange(size) + row * size
+            ids[row * size + 2] = row * size + 1
+            return ids
 
-    monkeypatch.setattr(congruences, "_closure_rows", broken)
-    with pytest.raises(InvariantViolation, match=f"with {len(or4) - 1} classes, is not a congruence"):
-        congruence_lattice(or4)
+        monkeypatch.setattr(congruences, "_closure_rows", broken)
+        with pytest.raises(InvariantViolation, match=f"with {size - 1} classes, is not a congruence"):
+            congruence_lattice(or4)
 
 
-def test_principal_ids_checks_each_distinct_congruence_once(monkeypatch):
-    """From OR_8 up a block holds one seed, and most seeds close to a
-    principal congruence found before.  A block that adds none is not
-    checked, so the 124 seeds of OR_8 make one ``_is_compatible`` call per
-    distinct principal congruence, 22."""
-    or8 = enumerate_universe("OR", 8)
-    calls = []
+@pytest.mark.parametrize("name, seeds, rows, distinct, calls", [
+    ("or4", 21, 21, 9, [9]), ("or8", 124, 1, 22, [1] * 21),
+], ids=["or4", "or8"])
+def test_lattice_checks_each_new_closure_once(name, seeds, rows, distinct, calls, request, monkeypatch):
+    """Only the closures that are not yet members are checked, all of a
+    block in one ``_is_compatible`` call.  OR_4 closes its 21 seeds in one
+    block, to its 9 distinct principal congruences.  From OR_8 up a block
+    holds one seed, and most seeds close to a member found before, so the
+    124 seeds of OR_8 make 21 calls, not 22: its 22nd distinct principal
+    congruence is already a join of earlier ones when it closes."""
+    universe = request.getfixturevalue(name)
+    found = []
     check = congruences._is_compatible
+    monkeypatch.setattr(congruences, "_is_compatible",
+                        lambda moves, least: found.append(len(least)) or check(moves, least))
+    moves, pairs, j_order = universe.translations(), _kernel_trace_seeds(universe), universe.j_order
+    _lattice_ids(moves, pairs, j_order)
+    assert found == calls
+    assert (len(pairs), min(len(pairs), congruences._block_rows(moves))) == (seeds, rows)
+    assert len({_closure_ids(moves, [pair], j_order).tobytes() for pair in pairs}) == distinct
 
-    def counted(moves, least):
-        calls.append(len(least))
-        return check(moves, least)
 
-    monkeypatch.setattr(congruences, "_is_compatible", counted)
-    moves, seeds = or8.translations(), _kernel_trace_seeds(or8)
-    found = _principal_ids(moves, seeds, or8.j_order)
-    assert congruences._block_rows(moves) == 1 and len(seeds) == 124
-    assert len(found) == 22 and calls == [1] * 22
+@pytest.mark.parametrize("rows", [None, 1, 5])
+@pytest.mark.parametrize("name", ["or2", "sr2", "r2", "or4", "sr4", "r4", "or6", "sr6", "r6",
+                                  "or8", "sr8", "s4", "w4", "w6"])
+def test_lattice_matches_the_two_pass_reference(name, rows, request, monkeypatch):
+    """``_lattice_ids`` joins each new principal congruence into the
+    members where it closes; ``lattice_reference`` finds the distinct
+    principal congruences first, then joins from the identity with a
+    worklist.  Same members as sets of label bytes, on each universe and
+    on S_4 and the unit groups W′ of OR_4 and OR_6, with ``_block_rows``
+    cut to 1 or 5 rows, or as it is (None)."""
+    if name == "s4":
+        (moves, seeds), j_order = group_lattice_args(symmetric_group(4)), None
+    elif name in ("w4", "w6"):
+        n = int(name[1])
+        (moves, seeds), j_order = group_lattice_args(maximal_subgroup(request.getfixturevalue(f"or{n}"), n)), None
+    else:
+        universe = request.getfixturevalue(name)
+        moves, seeds, j_order = universe.translations(), _kernel_trace_seeds(universe), universe.j_order
+    expected = {ids.tobytes() for ids in lattice_reference(moves, seeds, j_order)}
+    if rows is not None:
+        monkeypatch.setattr(congruences, "_block_rows", lambda moves: rows)
+    found = [ids.tobytes() for ids in _lattice_ids(moves, seeds, j_order)]
+    assert len(found) == len(expected) > 1 and set(found) == expected
+
+
+def group_lattice_args(group):
+    """The generator rows and the seeds, one pair (identity, g) per
+    conjugacy class, that ``normal_subgroups`` passes to ``_lattice_ids``."""
+    moves, k = group.translations(), len(group.generators())
+    return moves, _orbit_minima(np.arange(1, len(group)), len(group), moves[:k], moves[k:])
 
 
 @pytest.mark.parametrize("name", ["or6", "sr6", "r4", "s4"])
@@ -599,10 +651,7 @@ def test_lattice_members_share_no_memory(name, request):
     block that a closure or a join returned, so no finished member keeps a
     block alive, and ``normal_subgroups`` keeps its members as they are."""
     if name == "s4":
-        group = symmetric_group(4)
-        moves, k = group.translations(), len(group.generators())
-        members = _lattice_ids(moves, _orbit_minima(np.arange(1, len(group)), len(group),
-                                                    moves[:k], moves[k:]))
+        members = _lattice_ids(*group_lattice_args(symmetric_group(4)))
     else:
         universe = request.getfixturevalue(name)
         members = _lattice_ids(universe.translations(), _kernel_trace_seeds(universe), universe.j_order)
@@ -895,7 +944,7 @@ def test_join_is_the_closure_of_both_partitions(name, request):
     """``join`` of any two partitions, congruences or not, against the
     plain reference closure of the pairs relating each element to the
     least member of its class in either one."""
-    universe = request.getfixturevalue(name) if name != "r2" else enumerate_universe("R", 2)
+    universe = request.getfixturevalue(name)
     size = len(universe)
     listed = universe.multiplication_table().tolist()
     lattice = congruence_lattice(universe)
