@@ -356,17 +356,17 @@ def _kernel_trace_seeds(universe):
     each other, so they close to the same principal congruence: each orbit
     keeps its least code (``_orbit_minima``).
 
-    The reverse map of every element is looked up first, so the monoid is
-    checked to be inverse, not assumed to be.  The unit generators, the
-    rank-n entries of ``generators``, generate the unit group, since the
-    greedy scan visits the units first; their two rows of ``translations``
-    give the conjugations.
+    The reverse map of every element, uint8 as the image matrix it indexes,
+    is looked up first, so the monoid is checked to be inverse, not assumed
+    to be.  The unit generators, the rank-n entries of ``generators``,
+    generate the unit group, since the greedy scan visits the units first;
+    their two rows of ``translations`` give the conjugations.
     """
-    images = universe.image_matrix.astype(np.intp)
+    images = universe.image_matrix
     size, n = images.shape
     everything = np.arange(size)
-    slots = np.arange(1, n + 1)
-    reverse = np.zeros((size, n + 1), dtype=np.intp)
+    slots = np.arange(1, n + 1, dtype=np.uint8)
+    reverse = np.zeros((size, n + 1), dtype=np.uint8)
     reverse[everything[:, None], images] = slots  # column 0 takes the unmapped slots
     universe._rows(reverse[:, 1:], "the reverse map")
     partial = universe._rows(np.where(images > 0, slots, 0), "the partial identity on the domain")
@@ -384,7 +384,7 @@ def _kernel_trace_seeds(universe):
 
 def _lattice_ids(moves, seeds, j_order=None):
     """Every congruence of the algebra whose generator translations are the
-    rows of ``moves``, as least-member labels, each its own array.
+    rows of ``moves``, as least-member labels, each a read-only view of its key bytes.
 
     Seeds close R at a time, R = ``_block_rows``, all 21 of OR_4 and one
     from OR_8 up: R label rows lie end to end, row r offset by r·N, as do
@@ -405,15 +405,16 @@ def _lattice_ids(moves, seeds, j_order=None):
     offsets = np.arange(rows, dtype=np.intp) * size
     # Named R·N, not -1: a group of order 1 has no generator rows.
     tiled = (moves[:, None, :] + offsets[:, None]).reshape(count, rows * size)
-    identity = np.arange(size, dtype=np.intp)
-    members, keys = [identity], {identity.tobytes()}
+    key = np.arange(size, dtype=np.intp).tobytes()
+    members = {key: np.frombuffer(key, dtype=np.intp)}  # each member a view of its own key
+    identity = members[key]
     for start in range(0, len(seeds), rows):
         block = seeds[start:start + rows]
         shift, width = offsets[:len(block)], len(block) * size
         ids = _closure_rows(tiled[:, :width], np.arange(width, dtype=np.intp),
                             block[:, 0] + shift, block[:, 1] + shift, j_order)
         new = {row.tobytes(): row for row in ids.reshape(len(block), size) - shift[:, None]}
-        new = [row for key, row in new.items() if key not in keys]
+        new = [row for key, row in new.items() if key not in members]
         if not new:
             continue
         bad = np.flatnonzero(~_is_compatible(moves, np.array(new)))
@@ -421,21 +422,20 @@ def _lattice_ids(moves, seeds, j_order=None):
             roots = np.count_nonzero(new[bad[0]] == identity)
             raise InvariantViolation(f"the closure of a seed pair, with {roots} classes, is not a congruence")
         for rho in new:
-            if rho.tobytes() in keys:
+            if rho.tobytes() in members:
                 continue  # a join of the block's earlier closures
             u = np.flatnonzero(rho != identity)
             v = rho[u]
-            old = len(members)
-            for first in range(0, old, rows):
-                lift = offsets[:min(rows, old - first), None]
-                joined = _merge((np.array(members[first:first + len(lift)]) + lift).ravel(),
+            old = list(members.values())
+            for first in range(0, len(old), rows):
+                lift = offsets[:min(rows, len(old) - first), None]
+                joined = _merge((np.array(old[first:first + len(lift)]) + lift).ravel(),
                                 (u + lift).ravel(), (v + lift).ravel())
                 for x in joined.reshape(len(lift), size) - lift:
                     key = x.tobytes()
-                    if key not in keys:
-                        keys.add(key)
-                        members.append(x.copy())  # a row of a block: keep it, not the block
-    return members
+                    if key not in members:
+                        members[key] = np.frombuffer(key, dtype=np.intp)
+    return list(members.values())
 
 
 def congruence_lattice(universe):
@@ -566,16 +566,13 @@ def normal_subgroups(group):
     translation rows.  Its seeds are one kernel pair (1, g) per conjugacy
     class (``_orbit_minima``); a group, whose one idempotent is the
     identity, has no trace pairs.  Each subgroup keeps its ``_lattice_ids``
-    member as read-only least-member labels, one per coset, sharing memory
+    member, read-only least-member labels, one per coset, sharing memory
     with no other member (``PermGroup.cosets``); families split by them.
     """
     if group._normal is None:
-        found = []
         moves, k = group.translations(), len(group.generators())
         seeds = _orbit_minima(np.arange(1, len(group)), len(group), moves[:k], moves[k:])
-        for ids in _lattice_ids(moves, seeds):
-            ids.setflags(write=False)
-            found.append((np.flatnonzero(ids == 0), ids))
+        found = [(np.flatnonzero(ids == 0), ids) for ids in _lattice_ids(moves, seeds)]
         found.sort(key=lambda item: (len(item[0]), item[0].tolist()))
         group._cosets = {frozenset(map(tuple, group.perms[m].tolist())): ids for m, ids in found}
         group._normal = tuple(group._cosets)

@@ -227,16 +227,17 @@ def _annotate_unmatched(universe, part, lattice_index, green):
             f"the zero class of lattice member {lattice_index} is not a down-set of J-classes"
         )
     kind, k = _ideal_name(green, np.flatnonzero(held))
-    units = np.asarray(universe.units())
-    first = np.unique(part.ids[units], return_index=True)[1]
+    unit_ids = part.ids[np.asarray(universe.units())]
+    first = np.unique(unit_ids, return_index=True)[1]
+    classes = part.classes()
     return {
         "lattice_index": lattice_index,
         "num_classes": part.num_classes,
-        "classes": part.classes(),
+        "classes": classes,
         "zero_class_kind": kind,
         "zero_class_k": k,
         "zero_class_size": int(zero.sum()),
-        "unit_classes": [part.class_of(u) for u in units[np.sort(first)]],
+        "unit_classes": [classes[c] for c in unit_ids[np.sort(first)].tolist()],
         "tag": "rees_over_complement_of_units" if kind == "union" else "",
     }
 

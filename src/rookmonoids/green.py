@@ -223,25 +223,21 @@ def _h_split(universe, mask, group):
     """A split stratum as the builder reads it, for any subgroup of
     ``group``: a read-only int32 array with a row per H-class, whose entry
     p is the member with H-coordinate (``h_coords``) the p-th of ``group``.
-    A row must also list its members in index order, as ``core._stratum``
-    lays them out, else ``InvariantViolation``: so a set of positions has
-    its least member at its least position.  Kept on the universe
-    (``MonoidUniverse._splits``) per (group, mask) for every family and
-    ``h_class_group``, each mask keyed by its packed bits, N/8 bytes."""
+    Each row, one H-class in index order, must read as ``group.perms``
+    does, as ``core._stratum`` lays it out, else ``InvariantViolation``:
+    so a set of positions has its least member at its least position.  Kept
+    on the universe (``MonoidUniverse._splits``) per (group, mask) for every
+    family and ``h_class_group``, each mask keyed by its packed bits, N/8 bytes."""
     key = (group, np.packbits(mask).tobytes())
     if key not in universe._splits:
         members = np.flatnonzero(mask)
-        pos, found = group._indices(universe.h_coords[members, :group.degree])
-        if not found.all():
-            raise InvariantViolation(
-                f"the H-coordinate of element {members[np.argmin(found)]} is not in {group!r}"
-            )
         codes = universe.dom_masks[members] << universe.n | universe.img_masks[members]
         order = np.argsort(codes, kind="stable")  # by H-class, each in index order
         whole = members.size % len(group) == 0  # so each H-class can fill a row
         if whole:
-            at, pos, codes = (a[order].reshape(-1, len(group)) for a in (members, pos, codes))
-        if not whole or ((pos != np.arange(len(group))) | (codes != codes[:, :1])).any():
+            at, codes = (a[order].reshape(-1, len(group)) for a in (members, codes))
+        if (not whole or (codes != codes[:, :1]).any()
+                or (universe.h_coords[at, :group.degree] != group.perms).any()):
             raise InvariantViolation(f"the H-classes of {group!r} do not list their members in its order")
         universe._splits[key] = at = at.astype(np.int32)
         at.setflags(write=False)

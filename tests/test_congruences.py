@@ -647,17 +647,20 @@ def group_lattice_args(group):
 
 @pytest.mark.parametrize("name", ["or6", "sr6", "r4", "s4"])
 def test_lattice_members_share_no_memory(name, request):
-    """Each member of ``_lattice_ids`` is its own array, not a row of the
-    block that a closure or a join returned, so no finished member keeps a
-    block alive, and ``normal_subgroups`` keeps its members as they are."""
+    """Each member of ``_lattice_ids`` is a read-only view of its own key
+    bytes, not a row of the block that a closure or a join returned, so no
+    finished member keeps a block alive or a second copy of itself, and
+    ``normal_subgroups`` keeps its members as they are."""
     if name == "s4":
         members = _lattice_ids(*group_lattice_args(symmetric_group(4)))
     else:
         universe = request.getfixturevalue(name)
         members = _lattice_ids(universe.translations(), _kernel_trace_seeds(universe), universe.j_order)
-    whole = [ids if ids.base is None else ids.base for ids in members]  # the array each row lies in
     assert len(members) > 2
-    for a, b in itertools.combinations(whole, 2):
+    for ids in members:
+        assert not ids.flags.writeable
+        assert isinstance(ids.base, bytes) and ids.base == ids.tobytes()
+    for a, b in itertools.combinations(members, 2):
         assert not np.shares_memory(a, b)
 
 

@@ -408,7 +408,7 @@ def outside_split(mask):
 
 
 def test_builder_refuses_an_h_coordinate_outside_the_group(or4):
-    with pytest.raises(InvariantViolation, match="H-coordinate of element"):
+    with pytest.raises(InvariantViolation, match="do not list their members in its order"):
         _least_rows(or4, [(or4.ranks < 2, [outside_split(or4.ranks == 2)])])
 
 
@@ -442,6 +442,23 @@ def test_builder_refuses_an_h_class_out_of_index_order():
         h_class_group(or4, int(e))
 
 
+def test_builder_refuses_a_row_of_two_h_classes(or4):
+    """One member each of two half-rank H-classes of OR_4, H-coordinates
+    (1, 2) and (2, 1), the first of the lesser H-class code: sorted by
+    code, the row reads as the rows of S_2 do, so only the check that a
+    row holds one H-class refuses it."""
+    codes = or4.dom_masks << or4.n | or4.img_masks
+    coords = or4.h_coords[:, :2]
+    straight = np.flatnonzero((or4.ranks == 2) & (coords == [1, 2]).all(axis=1))
+    a = straight[np.argmin(codes[straight])]
+    b = np.flatnonzero((or4.ranks == 2) & (coords == [2, 1]).all(axis=1) & (codes > codes[a]))[0]
+    mask = np.zeros(len(or4), dtype=bool)
+    mask[[a, b]] = True
+    s2 = symmetric_group(2)
+    with pytest.raises(InvariantViolation, match="do not list their members in its order"):
+        _least_rows(or4, [(or4.ranks < 2, [(mask, s2, s2.cosets(s2))])])
+
+
 def test_a_shared_stratum_memo_keys_by_group_and_mask():
     """The universe's stratum memo looks a stratum up again under another
     group, so a group that does not hold its H-coordinates is still
@@ -450,7 +467,7 @@ def test_a_shared_stratum_memo_keys_by_group_and_mask():
     or4 = enumerate_universe("OR", 4)
     half_rank_family(or4, "full", "1")
     assert len(or4._splits) == 2
-    with pytest.raises(InvariantViolation, match="H-coordinate of element"):
+    with pytest.raises(InvariantViolation, match="do not list their members in its order"):
         _least_rows(or4, [(or4.ranks < 2, [outside_split(or4.mtypes == "I")])])
 
 
@@ -465,24 +482,25 @@ def test_stratum_memo_keys_pack_the_mask_to_bits():
     assert {len(mask) for _, mask in or6._splits} == {-(-len(or6) // 8)}
 
 
-def counting_indices(monkeypatch):
-    """The degrees of the groups whose ``PermGroup._indices`` runs, in call order."""
+def counting_fills(universe):
+    """The degrees of the groups whose splits fill the stratum memo of
+    ``universe`` (``_h_split``), in fill order."""
     degrees = []
-    indices = PermGroup._indices
 
-    def counting(self, images):
-        degrees.append(self.degree)
-        return indices(self, images)
+    class Counting(dict):
+        def __setitem__(self, key, value):
+            degrees.append(key[0].degree)
+            super().__setitem__(key, value)
 
-    monkeypatch.setattr(PermGroup, "_indices", counting)
+    universe._splits = Counting(universe._splits)
     return degrees
 
 
-def test_separate_builder_calls_look_each_stratum_up_once(monkeypatch):
+def test_separate_builder_calls_look_each_stratum_up_once():
     """Two ``build_family`` calls on one universe share its memo: each
-    half-rank type is looked up by the first call only."""
+    half-rank type fills it in the first call only."""
     or4 = enumerate_universe("OR", 4)
-    degrees = counting_indices(monkeypatch)
+    degrees = counting_fills(or4)
     first = half_rank_family(or4, "full", "1")
     assert degrees == [2, 2]
     second = half_rank_family(or4, "1", "full")
@@ -490,12 +508,12 @@ def test_separate_builder_calls_look_each_stratum_up_once(monkeypatch):
     assert first != second
 
 
-def test_h_class_group_shares_the_stratum_memo(monkeypatch):
+def test_h_class_group_shares_the_stratum_memo():
     """``h_class_group`` reads its H-class through the memo of ``_h_split``:
-    a second call looks nothing up, nor does the W′ split of a special,
+    a second call fills nothing, nor does the W′ split of a special,
     whose stratum is the identity's H-class under the same group."""
     or4 = enumerate_universe("OR", 4)
-    degrees = counting_indices(monkeypatch)
+    degrees = counting_fills(or4)
     first = h_class_group(or4, 1)
     assert degrees == [4]
     assert h_class_group(or4, 1) == first and degrees == [4]
@@ -607,12 +625,12 @@ def test_or_extras_are_the_rees_quotients_with_units_split_by_w_prime(n, extras,
     assert set(found) == expected
 
 
-def test_predictions_look_each_split_stratum_up_once(monkeypatch):
+def test_predictions_look_each_split_stratum_up_once():
     """OR_6 has 18 split families over 4 strata: rank 1 with S_1, rank 2
     with S_2, and the two half-rank types with S_3.  A fresh universe,
     since a shared fixture's memo may already be full."""
     or6 = enumerate_universe("OR", 6)
-    degrees = counting_indices(monkeypatch)
+    degrees = counting_fills(or6)
     predicted_congruences(or6)
     assert sorted(degrees) == [1, 2, 3, 3]
 
