@@ -15,7 +15,7 @@ import operator
 import numpy as np
 
 from .core import (TABLE_BLOCK_BYTES, InvariantViolation, ResourceLimitError, _canonical_ids,
-                   _canonical_rows, _ElementStore, _is_integer, _locate, image_codes)
+                   _canonical_rows, _ElementStore, _holds_bool, _is_integer, _locate, image_codes)
 
 DEFAULT_GROUP_LIMIT = 10**4
 
@@ -103,8 +103,9 @@ def _closure_ids(moves, pairs, j_order=None):
     compatible with each generator, hence a congruence.
     """
     size = moves.shape[1]
-    pairs = np.asarray(pairs)
-    if pairs.size and (pairs.ndim != 2 or pairs.shape[1] != 2 or pairs.dtype.kind not in "iu"):
+    given, pairs = pairs, np.asarray(pairs)
+    if pairs.size and (pairs.ndim != 2 or pairs.shape[1] != 2 or pairs.dtype.kind not in "iu"
+                       or _holds_bool(given)):
         raise ValueError(f"element index pairs must form an (M, 2) integer array, got {pairs.shape}")
     pairs = pairs.reshape(-1, 2)
     bad = np.flatnonzero(((pairs < 0) | (pairs >= size)).any(axis=1))

@@ -55,6 +55,12 @@ def _is_integer(x):
     return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
+def _holds_bool(rows):
+    """True when the nested sequence ``rows`` holds a bool, which numpy reads as 0 or 1."""
+    return not isinstance(rows, np.ndarray) and not {bool, np.bool_}.isdisjoint(
+        map(type, itertools.chain.from_iterable(rows)))
+
+
 def element_limit(override=None):
     """Active element budget: explicit override, else env var, else default.
     Either must be a non-negative integer (``_is_integer``)."""
@@ -378,8 +384,7 @@ class _ElementStore:
         entry numpy would read as 0 or 1, raises ``ValueError``; ``[()]`` passes."""
         images = np.asarray(rows)
         if images.ndim != 2 or images.shape[1] != width or images.size and (
-                images.dtype.kind not in "iu" or not isinstance(rows, np.ndarray)
-                and not {bool, np.bool_}.isdisjoint(map(type, itertools.chain.from_iterable(rows)))):
+                images.dtype.kind not in "iu" or _holds_bool(rows)):
             raise ValueError(f"need an (N, {width}) integer matrix, got {images.dtype} {images.shape}")
         return images
 
@@ -550,9 +555,9 @@ class MonoidUniverse(_ElementStore):
     ``elements`` builds ``PartialInjection`` objects on first use.
     ``generators``, ``translations``, ``multiplication_table`` and
     ``j_order`` are computed on first use and cached, as is each
-    split stratum the family builder reads (``_splits``, filled by
-    ``green._h_split``).  The constructor checks the matrix; instances
-    are immutable after it."""
+    split stratum the family builder reads, per rank and half-rank type
+    (``_splits``, filled by ``green._h_split``).  The constructor checks
+    the matrix; instances are immutable after it."""
 
     _identity = 1
 
@@ -646,6 +651,8 @@ class MonoidUniverse(_ElementStore):
         raises ``InvariantViolation``.  int16 below 32,768 elements, else
         int32.
         """
+        if limit is not None:
+            limit = element_limit(limit)  # the one integer rule; None is no limit
         if self._table is None:
             size = len(self)
             if limit is not None and size > limit:

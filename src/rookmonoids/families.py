@@ -3,12 +3,12 @@ against the brute-force congruence lattice.
 
 A family is named by a ``FamilySpec``: its tag, its level and the labels
 of normal subgroups of maximal subgroups (``green.maximal_subgroup``).
-``_specs`` lists every family of a universe, and a spec it does not list
-names no congruence.  Every family has one shape: an ideal collapses into
-the zero class, the elements of one or more J-classes split into their
-H-classes and, inside each, into the cosets of a normal subgroup of the
-H-class group, and everything else stays singleton.  A whole H-class is
-the full group's one coset.
+``_specs`` is the one catalogue: it lists every family of a universe with
+its shape, and a spec it does not list names no congruence.  Every family
+has one shape: an ideal collapses into the zero class, the elements of
+one or more strata split into their H-classes and, inside each, into the
+cosets of a normal subgroup of the H-class group, and everything else
+stays singleton.  A whole H-class is the full group's one coset.
 """
 
 from __future__ import annotations
@@ -84,88 +84,66 @@ def _labelled(parent):
 
 
 def _specs(universe):
-    """Every family of the universe, in build order: a rank family per
-    level and label, on OR the half-rank pairs, the typed families and, at
-    degree 4, the two specials, and last the universal congruence."""
-    family, m = universe.family, universe.n // 2
-    specs = [FamilySpec(f"{family}_eqN", k=k, n_label=label)
+    """The one catalogue: every family of the universe as a ``(spec,
+    shape)`` pair, in build order: a rank family per level and label, on OR
+    the half-rank pairs, the typed families and, at degree 4, the two
+    specials, and last the universal congruence.  A shape ``(k, other,
+    splits)`` collapses every rank below k, and on OR the half-rank type
+    ``other``, into the zero class; each split ``(rank, type, label)`` cuts
+    the H-classes of one stratum (``_h_split``) by the cosets of the
+    ``_labelled`` normal subgroup of its maximal subgroup.  ``OR_eq1`` and
+    ``OR_eq2`` split the units by ``order2#1`` = {1234, 2143} and
+    ``order2#2`` = {1234, 3412}, normal in the Klein unit group W′."""
+    family, n, m = universe.family, universe.n, universe.n // 2
+    specs = [(FamilySpec(f"{family}_eqN", k=k, n_label=label), (k, None, [(k, "", label)]))
              for k, parent in _levels(universe).items() for label in _labelled(parent)]
     if family == "OR":
         labels = list(_labelled(maximal_subgroup(universe, m)))
-        specs += [FamilySpec("OR_eqN1N2", n1_label=a, n2_label=b) for a in labels for b in labels]
-        specs += [FamilySpec(tag, k=m, n_label=label)
-                  for tag in ("OR_eqI", "OR_eqII") for label in labels]
-        if universe.n == 4:
-            specs += [FamilySpec("OR_eq1"), FamilySpec("OR_eq2")]
-    return specs + [FamilySpec("universal")]
+        specs += [(FamilySpec("OR_eqN1N2", n1_label=a, n2_label=b),
+                   (m, None, [(m, TYPE_I, a), (m, TYPE_II, b)])) for a in labels for b in labels]
+        typed = ((TYPE_I, TYPE_II), (TYPE_II, TYPE_I))
+        specs += [(FamilySpec(f"OR_eq{kept}", k=m, n_label=label), (m, other, [(m, kept, label)]))
+                  for kept, other in typed for label in labels]
+        if n == 4:
+            specs += [(FamilySpec(f"OR_eq{i}"), (m, other, [(m, kept, "full"), (n, "", f"order2#{i}")]))
+                      for i, (kept, other) in enumerate(typed, 1)]
+    return specs + [(FamilySpec("universal"), (n + 1, None, []))]
 
 
-def _shape(universe, spec):
-    """The ``(zero, splits)`` of a spec that ``_specs`` lists (see
-    ``_family_partitions``).  The typed families on OR swallow the opposite
-    half-rank type into the zero class; ``OR_eq1`` and ``OR_eq2`` are typed
-    with whole H-classes and split the units by ``order2#1`` = {1234, 2143}
-    and ``order2#2`` = {1234, 3412}, normal in the Klein unit group W′."""
-    ranks, mtypes, m = universe.ranks, universe.mtypes, universe.n // 2
-
-    def split(mask, k, label):
-        group = maximal_subgroup(universe, k)
-        return mask, group, group.cosets(_labelled(group)[label])
-
-    if spec.tag == "universal":
-        return np.ones(len(universe), dtype=bool), []
-    kind = spec.tag.partition("_")[2]
-    if kind == "eqN":
-        return ranks < spec.k, [split(ranks == spec.k, spec.k, spec.n_label)]
-    if kind == "eqN1N2":
-        return ranks < m, [split(mtypes == TYPE_I, m, spec.n1_label),
-                           split(mtypes == TYPE_II, m, spec.n2_label)]
-    variant, other = (TYPE_I, TYPE_II) if kind in ("eqI", "eq1") else (TYPE_II, TYPE_I)
-    splits = [split(mtypes == variant, m, spec.n_label or "full")]
-    if kind in ("eq1", "eq2"):
-        splits.append(split(ranks == 4, 4, "order2#1" if kind == "eq1" else "order2#2"))
-    return (ranks < m) | (mtypes == other), splits
-
-
-def _family_partitions(universe, specs):
-    """The partitions of the families ``specs`` names, in order.
-
-    In a shape (``_shape``), ``zero`` masks the ideal that collapses into
-    the zero class, and each ``(mask, group, labels)`` split relates the
-    members of one H-class whose H-coordinates share a coset label of a
-    normal subgroup of ``group`` (``PermGroup.cosets``); the H-class layout
-    is looked up once per universe (``_h_split``).  The families build in
-    blocks of ``_block_rows`` rows, each block's shapes made as it is
-    built, so only its masks are held.  Per block, ``_least_rows`` writes
-    every element's least member, one ``_is_compatible`` call checks every
-    row, so a row that is no congruence raises ``InvariantViolation``, and
-    ``_canonical_rows`` numbers the classes.
-    """
+def _family_partitions(universe, families):
+    """The partitions of the ``(spec, shape)`` pairs ``families``, in
+    order, built in blocks of ``_block_rows`` rows.  Per block,
+    ``_least_rows`` writes every element's least member, one
+    ``_is_compatible`` call checks every row, so a row that is no
+    congruence raises ``InvariantViolation`` naming its spec, and
+    ``_canonical_rows`` numbers the classes."""
     moves = universe.translations()
     rows, parts = _block_rows(moves), []
-    for start in range(0, len(specs), rows):
-        block = specs[start:start + rows]
-        shapes = [_shape(universe, spec) for spec in block]
-        least = _least_rows(universe, shapes)
+    for start in range(0, len(families), rows):
+        block = families[start:start + rows]
+        least = _least_rows(universe, [shape for _, shape in block])
         bad = np.flatnonzero(~_is_compatible(moves, least))
         if bad.size:
-            raise InvariantViolation(f"the family partition of {block[bad[0]]} is not a congruence")
+            raise InvariantViolation(f"the family partition of {block[bad[0]][0]} is not a congruence")
         parts.extend(Partition._canonical(universe, row) for row in _canonical_rows(least))
     return parts
 
 
 def _least_rows(universe, shapes):
-    """The least-member labels of the shapes' partitions, one row each, with
-    no sort: 0 on the zero class; on a split, the member of the H-class
-    (``_h_split``) at the coset's least position (``PermGroup.cosets``);
-    and every other element itself."""
+    """The least-member labels of the shapes' partitions (``_specs``), one
+    row each, with no sort: 0 on the zero class; on a split, the member of
+    the H-class (``_h_split``) at the least position of the coset of the
+    labelled subgroup (``PermGroup.cosets``); and every other element itself."""
     least = np.empty((len(shapes), len(universe)), dtype=np.intp)
     least[:] = np.arange(len(universe))
-    for row, (zero, splits) in zip(least, shapes):
+    for row, (k, other, splits) in zip(least, shapes):
+        zero = universe.ranks < k
+        if other:
+            zero |= universe.mtypes == other
         row[zero] = 0  # the zero map, element 0, lies in every ideal
-        for mask, group, labels in splits:
-            at = _h_split(universe, mask, group)
-            row[at] = at[:, labels]
+        for rank, mtype, label in splits:
+            group, at = _h_split(universe, rank, mtype)
+            row[at] = at[:, group.cosets(_labelled(group)[label])]
     return least
 
 
@@ -173,18 +151,18 @@ def build_family(universe, spec):
     """The congruence of the family ``spec`` names, a ``FamilySpec`` as
     ``predicted_congruences`` and the verify report give it.  A spec that
     ``_specs`` does not list for the universe raises ``ValueError``."""
-    if spec not in _specs(universe):
-        raise ValueError(f"{spec!r} is not a family of {universe.family}_{universe.n}")
-    return _family_partitions(universe, [spec])[0]
+    for listed, shape in _specs(universe):
+        if listed == spec:
+            return _family_partitions(universe, [(listed, shape)])[0]
+    raise ValueError(f"{spec!r} is not a family of {universe.family}_{universe.n}")
 
 
 def predicted_congruences(universe):
     """Every family of ``_specs``, built by one ``_family_partitions`` call,
     deduplicated by partition with all its specs kept, finest first."""
-    specs = _specs(universe)
-    parts = _family_partitions(universe, specs)
+    families = _specs(universe)
     by_part = {}
-    for spec, part in zip(specs, parts):
+    for (spec, _), part in zip(families, _family_partitions(universe, families)):
         by_part.setdefault(part, []).append(spec)
     merged = [(part, tuple(specs)) for part, specs in by_part.items()]
     merged.sort(key=lambda item: (-item[0].num_classes, item[0].key))

@@ -11,7 +11,8 @@ ideals are its down-sets (``enumerate_ideals``), each named by
 ``MonoidUniverse.h_coords`` holds each ``h_coordinate``.  The maximal
 subgroup at rank k, S_k or the unit group at k = n, is built once per
 family and degree (``maximal_subgroup``); ``_h_split`` maps H-coordinates
-onto it once per stratum, for the builder and ``h_class_group`` alike.
+onto it once per stratum, keyed by its rank and half-rank type, for the
+builder and ``h_class_group`` alike.
 """
 
 from __future__ import annotations
@@ -219,18 +220,19 @@ def _unit_group(family, n):
     return PermGroup(n, _stratum(family, n, n))
 
 
-def _h_split(universe, mask, group):
-    """A split stratum as the builder reads it, for any subgroup of
-    ``group``: a read-only int32 array with a row per H-class, whose entry
-    p is the member with H-coordinate (``h_coords``) the p-th of ``group``.
-    Each row, one H-class in index order, must read as ``group.perms``
-    does, as ``core._stratum`` lays it out, else ``InvariantViolation``:
-    so a set of positions has its least member at its least position.  Kept
-    on the universe (``MonoidUniverse._splits``) per (group, mask) for every
-    family and ``h_class_group``, each mask keyed by its packed bits, N/8 bytes."""
-    key = (group, np.packbits(mask).tobytes())
+def _h_split(universe, rank, type):
+    """The stratum of ``rank`` and half-rank ``type`` ("" away from OR's
+    half rank) as the builder reads it: its ``maximal_subgroup`` and a
+    read-only int32 array with a row per H-class, entry p the member with
+    H-coordinate (``h_coords``) the p-th of the group.  Each row, one
+    H-class in index order, must read as ``group.perms`` does, as
+    ``core._stratum`` lays it out, else ``InvariantViolation``: so a set of
+    positions has its least member at its least position.  Kept on the
+    universe per (rank, type) (``MonoidUniverse._splits``)."""
+    key = (rank, type)
     if key not in universe._splits:
-        members = np.flatnonzero(mask)
+        group = maximal_subgroup(universe, rank)
+        members = np.flatnonzero((universe.ranks == rank) & (universe.mtypes == type))
         codes = universe.dom_masks[members] << universe.n | universe.img_masks[members]
         order = np.argsort(codes, kind="stable")  # by H-class, each in index order
         whole = members.size % len(group) == 0  # so each H-class can fill a row
@@ -239,24 +241,25 @@ def _h_split(universe, mask, group):
         if (not whole or (codes != codes[:, :1]).any()
                 or (universe.h_coords[at, :group.degree] != group.perms).any()):
             raise InvariantViolation(f"the H-classes of {group!r} do not list their members in its order")
-        universe._splits[key] = at = at.astype(np.int32)
+        at = at.astype(np.int32)
         at.setflags(write=False)
+        universe._splits[key] = group, at
     return universe._splits[key]
 
 
 def h_class_group(universe, idx):
     """The H-class of an idempotent as a permutation group: the cached
     ``maximal_subgroup`` at its rank, acting on the positions of its
-    domain, with the bijection read through ``_h_split`` that maps each
-    member to its ``h_coordinate``.  Only a whole family has these groups,
-    so on any other universe ``maximal_subgroup`` raises ``ValueError``."""
+    domain, each member mapped to its ``h_coordinate`` by the row of its
+    stratum's ``_h_split`` that holds it.  Only a whole family has these
+    groups, so on any other universe ``maximal_subgroup`` raises ``ValueError``."""
     universe._check_index(idx)
-    row, dom = universe.image_matrix[idx], universe.dom_masks[idx]
+    row = universe.image_matrix[idx]
     if ((row != 0) & (row != np.arange(1, universe.n + 1))).any():
         raise ValueError(f"element {idx} (images {tuple(row.tolist())}) is not idempotent")
-    group = maximal_subgroup(universe, universe.ranks[idx])
-    (at,) = _h_split(universe, (universe.dom_masks == dom) & (universe.img_masks == dom), group)
-    return group, dict(zip(at.tolist(), map(tuple, group.perms.tolist())))
+    group, at = _h_split(universe, int(universe.ranks[idx]), str(universe.mtypes[idx]))
+    members = at[np.argwhere(at == idx)[0, 0]]
+    return group, dict(zip(members.tolist(), map(tuple, group.perms.tolist())))
 
 
 def j_order_dot(green):

@@ -15,9 +15,10 @@ import itertools
 import numpy as np
 
 from rookmonoids import (InvariantViolation, PartialInjection, Partition, ResourceLimitError,
-                         admissible_subsets, is_admissible, is_congruence)
+                         admissible_subsets, is_admissible, is_congruence, maximal_subgroup)
 from rookmonoids.congruences import _block_rows, _closure_rows, _is_compatible, _least_members, _merge
 from rookmonoids.core import _canonical_ids, _member_mask
+from rookmonoids.families import _labelled
 
 NAIVE_LATTICE_LIMIT = 9
 
@@ -282,12 +283,30 @@ def all_congruences_naive(universe):
     return parts
 
 
+def shape_masks(universe, shape):
+    """A catalogue shape ``(k, other, splits)`` of ``families._specs`` in the
+    mask form the references read, with no ``_h_split``: ``(zero, splits)``,
+    ``zero`` masking every rank below k and the half-rank type ``other``,
+    and each ``(rank, type, label)`` split as ``(mask, group, labels)``:
+    the stratum's members, its maximal subgroup and the coset labels of
+    the labelled normal subgroup (``PermGroup.cosets``)."""
+    k, other, splits = shape
+    zero = (universe.ranks < k) | ((universe.mtypes == other) if other else False)
+    masks = []
+    for rank, mtype, label in splits:
+        group = maximal_subgroup(universe, rank)
+        stratum = (universe.ranks == rank) & (universe.mtypes == mtype)
+        masks.append((stratum, group, group.cosets(_labelled(group)[label])))
+    return zero, masks
+
+
 def least_rows_reference(universe, shapes):
     """The least-member labels of ``families._least_rows``, by a sort: each
-    shape's class ids, a split member's id being N + h·|group| plus its
-    coset label, h the least member of its H-class, then one ``np.unique``
-    over the rows laid end to end, each offset past the ids of the row
-    before.  It assumes no H-class layout."""
+    shape's class ids, ``shapes`` in the form of ``shape_masks``, a split
+    member's id being N + h·|group| plus its coset label, h the least
+    member of its H-class, then one ``np.unique`` over the rows laid end to
+    end, each offset past the ids of the row before.  It assumes no H-class
+    layout."""
     size = len(universe)
     block = np.tile(np.arange(size, dtype=np.int64), (len(shapes), 1))
     for row, (zero, splits) in zip(block, shapes):
@@ -321,10 +340,11 @@ def compatible_reference(moves, ids):
 
 
 def family_partition_reference(universe, zero, splits, unit_pairs=()):
-    """The one shape every predicted family has (``families._shape``),
-    built per family: the reference for ``families._family_partitions``,
-    which looks each split stratum up once, keys its classes by arithmetic
-    and builds every family in blocks of rows.
+    """The one shape every predicted family has (``families._specs``), in
+    the form of ``shape_masks``, built per family: the reference for
+    ``families._family_partitions``, which looks each split stratum up
+    once, keys its classes by arithmetic and builds every family in blocks
+    of rows.
 
     ``zero`` masks the ideal that collapses into the zero class.  Each
     ``(mask, group, labels)`` split cuts the masked elements, of rank k =

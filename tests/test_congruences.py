@@ -175,10 +175,14 @@ def test_fast_closure_agrees_with_reference(or2, sr2, or4, sr4, reference_princi
             assert np.array_equal(fast, closure_reference(listed, seeds)), seeds
 
 
-@pytest.mark.parametrize("pair", [(0, 37), (-1, 0), (0.5, 1)])
+@pytest.mark.parametrize("pair", [(0, 37), (-1, 0), (0.5, 1), (True, 2), (1, np.False_)])
 def test_congruence_closure_rejects_bad_pairs(or4, pair):
+    """An index out of range, a float or a bool, which numpy would read as
+    1 or 0 in a list of ints, as ``relates`` and ``product`` refuse one."""
     with pytest.raises(ValueError):
         congruence_closure(or4, [pair])
+    with pytest.raises(ValueError):
+        congruence_closure(or4, [(0, 1), pair])
 
 
 @pytest.mark.parametrize("pairs", [[0, 1, 2], [0, 1], [(0, 1, 2)], [[(0, 1)]]])

@@ -468,6 +468,22 @@ def test_universe_budget_refuses_a_limit_that_is_not_a_non_negative_integer(limi
         enumerate_universe("OR", 2, limit=limit)
 
 
+@pytest.mark.parametrize("limit", [-1, "abc", True, 1.5, np.True_])
+def test_product_table_refuses_a_limit_that_is_not_a_non_negative_integer(limit):
+    """The table's ``limit=`` follows the one integer rule of the element
+    budget: a bool is not read as 1, nor a float or -1 taken as a bound;
+    it is refused before any table is built, and None still means no limit."""
+    universe = enumerate_universe("OR", 2)
+    message = f"limit= must be a non-negative integer, got {limit!r}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        universe.multiplication_table(limit=limit)
+    assert universe._table is None
+    assert universe.multiplication_table(limit=np.int64(4)).shape == (4, 4)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        universe.multiplication_table(limit=limit)
+    assert universe.multiplication_table(limit=None).shape == (4, 4)
+
+
 def test_universe_budget_accepts_integer_limits():
     with pytest.raises(ResourceLimitError, match="over the budget 0"):
         enumerate_universe("OR", 2, limit=0)
