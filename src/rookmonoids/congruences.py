@@ -43,8 +43,9 @@ def _merge(ids, u, v):
     the least label offered to it.  Then only the hooked roots point off a
     root, so their chains are jumped on the hooked entries alone, and one
     gather relabels every element.  Labels only fall and stay inside their
-    class, so each class ends labelled by its least member.  Returns
-    ``ids`` itself when nothing merges, and never writes to it.
+    class, so each class ends labelled by its least member.  Never writes
+    to ``ids``, and returns ``ids`` itself when nothing merges: callers
+    take that as the test that the pairs add nothing.
     """
     hi, lo = _hooks(ids, u, v)
     if not hi.size:
@@ -142,8 +143,7 @@ def _closure_rows(moves, ids, u, v, j_order=None):
         done = np.zeros((ids.size // size, len(below)), dtype=bool)  # J-classes collapsed per row
         collapsed = np.zeros(ids.size, dtype=bool)
         row_zero = np.repeat(np.arange(0, ids.size, size), size)  # the zero of each element's row
-    while u.size:
-        merged = _merge(ids, u, v)
+    while u.size and (merged := _merge(ids, u, v)) is not ids:  # the last round merges nothing
         moved = np.flatnonzero(merged != ids)
         ids = merged
         if j_order is not None:
@@ -393,9 +393,9 @@ def _lattice_ids(moves, seeds, j_order=None):
     each row growing its own zero class when ``j_order`` is given.  The
     closures not yet members are checked in one ``_is_compatible`` call,
     since joins of closures that are not congruences can be exponentially
-    many.  Each of them still not a member, ρ, is joined into every member
-    x, R members a ``_merge`` with ρ's pairs (element, label).  After
-    ρ_1..ρ_i the members are the joins of the subsets of {ρ_1..ρ_i}, a set
+    many.  Each of them still not a member, ρ, is joined into each member x
+    by a ``_merge`` with ρ's pairs (element, label), x itself if x holds ρ.
+    After ρ_1..ρ_i the members are the joins of the subsets of {ρ_1..ρ_i},
     closed under join, so a closure already a member adds nothing.  Every
     congruence of a finite algebra is a join of principal ones, so seeds
     that reach every principal congruence give the whole lattice.
@@ -427,15 +427,11 @@ def _lattice_ids(moves, seeds, j_order=None):
                 continue  # a join of the block's earlier closures
             u = np.flatnonzero(rho != identity)
             v = rho[u]
-            old = list(members.values())
-            for first in range(0, len(old), rows):
-                lift = offsets[:min(rows, len(old) - first), None]
-                joined = _merge((np.array(old[first:first + len(lift)]) + lift).ravel(),
-                                (u + lift).ravel(), (v + lift).ravel())
-                for x in joined.reshape(len(lift), size) - lift:
-                    key = x.tobytes()
-                    if key not in members:
-                        members[key] = np.frombuffer(key, dtype=np.intp)
+            for x in list(members.values()):
+                joined = _merge(x, u, v)
+                if joined is not x:
+                    key = joined.tobytes()
+                    members.setdefault(key, np.frombuffer(key, dtype=np.intp))
     return list(members.values())
 
 
@@ -445,17 +441,14 @@ def congruence_lattice(universe):
     ``_lattice_ids`` closes one kernel or trace pair per unit-conjugation
     orbit (``_kernel_trace_seeds``) over the generator rows, growing zero
     classes along ``_zero_order``, and joins each new principal congruence
-    into the members; no product table is built.  The members are
-    canonicalized in blocks of ``_block_rows`` rows, with no sort
-    (``_canonical_rows``).  There is no budget here: the universe is already
-    within the element budget that ``enumerate_universe`` checked.
+    into the members; no product table is built.  Each member is
+    canonicalized with no sort (``_canonical_rows``).  There is no budget
+    here: the universe is already within the element budget that
+    ``enumerate_universe`` checked.
     """
     moves = universe.translations()
     members = _lattice_ids(moves, _kernel_trace_seeds(universe), _zero_order(universe))
-    rows = _block_rows(moves)
-    parts = [Partition._canonical(universe, ids)
-             for start in range(0, len(members), rows)
-             for ids in _canonical_rows(np.array(members[start:start + rows]))]
+    parts = [Partition._canonical(universe, _canonical_rows(ids)) for ids in members]
     parts.sort(key=lambda p: (-p.num_classes, p.key))
     return parts
 

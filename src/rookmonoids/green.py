@@ -227,12 +227,15 @@ def _h_split(universe, rank, type):
     H-coordinate (``h_coords``) the p-th of the group.  Each row, one
     H-class in index order, must read as ``group.perms`` does, as
     ``core._stratum`` lays it out, else ``InvariantViolation``: so a set of
-    positions has its least member at its least position.  Kept on the
+    positions has its least member at its least position.  An empty
+    stratum, a mistyped split, raises ``ValueError``.  Kept on the
     universe per (rank, type) (``MonoidUniverse._splits``)."""
     key = (rank, type)
     if key not in universe._splits:
         group = maximal_subgroup(universe, rank)
         members = np.flatnonzero((universe.ranks == rank) & (universe.mtypes == type))
+        if not members.size:
+            raise ValueError(f"{universe.family}_{universe.n} has no element of rank {rank} and type {type!r}")
         codes = universe.dom_masks[members] << universe.n | universe.img_masks[members]
         order = np.argsort(codes, kind="stable")  # by H-class, each in index order
         whole = members.size % len(group) == 0  # so each H-class can fill a row

@@ -649,11 +649,50 @@ def group_lattice_args(group):
     return moves, _orbit_minima(np.arange(1, len(group)), len(group), moves[:k], moves[k:])
 
 
+@pytest.mark.parametrize("name", ["or4", "or6"])
+def test_lattice_joins_one_member_at_a_time(name, request, monkeypatch):
+    """Every ``_merge`` that ``_lattice_ids`` makes outside a closure joins
+    one member's N labels with the pairs of a new principal congruence.  A
+    join that returns its input adds nothing: the members are the
+    identity, the principal closures and the results of the other joins.
+    OR_4 and OR_6 close several seeds a block, so joining a block of
+    members at once would show here."""
+    universe = request.getfixturevalue(name)
+    moves, seeds, j_order = universe.translations(), _kernel_trace_seeds(universe), universe.j_order
+    size = len(universe)
+    assert min(len(seeds), congruences._block_rows(moves)) > 1
+    merge, closure = congruences._merge, congruences._closure_rows
+    joins, closed, closing = [], [], False
+
+    def recording_merge(ids, u, v):
+        out = merge(ids, u, v)
+        if not closing:
+            joins.append((ids, out))
+        return out
+
+    def recording_closure(moves, ids, u, v, j_order=None):
+        nonlocal closing
+        closing = True
+        out = closure(moves, ids, u, v, j_order)
+        closing = False
+        closed.extend(out.reshape(-1, size) - np.arange(0, out.size, size)[:, None])
+        return out
+
+    monkeypatch.setattr(congruences, "_merge", recording_merge)
+    monkeypatch.setattr(congruences, "_closure_rows", recording_closure)
+    members = {ids.tobytes() for ids in _lattice_ids(moves, seeds, j_order)}
+    assert all(ids.shape == (size,) and ids.tobytes() in members for ids, _ in joins)
+    idle = [out is ids for ids, out in joins]
+    assert any(idle) and not all(idle)
+    added = {out.tobytes() for ids, out in joins if out is not ids}
+    assert members == {np.arange(size, dtype=np.intp).tobytes()} | {row.tobytes() for row in closed} | added
+
+
 @pytest.mark.parametrize("name", ["or6", "sr6", "r4", "s4"])
 def test_lattice_members_share_no_memory(name, request):
     """Each member of ``_lattice_ids`` is a read-only view of its own key
-    bytes, not a row of the block that a closure or a join returned, so no
-    finished member keeps a block alive or a second copy of itself, and
+    bytes, not a row of a closure's block or the array a join returned, so
+    no finished member keeps a block alive or a second copy of itself, and
     ``normal_subgroups`` keeps its members as they are."""
     if name == "s4":
         members = _lattice_ids(*group_lattice_args(symmetric_group(4)))

@@ -432,6 +432,19 @@ def test_builder_refuses_an_h_coordinate_outside_the_group():
     assert not or4._splits
 
 
+def test_h_split_refuses_an_empty_stratum():
+    """OR_4 has no half-rank element of type "", so a split of that
+    stratum, as a mistyped catalogue row would name it, raises before the
+    memo is filled instead of leaving every element a singleton."""
+    or4 = enumerate_universe("OR", 4)
+    message = re.escape("OR_4 has no element of rank 2 and type ''")
+    with pytest.raises(ValueError, match=message):
+        _h_split(or4, 2, "")
+    with pytest.raises(ValueError, match=message):
+        _least_rows(or4, [(1, None, [(2, "", "full")])])
+    assert not or4._splits
+
+
 @pytest.mark.parametrize("family", ["OR", "SR", "R"])
 @pytest.mark.parametrize("n", [2, 4, 6])
 def test_least_rows_match_the_sorting_reference(family, n):
